@@ -253,7 +253,12 @@ public:
     return false;
   }
 
-  /// Hashes the bit contents (FNV-1a over the words).
+  /// Hashes the bit contents: FNV-1a over the words, then the splitmix64
+  /// finalizer. Plain FNV-1a's low k bits depend only on the low k bits
+  /// of each word, so configurations differing only in high ops would
+  /// share every low hash bit; the finalizer spreads each input bit over
+  /// the whole result, so both the top bits (ConcurrentSet's stripe) and
+  /// the low bits (its slot) are usable.
   size_t hash() const {
     uint64_t H = 1469598103934665603ull;
     const uint64_t *W = words();
@@ -261,6 +266,11 @@ public:
       H ^= W[I];
       H *= 1099511628211ull;
     }
+    H ^= H >> 30;
+    H *= 0xbf58476d1ce4e5b9ull;
+    H ^= H >> 27;
+    H *= 0x94d049bb133111ebull;
+    H ^= H >> 31;
     return static_cast<size_t>(H);
   }
 

@@ -19,7 +19,9 @@
 /// ConcurrentSet::insert doubles as the claim operation of the sharded
 /// search: exactly one caller receives true per value, so two shards
 /// reaching the same intermediate configuration agree on which of them
-/// explores the subtree below it (the other prunes).
+/// explores the subtree below it (the other prunes). The sharded search
+/// probes W before it claims, so configurations W already refutes never
+/// enter the table.
 ///
 /// WatchedWrongSet replaces a scan-the-whole-list W set. Each (Mask,
 /// Value) constraint is filed under the first set bit of Value; probing
@@ -40,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -52,30 +55,26 @@ namespace netupd {
 /// contiguous slots instead of chasing unordered_set buckets, and
 /// insert-only semantics mean the table never tombstones.
 ///
-/// Lock acquisitions on the probe/claim path feed the
-/// synth.vset_lock_ns wait histogram when the obs detail tier is on —
-/// and cost one relaxed load when it is off.
+/// The stripe comes from the top bits of the hash and the slot from the
+/// low bits. Taking both from the low bits would leave only one slot in
+/// 64 reachable as a home slot within a stripe, and probe chains would
+/// grow into long clusters. \p Hash must therefore mix into the top bits
+/// (BitsetHash does; an identity hash over small ints just lands in one
+/// stripe).
+///
+/// Lock acquisitions on the claim path feed the synth.vset_lock_ns wait
+/// histogram when the obs detail tier is on — and cost one relaxed load
+/// when it is off.
 template <typename T, typename Hash = std::hash<T>> class ConcurrentSet {
 public:
   /// Inserts \p V; returns true iff it was not already present. The
   /// true-return is unique per value across all threads (the claim).
   bool insert(const T &V) {
     size_t H = Hash()(V);
-    Stripe &S = stripeFor(H);
+    Stripe &S = Stripes[H >> StripeShift];
     obs::timedLock(S.M, lockWait());
     MutexLock Lock(S.M, std::adopt_lock);
     return S.insert(H, V);
-  }
-
-  /// True if \p V was inserted before this call. A false may be stale
-  /// (another thread can insert concurrently); callers treat contains()
-  /// as a cheap pre-filter and insert() as the authoritative claim.
-  bool contains(const T &V) const {
-    size_t H = Hash()(V);
-    const Stripe &S = stripeFor(H);
-    obs::timedLock(S.M, lockWait());
-    MutexLock Lock(S.M, std::adopt_lock);
-    return S.find(H, V) != SIZE_MAX;
   }
 
   size_t size() const {
@@ -96,7 +95,10 @@ public:
   }
 
 private:
-  static constexpr unsigned NumStripes = 64;
+  static constexpr unsigned StripeBits = 6;
+  static constexpr unsigned NumStripes = 1u << StripeBits;
+  static constexpr unsigned StripeShift =
+      std::numeric_limits<size_t>::digits - StripeBits;
 
   struct Slot {
     size_t H = 0;
@@ -108,20 +110,6 @@ private:
     mutable Mutex M;
     std::vector<Slot> Slots NETUPD_GUARDED_BY(M);
     size_t Count NETUPD_GUARDED_BY(M) = 0;
-
-    /// Index of \p V in Slots, or SIZE_MAX. Caller holds M.
-    size_t find(size_t H, const T &V) const NETUPD_REQUIRES(M) {
-      if (Slots.empty())
-        return SIZE_MAX;
-      size_t Mask = Slots.size() - 1;
-      for (size_t I = H & Mask;; I = (I + 1) & Mask) {
-        const Slot &S = Slots[I];
-        if (!S.Used)
-          return SIZE_MAX;
-        if (S.H == H && S.Value == V)
-          return I;
-      }
-    }
 
     bool insert(size_t H, const T &V) NETUPD_REQUIRES(M) {
       if (Slots.size() < 16 || Count * 10 >= Slots.size() * 7)
@@ -156,9 +144,6 @@ private:
       }
     }
   };
-
-  Stripe &stripeFor(size_t H) { return Stripes[H % NumStripes]; }
-  const Stripe &stripeFor(size_t H) const { return Stripes[H % NumStripes]; }
 
   static obs::Histogram &lockWait() {
     static obs::Histogram &H =
@@ -420,51 +405,6 @@ private:
 
   std::vector<Slot> Slots;
   size_t Count = 0;
-};
-
-/// An append-only list optimized for concurrent whole-list scans and
-/// comparatively rare appends. The synthesis search's W set moved to
-/// WatchedWrongSet; this stays for callers whose predicate is not a
-/// mask/value match (and for its contention test coverage).
-template <typename T> class SharedAppendList {
-public:
-  void append(T V) {
-    obs::timedLock(M, lockWait());
-    SharedMutexLock Lock(M, std::adopt_lock);
-    Items.push_back(std::move(V));
-  }
-
-  /// True if \p Pred holds for any element; scans under a shared lock.
-  template <typename Fn> bool any(Fn &&Pred) const {
-    obs::timedLockShared(M, lockWait());
-    SharedReaderLock Lock(M, std::adopt_lock);
-    for (const T &V : Items)
-      if (Pred(V))
-        return true;
-    return false;
-  }
-
-  size_t size() const {
-    SharedReaderLock Lock(M);
-    return Items.size();
-  }
-
-  /// A copy of the current contents; safe mid-flight (sees a monotone
-  /// prefix of the appends).
-  std::vector<T> snapshot() const {
-    SharedReaderLock Lock(M);
-    return Items;
-  }
-
-private:
-  static obs::Histogram &lockWait() {
-    static obs::Histogram &H =
-        obs::MetricsRegistry::instance().histogram("synth.wset_lock_ns");
-    return H;
-  }
-
-  mutable SharedMutex M;
-  std::vector<T> Items NETUPD_GUARDED_BY(M);
 };
 
 } // namespace netupd

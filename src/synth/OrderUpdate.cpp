@@ -334,6 +334,9 @@ struct SearchContext {
   // watch-indexed container for both modes — its probes and CAS appends
   // are lock-free, so they cost a single-shard run nothing either.
   FlatBitsetSet SeqVisited;             // V of Fig. 4 (one shard).
+  /// V of Fig. 4 across shards. Sharded searchers probe W and the seeds
+  /// before they claim, so a configuration those already refute never
+  /// takes a stripe lock (tryCandidate).
   ConcurrentSet<Bitset, BitsetHash> ParVisited;
   /// W of Fig. 4: (mask, value) refutations, filed under the first set
   /// bit of value so a probe touches only entries that could match
@@ -763,7 +766,7 @@ private:
     if (Ctx.Deterministic) {
       // Unit-local pruning: nothing another shard does can change which
       // prefixes this unit affords, so the charge sequence below is
-      // deterministic. The claim comes first (mirroring the concurrent
+      // deterministic. The claim comes first (as in the sequential
       // branch below) so a refuted configuration fires its conflict
       // event exactly once — noteRefuted feeds the activity and restart
       // machinery, and its event count must be a property of the
@@ -798,14 +801,22 @@ private:
         return false;
       }
     } else {
-      // The claim comes first: one striped-lock acquisition replaces
-      // the old contains-probe-then-insert pair (two acquisitions on
-      // the one path every explored edge takes). Losing the claim is
-      // the visited prune; winning it commits this shard to settling
-      // the configuration — by the W/seed refutations below (the entry
-      // proves the check would fail, so "settled" needs no descent) or
-      // by exploring it.
-      if (!Ctx.visitedClaim(Next)) {
+      // The claim's place depends on the mode. Sequential: the claim
+      // comes first, so a refuted configuration fires its conflict
+      // event exactly once however many paths re-reach it — the event
+      // stream feeds activity and restarts, and is part of the
+      // byte-identical sequence contract. Sharded: the seed/W probes
+      // come first. Both are lock-free and monotone, so a match proves
+      // the recheck would fail and the configuration needs no claim;
+      // only what neither refutes takes a stripe lock. Most of a deep
+      // proof's reaches are refuted, so this keeps them out of the
+      // shared table. The price is one conflict event per W-matched
+      // reach instead of per configuration, which sharded mode can
+      // pay: it runs no restarts and promises no exact sequence.
+      // Either way, losing the claim is the visited prune, and winning
+      // it commits this shard to exploring the configuration.
+      bool ClaimFirst = !Ctx.Sharded;
+      if (ClaimFirst && !Ctx.visitedClaim(Next)) {
         ++Stats.VisitedPrunes;
         return false;
       }
@@ -824,6 +835,10 @@ private:
       if (Ctx.Opts.CexPruning && Ctx.matchesWrong(Next)) {
         ++Stats.CexPrunes;
         noteRefuted(I);
+        return false;
+      }
+      if (!ClaimFirst && !Ctx.visitedClaim(Next)) {
+        ++Stats.VisitedPrunes;
         return false;
       }
       // A stop observed after the claim leaves the configuration
@@ -1184,13 +1199,16 @@ private:
     return matchesAny(UnitWrong, Bits);
   }
 
-  /// The conflict event: a claimed configuration proved refuted — by a
-  /// seed match, a W match, or a failed recheck. Refutedness is a
-  /// semantic fact about the configuration (independent of which of the
-  /// three settled it), so the event stream, and with it the activity
-  /// scores and restart points, is identical across checker backends
-  /// and across seeded/unseeded runs. Bumps the candidate's activity
-  /// and advances the Luby restart schedule.
+  /// The conflict event: a configuration proved refuted — by a seed
+  /// match, a W match, or a failed recheck. Refutedness is a semantic
+  /// fact about the configuration (independent of which of the three
+  /// settled it), so the event stream, and with it the activity scores
+  /// and restart points, is identical across checker backends and
+  /// across seeded/unseeded runs. Sequential and budget searches fire it
+  /// once per configuration (they claim before probing); sharded
+  /// searches probe before claiming and fire it once per W/seed-matched
+  /// reach. Bumps the candidate's activity and advances the Luby restart
+  /// schedule.
   void noteRefuted(unsigned I) {
     if (Ctx.Opts.ActivityOrdering)
       bumpActivity(I);

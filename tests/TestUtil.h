@@ -8,8 +8,9 @@
 /// \file
 /// Random generators and checking helpers shared by the test suites:
 /// random LTL formulas, random network configurations (loops and
-/// blackholes included), and a replay-based soundness check for
-/// synthesized command sequences.
+/// blackholes included), a replay-based soundness check for
+/// synthesized command sequences, and the deep Impossible-proof
+/// instance the search tests share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +25,12 @@
 #include "support/Random.h"
 #include "synth/Command.h"
 #include "topo/Generators.h"
+#include "topo/Scenario.h"
 
+#include <gtest/gtest.h>
+
+#include <optional>
+#include <utility>
 #include <vector>
 
 namespace netupd {
@@ -169,6 +175,46 @@ inline bool allIntermediateConfigsHold(const Topology &Topo,
       return false;
   }
   return true;
+}
+
+/// A deep exhaustive Impossible proof, the bench/engine_scaling.cpp
+/// "deep-proof" recipe at a test-sized diff cap: a long-path diamond
+/// whose final config blackholes the destination, so the search must
+/// refute the entire safe sub-lattice — thousands of conflicts, enough
+/// to cross the Luby restart base and to give clause minimization
+/// sibling entries to resolve against. \p Skip selects among the
+/// instances the seed grows; Skip=1's lattice both restarts and
+/// minimizes within a few thousand checker queries.
+inline Scenario deepImpossible(unsigned Skip = 0) {
+  constexpr unsigned DiffCap = 22;
+  Rng SR(23);
+  DiamondOptions DO;
+  DO.LongPaths = true;
+  for (unsigned I = 0; I != 32; ++I) {
+    Rng Fork = SR.fork();
+    Topology Base = buildSmallWorld(96, 4, 0.2, Fork);
+    std::optional<Scenario> S =
+        makeDiamondScenario(Base, Fork, PropertyKind::Reachability, DO);
+    if (!S)
+      continue;
+    if (Skip > 0) {
+      --Skip;
+      continue;
+    }
+    SwitchId Dst = S->Flows[0].FinalPath.back();
+    S->Final.setTable(Dst, Table());
+    std::vector<SwitchId> Diff = diffSwitches(S->Initial, S->Final);
+    unsigned Kept = 0;
+    for (SwitchId Sw : Diff) {
+      if (Sw == Dst)
+        continue;
+      if (++Kept > DiffCap - 1)
+        S->Final.setTable(Sw, S->Initial.table(Sw));
+    }
+    return std::move(*S);
+  }
+  ADD_FAILURE() << "no deep-proof instance grew from seed 23";
+  return Scenario{};
 }
 
 } // namespace testutil

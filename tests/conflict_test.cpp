@@ -78,46 +78,6 @@ Scenario doubleDiamond(uint64_t Seed) {
   return std::move(*S);
 }
 
-/// A deep exhaustive Impossible proof, the bench/engine_scaling.cpp
-/// "deep-proof" recipe at a test-sized diff cap: a long-path diamond
-/// whose final config blackholes the destination, so the search must
-/// refute the entire safe sub-lattice — thousands of conflicts, enough
-/// to cross the Luby restart base and to give clause minimization
-/// sibling entries to resolve against. \p Skip selects among the
-/// instances the seed grows; the tests use Skip=1, whose lattice both
-/// restarts and minimizes within a few thousand checker queries.
-Scenario deepImpossible(unsigned Skip = 0) {
-  constexpr unsigned DiffCap = 22;
-  Rng SR(23);
-  DiamondOptions DO;
-  DO.LongPaths = true;
-  for (unsigned I = 0; I != 32; ++I) {
-    Rng Fork = SR.fork();
-    Topology Base = buildSmallWorld(96, 4, 0.2, Fork);
-    std::optional<Scenario> S =
-        makeDiamondScenario(Base, Fork, PropertyKind::Reachability, DO);
-    if (!S)
-      continue;
-    if (Skip > 0) {
-      --Skip;
-      continue;
-    }
-    SwitchId Dst = S->Flows[0].FinalPath.back();
-    S->Final.setTable(Dst, Table());
-    std::vector<SwitchId> Diff = diffSwitches(S->Initial, S->Final);
-    unsigned Kept = 0;
-    for (SwitchId Sw : Diff) {
-      if (Sw == Dst)
-        continue;
-      if (++Kept > DiffCap - 1)
-        S->Final.setTable(Sw, S->Initial.table(Sw));
-    }
-    return std::move(*S);
-  }
-  ADD_FAILURE() << "no deep-proof instance grew from seed 23";
-  return Scenario{};
-}
-
 /// What one run observably produced, for invariance comparisons.
 struct RunResult {
   SynthStatus Status = SynthStatus::Aborted;
@@ -342,8 +302,13 @@ TEST(ConflictInvarianceTest, BudgetPurityPerKnobSettingAcrossShards) {
           << K.Name << " unit=" << Unit
           << ": a budgeted verdict depended on the shard count";
       EXPECT_EQ(Sharded.Rendered, Seq.Rendered) << K.Name << " unit=" << Unit;
-      EXPECT_EQ(Sharded.Stats.BudgetSpent, Seq.Stats.BudgetSpent)
-          << K.Name << " unit=" << Unit;
+      // A Success cancels sibling shards mid-unit, so their partial
+      // spends depend on scheduling (docs/ARCHITECTURE.md's BudgetSpent
+      // caveat); only exhaustion-decided verdicts pin the total.
+      if (Seq.Status != SynthStatus::Success) {
+        EXPECT_EQ(Sharded.Stats.BudgetSpent, Seq.Stats.BudgetSpent)
+            << K.Name << " unit=" << Unit;
+      }
       if (Seq.Status != SynthStatus::Aborted) {
         EXPECT_EQ(Seq.Status, Unlimited.Status)
             << K.Name << " unit=" << Unit

@@ -13,10 +13,13 @@
 /// reference (commands included), and deterministic budget mode must
 /// never steal at all — its unit-local state forbids cross-shard
 /// hand-offs, so a single stolen task there would be a contract breach.
+/// A deep-proof matrix over shards, steal and store seeding pins the
+/// sharded probe-before-claim order: same verdict, same query count.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "mc/LabelingChecker.h"
+#include "support/ConstraintStore.h"
 #include "synth/Command.h"
 #include "synth/OrderUpdate.h"
 #include "topo/Generators.h"
@@ -25,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -70,9 +75,12 @@ Scenario blackholedDiamond(uint64_t FirstSeed, unsigned MinUpdates) {
 
 /// Runs the plain (portfolio-free) search over \p S with the given shard
 /// count and stealing mode; every shard gets its own incremental
-/// labeling checker.
-SynthResult runSearch(const Scenario &S, unsigned Shards, bool Steal,
-                      uint64_t MaxCheckCalls = 0) {
+/// labeling checker. \p Tweak adjusts the options last (store seeding,
+/// early termination).
+SynthResult
+runSearch(const Scenario &S, unsigned Shards, bool Steal,
+          uint64_t MaxCheckCalls = 0,
+          const std::function<void(SynthOptions &)> &Tweak = {}) {
   LabelingChecker Checker(LabelingChecker::Mode::Incremental);
   FormulaFactory FF;
   SynthOptions Opts;
@@ -80,6 +88,8 @@ SynthResult runSearch(const Scenario &S, unsigned Shards, bool Steal,
   Opts.WorkStealing = Steal;
   Opts.MaxCheckCalls = MaxCheckCalls;
   Opts.WaitRemoval = false; // Keep command sequences minimal and stable.
+  if (Tweak)
+    Tweak(Opts);
   if (Shards > 1)
     Opts.ShardCheckerFactory = []() -> std::unique_ptr<CheckerBackend> {
       return std::make_unique<LabelingChecker>(
@@ -166,6 +176,90 @@ TEST(StealDeterminismTest, BudgetedCellsAreByteIdentical) {
           }
         }
     }
+  }
+}
+
+// Sharded searchers probe the seed set and W before they claim, so a
+// refuted configuration settles without entering the shared claim
+// table. That must neither lose a proof nor buy extra checks: on a deep
+// exhaustion proof every shards x steal x store-seeding cell stays
+// Impossible, and its checker queries (less the one bind each stolen
+// task costs) stay within 1% of the 1-shard search over the same store
+// content. The store is filled per cell by the same budgeted run, so
+// every seeded cell starts from identical imports that refute only part
+// of the lattice, leaving both the seed and the run-local W probe work.
+// Restarts are off: they re-pay the checks of each abandoned path, a
+// cost only the 1-shard search has, and the comparison is of pruning.
+TEST(StealDeterminismTest, ShardedRefutationKeepsProofAndQueryCount) {
+  Scenario S = deepImpossible(1);
+  ASSERT_FALSE(S.Flows.empty());
+  for (bool Seeded : {false, true}) {
+    uint64_t RefChecks = 0;
+    for (unsigned Shards : {1u, 2u, 4u})
+      for (bool Steal : {false, true}) {
+        if (Shards == 1 && Steal)
+          continue; // Stealing is inert unsharded.
+        std::shared_ptr<ConstraintStore> Store;
+        auto Tweak = [&](SynthOptions &O) {
+          O.EarlyTermination = false;
+          O.Restarts = false;
+          O.Learning = Store;
+        };
+        if (Seeded) {
+          Store = std::make_shared<ConstraintStore>();
+          runSearch(S, 1, /*Steal=*/false, /*MaxCheckCalls=*/200, Tweak);
+        }
+        SynthResult Res = runSearch(S, Shards, Steal, 0, Tweak);
+        std::string Cell = std::to_string(Shards) + " shards, steal=" +
+                           std::to_string(Steal) +
+                           ", seeded=" + std::to_string(Seeded);
+        ASSERT_EQ(Res.Status, SynthStatus::Impossible) << Cell;
+        if (Seeded) {
+          EXPECT_GT(Res.Stats.SeededPrunes, 0u) << Cell;
+        }
+        uint64_t Checks = Res.Stats.CheckCalls - Res.Stats.StolenTasks;
+        if (Shards == 1) {
+          RefChecks = Checks;
+          continue;
+        }
+        EXPECT_LE(std::llabs(static_cast<long long>(Checks) -
+                             static_cast<long long>(RefChecks)) *
+                      100,
+                  static_cast<long long>(RefChecks))
+            << Cell << ": " << Checks << " checks against " << RefChecks
+            << " at 1 shard";
+      }
+  }
+}
+
+// A store-seeded sharded search on a feasible instance still finds a
+// correct order: seed and W matches refute only configurations whose
+// recheck would fail, so probing them before the claim prunes no
+// completable sequence.
+TEST(StealDeterminismTest, SeededShardedFeasibleStillSucceeds) {
+  // The first feasible diamond whose sequential search refutes at least
+  // one order, so the store has something to seed.
+  Scenario S;
+  std::shared_ptr<ConstraintStore> Store;
+  auto Learn = [&](SynthOptions &O) { O.Learning = Store; };
+  for (uint64_t Seed = 800; Seed != 1800 && !Store; Seed += 100) {
+    S = diamondWithUpdates(Seed, 5);
+    Store = std::make_shared<ConstraintStore>();
+    SynthResult Ref = runSearch(S, 1, /*Steal=*/false, 0, Learn);
+    ASSERT_EQ(Ref.Status, SynthStatus::Success);
+    if (Ref.Stats.ExportedConstraints == 0)
+      Store.reset();
+  }
+  ASSERT_TRUE(Store) << "no diamond refuted an order";
+  FormulaFactory FF;
+  Formula Phi = S.buildProperty(FF);
+  for (bool Steal : {false, true}) {
+    SynthResult Res = runSearch(S, 4, Steal, 0, Learn);
+    ASSERT_EQ(Res.Status, SynthStatus::Success) << "steal=" << Steal;
+    EXPECT_GT(Res.Stats.ImportedConstraints, 0u);
+    EXPECT_TRUE(allIntermediateConfigsHold(S.Topo, S.Initial, S.classes(),
+                                           Phi, Res.Commands))
+        << "steal=" << Steal << ": unsafe sequence";
   }
 }
 
