@@ -41,7 +41,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <utility>
@@ -58,14 +57,14 @@ namespace netupd {
 /// The stripe comes from the top bits of the hash and the slot from the
 /// low bits. Taking both from the low bits would leave only one slot in
 /// 64 reachable as a home slot within a stripe, and probe chains would
-/// grow into long clusters. \p Hash must therefore mix into the top bits
-/// (BitsetHash does; an identity hash over small ints just lands in one
-/// stripe).
+/// grow into long clusters. \p Hash must therefore mix into every bit,
+/// as BitsetHash does; there is no std::hash default, whose identity
+/// hash over small ints would put them all in stripe 0.
 ///
 /// Lock acquisitions on the claim path feed the synth.vset_lock_ns wait
 /// histogram when the obs detail tier is on — and cost one relaxed load
 /// when it is off.
-template <typename T, typename Hash = std::hash<T>> class ConcurrentSet {
+template <typename T, typename Hash> class ConcurrentSet {
 public:
   /// Inserts \p V; returns true iff it was not already present. The
   /// true-return is unique per value across all threads (the claim).

@@ -302,13 +302,8 @@ TEST(ConflictInvarianceTest, BudgetPurityPerKnobSettingAcrossShards) {
           << K.Name << " unit=" << Unit
           << ": a budgeted verdict depended on the shard count";
       EXPECT_EQ(Sharded.Rendered, Seq.Rendered) << K.Name << " unit=" << Unit;
-      // A Success cancels sibling shards mid-unit, so their partial
-      // spends depend on scheduling (docs/ARCHITECTURE.md's BudgetSpent
-      // caveat); only exhaustion-decided verdicts pin the total.
-      if (Seq.Status != SynthStatus::Success) {
-        EXPECT_EQ(Sharded.Stats.BudgetSpent, Seq.Stats.BudgetSpent)
-            << K.Name << " unit=" << Unit;
-      }
+      EXPECT_EQ(Sharded.Stats.BudgetSpent, Seq.Stats.BudgetSpent)
+          << K.Name << " unit=" << Unit;
       if (Seq.Status != SynthStatus::Aborted) {
         EXPECT_EQ(Seq.Status, Unlimited.Status)
             << K.Name << " unit=" << Unit

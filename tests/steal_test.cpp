@@ -232,37 +232,6 @@ TEST(StealDeterminismTest, ShardedRefutationKeepsProofAndQueryCount) {
   }
 }
 
-// A store-seeded sharded search on a feasible instance still finds a
-// correct order: seed and W matches refute only configurations whose
-// recheck would fail, so probing them before the claim prunes no
-// completable sequence.
-TEST(StealDeterminismTest, SeededShardedFeasibleStillSucceeds) {
-  // The first feasible diamond whose sequential search refutes at least
-  // one order, so the store has something to seed.
-  Scenario S;
-  std::shared_ptr<ConstraintStore> Store;
-  auto Learn = [&](SynthOptions &O) { O.Learning = Store; };
-  for (uint64_t Seed = 800; Seed != 1800 && !Store; Seed += 100) {
-    S = diamondWithUpdates(Seed, 5);
-    Store = std::make_shared<ConstraintStore>();
-    SynthResult Ref = runSearch(S, 1, /*Steal=*/false, 0, Learn);
-    ASSERT_EQ(Ref.Status, SynthStatus::Success);
-    if (Ref.Stats.ExportedConstraints == 0)
-      Store.reset();
-  }
-  ASSERT_TRUE(Store) << "no diamond refuted an order";
-  FormulaFactory FF;
-  Formula Phi = S.buildProperty(FF);
-  for (bool Steal : {false, true}) {
-    SynthResult Res = runSearch(S, 4, Steal, 0, Learn);
-    ASSERT_EQ(Res.Status, SynthStatus::Success) << "steal=" << Steal;
-    EXPECT_GT(Res.Stats.ImportedConstraints, 0u);
-    EXPECT_TRUE(allIntermediateConfigsHold(S.Topo, S.Initial, S.classes(),
-                                           Phi, Res.Commands))
-        << "steal=" << Steal << ": unsafe sequence";
-  }
-}
-
 // StealDepth = 0 restricts offers to the unit root's own edges; the
 // search must still be sound and complete with the narrowest window,
 // and with stealing confined to depth 0 the verdicts must match the

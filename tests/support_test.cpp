@@ -239,14 +239,23 @@ TEST(ShardedCacheTest, ClearResetsEvictionState) {
   EXPECT_EQ(*Cache.lookup(shard0Key(2)), 3);
 }
 
+/// A 16-op configuration whose applied ops are the set bits of \p V.
+static Bitset configOf(unsigned V) {
+  Bitset B(16);
+  for (unsigned I = 0; I != 16; ++I)
+    if (V >> I & 1)
+      B.set(I);
+  return B;
+}
+
 TEST(ConcurrentSetTest, InsertClear) {
-  ConcurrentSet<int> Set;
-  EXPECT_TRUE(Set.insert(7));
-  EXPECT_FALSE(Set.insert(7)) << "second insert must lose the claim";
+  ConcurrentSet<Bitset, BitsetHash> Set;
+  EXPECT_TRUE(Set.insert(configOf(7)));
+  EXPECT_FALSE(Set.insert(configOf(7))) << "second insert must lose the claim";
   EXPECT_EQ(Set.size(), 1u);
   Set.clear();
   EXPECT_EQ(Set.size(), 0u);
-  EXPECT_TRUE(Set.insert(7)) << "clear must release the claim";
+  EXPECT_TRUE(Set.insert(configOf(7))) << "clear must release the claim";
 }
 
 TEST(ConcurrentSetTest, BitsetKeys) {
@@ -260,16 +269,24 @@ TEST(ConcurrentSetTest, BitsetKeys) {
 }
 
 // The claim semantics under contention: every value is claimed exactly
-// once no matter how many threads race for it.
+// once no matter how many threads race for it, with the values spread
+// over every stripe.
 TEST(ConcurrentSetTest, ClaimsAreUniqueAcrossThreads) {
-  ConcurrentSet<int> Set;
-  constexpr int NumValues = 1000;
+  ConcurrentSet<Bitset, BitsetHash> Set;
+  constexpr unsigned NumValues = 1000;
   constexpr unsigned NumThreads = 8;
-  std::atomic<int> Claims{0};
+  std::vector<Bitset> Values;
+  std::set<size_t> Stripes;
+  for (unsigned V = 0; V != NumValues; ++V) {
+    Values.push_back(configOf(V));
+    Stripes.insert(BitsetHash()(Values.back()) >> 58);
+  }
+  ASSERT_EQ(Stripes.size(), 64u) << "the values must contend on every stripe";
+  std::atomic<unsigned> Claims{0};
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T != NumThreads; ++T)
     Threads.emplace_back([&] {
-      for (int V = 0; V != NumValues; ++V)
+      for (const Bitset &V : Values)
         if (Set.insert(V))
           Claims.fetch_add(1);
     });
