@@ -21,13 +21,6 @@
 /// *intra-job* shard scaling on deep exhaustive proofs: one engine
 /// worker, the DFS prefix-split across 1/2/4 shards
 /// (EngineOptions::IntraJobShards), verdicts asserted stable. A fifth
-/// section measures the conflict-driven search layer on a batch that
-/// revisits each of those deep proofs four times with the constraint
-/// store enabled: the default knob set (clause minimization + activity
-/// ordering + Luby restarts + proof-based shedding of the repeats)
-/// against all three knobs disabled (repeats re-search, seeded by the
-/// store), verdicts asserted identical and the checker-query reduction
-/// recorded for the trend gate (target: >= 25% fewer queries). A sixth
 /// section measures cross-job learning (EngineOptions::SharedLearning):
 /// an autotuning-style probe stream over one scenario family, run with
 /// the constraint store off and on — verdicts must be byte-identical
@@ -262,21 +255,6 @@ struct LearnPoint {
   unsigned Succeeded = 0;
 };
 
-/// One conflict-learning measurement for the JSON report: a batch that
-/// repeats each deep exhaustive proof with the conflict-driven knobs
-/// (clause minimization, activity ordering, Luby restarts) all on vs
-/// all off. Knobs-on sheds the repeats from the stored UNSAT proof;
-/// knobs-off re-searches them.
-struct ConflictPoint {
-  const char *Mode = "";
-  double WallSeconds = 0.0;
-  double JobsPerSec = 0.0;
-  uint64_t TotalQueries = 0;
-  uint64_t ClausesMinimized = 0, LiteralsDropped = 0;
-  uint64_t Restarts = 0, SubsumedDropped = 0, ShedMembers = 0;
-  unsigned Succeeded = 0;
-};
-
 /// One caching-mode measurement for the JSON report.
 struct CachePoint {
   const char *Mode = "";
@@ -322,7 +300,6 @@ void writeJson(double Scale, double SweepScale, double ShardScale,
                const std::vector<ShardPoint> &ShardRuns,
                const std::vector<BudgetPoint> &BudgetRuns,
                size_t LearnJobs, const std::vector<LearnPoint> &LearnRuns,
-               const std::vector<ConflictPoint> &ConflictRuns,
                const std::vector<PhasePoint> &Phases,
                const std::vector<ObsPoint> &ObsRuns,
                const std::vector<ZooScalePoint> &ZooRuns) {
@@ -347,8 +324,6 @@ void writeJson(double Scale, double SweepScale, double ShardScale,
   std::fprintf(F, "  \"phases_scale\": %g,\n", ShardScale);
   std::fprintf(F, "  \"obs_scale\": %g,\n", ShardScale);
   std::fprintf(F, "  \"learning_scale\": %g,\n", Scale);
-  // The conflict section reruns the (floored) deep-proof workload.
-  std::fprintf(F, "  \"conflict_scale\": %g,\n", ShardScale);
   std::fprintf(F, "  \"sweep_jobs\": %zu,\n  \"sweep\": [\n", SweepJobs);
   for (size_t I = 0; I != Sweep.size(); ++I) {
     const SweepPoint &P = Sweep[I];
@@ -455,26 +430,6 @@ void writeJson(double Scale, double SweepScale, double ShardScale,
         static_cast<unsigned long long>(P.Exported),
         static_cast<unsigned long long>(P.SeededPrunes), P.Succeeded,
         I + 1 == LearnRuns.size() ? "" : ",");
-  }
-  std::fprintf(F, "  ],\n");
-  std::fprintf(F, "  \"conflict\": [\n");
-  for (size_t I = 0; I != ConflictRuns.size(); ++I) {
-    const ConflictPoint &P = ConflictRuns[I];
-    std::fprintf(
-        F,
-        "    {\"mode\": \"%s\", \"wall_seconds\": %.6f, "
-        "\"jobs_per_sec\": %.3f, \"total_queries\": %llu, "
-        "\"clauses_minimized\": %llu, \"literals_dropped\": %llu, "
-        "\"restarts\": %llu, \"subsumed_dropped\": %llu, "
-        "\"shed_members\": %llu, \"succeeded\": %u}%s\n",
-        P.Mode, P.WallSeconds, P.JobsPerSec,
-        static_cast<unsigned long long>(P.TotalQueries),
-        static_cast<unsigned long long>(P.ClausesMinimized),
-        static_cast<unsigned long long>(P.LiteralsDropped),
-        static_cast<unsigned long long>(P.Restarts),
-        static_cast<unsigned long long>(P.SubsumedDropped),
-        static_cast<unsigned long long>(P.ShedMembers), P.Succeeded,
-        I + 1 == ConflictRuns.size() ? "" : ",");
   }
   std::fprintf(F, "  ],\n");
   std::fprintf(F, "  \"zoo_scale\": %g,\n  \"zoo\": [\n", Scale);
@@ -1021,98 +976,6 @@ int main(int Argc, char **Argv) {
                       Rep.Merged.PruneSeconds, Rep.Merged.SatSeconds});
   }
 
-  banner("conflict-driven learning: knobs on vs off on exhaustive proofs");
-  // The deep Impossible proofs again, but as the workload the conflict
-  // layer is built for: a batch that revisits each instance (think
-  // autotuning probes or a portfolio re-race) with the cross-job
-  // constraint store enabled. With the knobs on, the first visit
-  // publishes minimized clauses plus its UNSAT proof, and every repeat
-  // is shed — answered from the proof without a single checker query.
-  // With the knobs off, the repeats re-search (the store still seeds
-  // refutations, so this is the strongest fair baseline, not a straw
-  // man). Verdicts must be byte-identical — shedding and the in-search
-  // knobs reorder and generalize, they never change an answer — and the
-  // query reduction lands in BENCH_engine.json so the trend gate can
-  // hold the >= 25% line fail-soft.
-  std::vector<ConflictPoint> ConflictRuns;
-  {
-    // Each deep proof appears Repeats times; copies share the scenario
-    // digest, so only the first can ever do real work under shedding.
-    constexpr unsigned Repeats = 4;
-    std::vector<SynthJob> CJobsBase;
-    for (const SynthJob &Job : ShardJobs) {
-      for (unsigned R = 0; R != Repeats; ++R) {
-        SynthJob Copy = Job;
-        Copy.Name = Job.Name + "#" + std::to_string(R);
-        CJobsBase.push_back(std::move(Copy));
-      }
-    }
-    std::vector<SynthStatus> ConflictBaseVerdicts;
-    for (const char *Mode : {"off", "on"}) {
-      bool On = std::string(Mode) == "on";
-      std::vector<SynthJob> CJobs = CJobsBase;
-      for (SynthJob &Job : CJobs) {
-        Job.Portfolio[0].Opts.ClauseMinimization = On;
-        Job.Portfolio[0].Opts.ActivityOrdering = On;
-        Job.Portfolio[0].Opts.Restarts = On;
-      }
-      EngineOptions EO;
-      EO.NumWorkers = 1;
-      EO.CacheResults = false; // The result cache would replay the
-                               // repeats outright and hide the layer
-                               // under test.
-      EO.SharedLearning = true;
-      EO.IntraJobShards = 1;
-      SynthEngine Engine(EO);
-      BatchReport Rep = Engine.run(CJobs);
-
-      std::vector<SynthStatus> Verdicts;
-      for (const SynthReport &R : Rep.Reports)
-        Verdicts.push_back(R.Result.Status);
-      if (ConflictRuns.empty()) {
-        ConflictBaseVerdicts = std::move(Verdicts);
-      } else if (Verdicts != ConflictBaseVerdicts) {
-        std::printf("ERROR: conflict mode '%s' changed a verdict\n", Mode);
-        return 1;
-      }
-
-      ConflictPoint P;
-      P.Mode = Mode;
-      P.WallSeconds = Rep.WallSeconds;
-      P.JobsPerSec =
-          Rep.WallSeconds > 0
-              ? static_cast<double>(CJobs.size()) / Rep.WallSeconds
-              : 0.0;
-      P.TotalQueries = Rep.TotalQueries;
-      P.ClausesMinimized = Rep.Merged.ClausesMinimized;
-      P.LiteralsDropped = Rep.Merged.LiteralsDropped;
-      P.Restarts = Rep.Merged.Restarts;
-      P.SubsumedDropped = Rep.Merged.SubsumedDropped;
-      P.ShedMembers = Rep.Merged.ShedMembers;
-      P.Succeeded = Rep.numSucceeded();
-      ConflictRuns.push_back(P);
-    }
-    row({"mode", "wall(s)", "queries", "minimized", "dropped", "restarts",
-         "shed"},
-        {9, 10, 10, 10, 9, 9, 6});
-    for (const ConflictPoint &P : ConflictRuns)
-      row({P.Mode, format("%.3f", P.WallSeconds),
-           std::to_string(P.TotalQueries),
-           std::to_string(P.ClausesMinimized),
-           std::to_string(P.LiteralsDropped), std::to_string(P.Restarts),
-           std::to_string(P.ShedMembers)},
-          {9, 10, 10, 10, 9, 9, 6});
-    double Reduction =
-        ConflictRuns[0].TotalQueries
-            ? 100.0 * (1.0 - static_cast<double>(
-                                 ConflictRuns[1].TotalQueries) /
-                                 static_cast<double>(
-                                     ConflictRuns[0].TotalQueries))
-            : 0.0;
-    std::printf("query reduction: %.1f%% (trend-gate target: >= 25%%)\n",
-                Reduction);
-  }
-
   banner("cross-job learning: repeated probes over one scenario family");
   // Autotuning-style probe stream: every scenario is probed under
   // several digest-DISTINCT configurations (backend x SAT-layer), so
@@ -1393,7 +1256,7 @@ int main(int Argc, char **Argv) {
 
   writeJson(Scale, SweepScale, ShardScale, Cores, Jobs.size(), Sweep,
             CacheJobs.size(), CacheRuns, ShardRuns, BudgetRuns,
-            LearnJobs.size(), LearnRuns, ConflictRuns, Phases, ObsRuns,
+            LearnJobs.size(), LearnRuns, Phases, ObsRuns,
             ZooRuns);
   return 0;
 }

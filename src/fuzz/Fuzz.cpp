@@ -57,28 +57,16 @@ std::string cellName(const std::string &Backend, bool RuleGran,
   return N;
 }
 
-/// Conflict-driven knob shape for a matrix cell; the default mirrors
-/// SynthOptions (all three on).
-struct KnobSpec {
-  bool Min = true, Act = true, Rst = true;
-};
-
 /// One matrix cell: a plain synthesizeUpdate run with a fresh checker.
 SynthResult runCell(const Scenario &S, const std::string &Backend,
                     bool RuleGran, const BudgetSpec *Budget, unsigned Shards,
-                    bool Steal, const std::shared_ptr<ConstraintStore> &L,
-                    const KnobSpec *Knobs = nullptr) {
+                    bool Steal, const std::shared_ptr<ConstraintStore> &L) {
   FormulaFactory FF;
   std::unique_ptr<CheckerBackend> Checker =
       BackendFactory::instance().create(Backend, S);
   SynthOptions O;
   O.RuleGranularity = RuleGran;
   O.WaitRemoval = false; // Minimal, byte-comparable sequences.
-  if (Knobs) {
-    O.ClauseMinimization = Knobs->Min;
-    O.ActivityOrdering = Knobs->Act;
-    O.Restarts = Knobs->Rst;
-  }
   if (Budget) {
     if (Budget->PerUnit)
       O.UnitCheckCalls = Budget->Amount;
@@ -462,103 +450,6 @@ fuzz::checkScenario(const Scenario &S,
     }
     if (Bad)
       break;
-
-    // Conflict-driven knob cells (reference backend). Clause
-    // minimization generalizes W entries by sound resolution — the set
-    // of refuted configurations and the candidate order are unchanged —
-    // so its off-cell must reproduce the reference bytes. Activity
-    // ordering and restarts legally reorder the search, so their
-    // off-cells pin the verdict and replay-check the sequence instead.
-    struct KnobCell {
-      const char *Tag;
-      KnobSpec K;
-      bool ByteCompare;
-    };
-    const KnobCell KnobCells[] = {
-        {"min-off", {false, true, true}, true},
-        {"act-off", {true, false, true}, false},
-        {"rst-off", {true, true, false}, false},
-    };
-    for (const KnobCell &KC : KnobCells) {
-      SynthResult R = runCell(S, Backends[0], RuleGran, nullptr, 1, false,
-                              nullptr, &KC.K);
-      ++Cells;
-      std::string Name = RefName + "/" + KC.Tag;
-      if (R.Status != Ref.Status) {
-        Bad = disagree("conflict knob changed the verdict", RefName, Name,
-                       statusName(Ref.Status), statusName(R.Status));
-        break;
-      }
-      if (KC.ByteCompare) {
-        std::string Cmds = commandSeqToString(S.Topo, R.Commands);
-        if (Cmds != RefCmds) {
-          Bad = disagree("clause minimization moved the sequence", RefName,
-                         Name, RefCmds, Cmds);
-          break;
-        }
-      } else if (R.Status == SynthStatus::Success) {
-        std::string Why;
-        if (!replayOk(S, R.Commands, &Why)) {
-          Bad = disagree("knob-off sequence fails replay", RefName, Name,
-                         "correct careful sequence", Why);
-          break;
-        }
-      }
-    }
-    if (Bad)
-      break;
-
-    // The all-knobs-off budget group: the knobs are semantic (part of
-    // the job digest), so these cells form their own per-backend group
-    // rather than comparing against the knob-on budget reference — the
-    // (job, budget) purity contract must hold for the knob-off job
-    // shape across shard counts too.
-    {
-      const KnobSpec AllOff{false, false, false};
-      std::optional<SynthResult> KRef;
-      std::string KRefCmds, KRefName;
-      for (unsigned Shards : {1u, 4u}) {
-        SynthResult R = runCell(S, Backends[0], RuleGran, &Budget, Shards,
-                                false, nullptr, &AllOff);
-        ++Cells;
-        std::string Name =
-            cellName(Backends[0], RuleGran, true, Shards, false, false) +
-            "/conflict-off";
-        if (!KRef) {
-          KRef = R;
-          KRefCmds = commandSeqToString(S.Topo, R.Commands);
-          KRefName = Name;
-          if (R.Status != SynthStatus::Aborted && R.Status != Ref.Status) {
-            Bad = disagree("completed knob-off budget verdict contradicts "
-                           "unlimited verdict",
-                           RefName, Name, statusName(Ref.Status),
-                           statusName(R.Status));
-            break;
-          }
-          continue;
-        }
-        if (R.Status != KRef->Status) {
-          Bad = disagree("knob-off budget verdict drift", KRefName, Name,
-                         statusName(KRef->Status), statusName(R.Status));
-          break;
-        }
-        std::string Cmds = commandSeqToString(S.Topo, R.Commands);
-        if (Cmds != KRefCmds) {
-          Bad = disagree("knob-off budget sequence drift", KRefName, Name,
-                         KRefCmds, Cmds);
-          break;
-        }
-        if (R.Status != SynthStatus::Success &&
-            R.Stats.BudgetSpent != KRef->Stats.BudgetSpent) {
-          Bad = disagree("knob-off budget accounting drift", KRefName, Name,
-                         std::to_string(KRef->Stats.BudgetSpent),
-                         std::to_string(R.Stats.BudgetSpent));
-          break;
-        }
-      }
-    }
-    if (Bad)
-      break;
   }
 
   if (CellRuns)
@@ -619,41 +510,15 @@ fuzz::checkLargeScenario(const Scenario &S, const std::string &Backend,
     SynthResult Ref = runCell(S, Backend, RuleGran, nullptr, 1, false,
                               nullptr);
     ++Cells;
-    std::string RefName = cellName(Backend, RuleGran, false, 1, false,
-                                   false);
-    std::string RefCmds = commandSeqToString(S.Topo, Ref.Commands);
     GranRef[RuleGran] = Ref.Status;
     if (Ref.Status == SynthStatus::Success) {
       std::string Why;
       if (!replayOk(S, Ref.Commands, &Why)) {
-        Bad = disagree("large-instance reference fails replay", RefName,
+        Bad = disagree("large-instance reference fails replay",
+                       cellName(Backend, RuleGran, false, 1, false, false),
                        "replay", "correct careful sequence", Why);
         break;
       }
-    }
-    // The one differential cell at this scale: clause minimization off
-    // must reproduce the reference bytes — minimization is sound
-    // resolution, so the refuted set, the conflict sequence (activity
-    // bumps and restart points included), and therefore the committed
-    // sequence are all invariant under the knob.
-    const KnobSpec MinOff{false, true, true};
-    SynthResult R = runCell(S, Backend, RuleGran, nullptr, 1, false,
-                            nullptr, &MinOff);
-    ++Cells;
-    std::string Name = RefName + "/min-off";
-    if (R.Status != Ref.Status) {
-      Bad = disagree("clause minimization changed a large-instance "
-                     "verdict",
-                     RefName, Name, statusName(Ref.Status),
-                     statusName(R.Status));
-      break;
-    }
-    std::string Cmds = commandSeqToString(S.Topo, R.Commands);
-    if (Cmds != RefCmds) {
-      Bad = disagree("clause minimization moved a large-instance "
-                     "sequence",
-                     RefName, Name, RefCmds, Cmds);
-      break;
     }
   }
   if (CellRuns)

@@ -36,15 +36,7 @@
 ///  - stealing is inert when off or unsharded (StolenTasks == 0);
 ///  - granularities relate: InitialViolation is granularity-independent,
 ///    and a switch-feasible instance is rule-feasible (the converse
-///    fails by design on double diamonds);
-///  - the conflict-driven knobs (SynthOptions::ClauseMinimization /
-///    ActivityOrdering / Restarts) never change a verdict: the min-off
-///    cell must additionally reproduce the reference sequence byte for
-///    byte (minimization is sound resolution — it generalizes W
-///    entries without changing the refuted set or candidate order),
-///    act-off / rst-off cells are replay-checked (those knobs may
-///    legally reorder the search), and the all-off budgeted cells form
-///    their own (job, budget)-purity group across shard counts.
+///    fails by design on double diamonds).
 ///
 /// Every eighth iteration instead drives a churn stream through the
 /// SynthEngine four ways (reference / result cache / learning / both)
@@ -55,8 +47,8 @@
 /// iteration) generates a LARGE instance — a 240..360-switch
 /// small-world fabric with long-path diamonds, diff-capped so the
 /// search lattice stays tractable — and runs the sequential unlimited
-/// cells only: reference vs min-off byte-compare per granularity, plus
-/// replay and the cross-granularity relations. This family stresses
+/// reference cell only, once per granularity: replay plus the
+/// cross-granularity relations. This family stresses
 /// checker state-space scale, which the full matrix (sized for 100+
 /// cells per instance) deliberately avoids.
 ///
@@ -169,9 +161,8 @@ Scenario generateLargeInstance(Rng &R);
 
 /// Runs the large-family cells over \p S on the single reference
 /// backend \p Backend: per granularity, the unlimited sequential
-/// reference cell (replay-checked on Success) against a min-off cell
-/// that must match it byte for byte, plus the cross-granularity
-/// relations. Returns the first oracle violation, if any; \p CellRuns
+/// reference cell (replay-checked on Success), plus the
+/// cross-granularity relations. Returns the first oracle violation, if any; \p CellRuns
 /// (optional) accumulates synthesis runs.
 std::optional<Disagreement>
 checkLargeScenario(const Scenario &S, const std::string &Backend,

@@ -35,10 +35,14 @@ PortId Topology::addPort(SwitchId S) {
   PortId P = static_cast<PortId>(PortOwner.size());
   PortOwner.push_back(S);
   SwitchPortIds[S].push_back(P);
+  FirstLinkFrom.push_back(NoLink);
   return P;
 }
 
 void Topology::addLink(Location From, Location To) {
+  if (!From.isHost() && From.Port < FirstLinkFrom.size() &&
+      FirstLinkFrom[From.Port] == NoLink)
+    FirstLinkFrom[From.Port] = static_cast<uint32_t>(Links.size());
   Links.push_back(Link{From, To});
 }
 
@@ -58,6 +62,13 @@ PortId Topology::attachHost(HostId H, SwitchId S) {
 }
 
 const Location *Topology::linkFrom(SwitchId S, PortId P) const {
+  if (P >= FirstLinkFrom.size() || FirstLinkFrom[P] == NoLink)
+    return nullptr;
+  const Link &First = Links[FirstLinkFrom[P]];
+  if (First.From.Switch == S)
+    return &First.To;
+  // Only a malformed topology links one port from two switches; keep the
+  // first-match answer of a full scan for it.
   for (const Link &L : Links)
     if (!L.From.isHost() && L.From.Switch == S && L.From.Port == P)
       return &L.To;

@@ -84,7 +84,8 @@ public:
   /// Allocates a fresh port on switch \p S; returns its global id.
   PortId addPort(SwitchId S);
 
-  /// Adds a directed link.
+  /// Adds a directed link. A switch-sourced link is found by linkFrom
+  /// only if its port was allocated (addPort) before the link was added.
   void addLink(Location From, Location To);
 
   /// Adds a pair of directed links between two switches, allocating one
@@ -152,6 +153,12 @@ private:
   std::vector<PortId> PortOwner;             // global port -> switch
   std::vector<std::vector<PortId>> SwitchPortIds; // switch -> ports
   std::vector<Link> Links;
+  /// Global port -> index into Links of the first switch-sourced link
+  /// leaving it (NoLink if none). Kripke construction and wait removal
+  /// call linkFrom once per state; a scan over every link there was most
+  /// of a large update's CPU time.
+  static constexpr uint32_t NoLink = UINT32_MAX;
+  std::vector<uint32_t> FirstLinkFrom;
 };
 
 /// Canonical digest over the interconnect structure (switch/host/port

@@ -50,10 +50,8 @@ struct Lit {
 inline Lit mkLit(Var V) { return Lit(V, false); }
 
 /// The Luby restart sequence 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,... (0-based
-/// index); the universal restart schedule of Luby/Sinclair/Zuckerman.
-/// Shared between the solver's own restart scheduling below and the
-/// synthesis search's DFS restarts (synth/OrderUpdate.cpp), so both
-/// layers restart on the same well-studied cadence.
+/// index); the universal restart schedule of Luby/Sinclair/Zuckerman,
+/// which drives the solver's own restart scheduling below.
 uint64_t luby(uint64_t X);
 
 /// Ternary assignment value.

@@ -102,14 +102,6 @@ public:
     return Clauses;
   }
 
-  /// Luby restarts the embedded solver performed across every solve so
-  /// far (sat/Solver.h); surfaced for the conflict bench and the
-  /// "synth.sat_restarts" observability counter.
-  uint64_t numRestarts() const {
-    MutexLock Lock(M);
-    return Solver.numRestarts();
-  }
-
 private:
   /// The literal meaning "operation A is updated before operation B".
   sat::Lit before(unsigned A, unsigned B) NETUPD_REQUIRES(M);

@@ -334,9 +334,9 @@ struct SearchContext {
   // watch-indexed container for both modes — its probes and CAS appends
   // are lock-free, so they cost a single-shard run nothing either.
   FlatBitsetSet SeqVisited;             // V of Fig. 4 (one shard).
-  /// V of Fig. 4 across shards. Sharded searchers probe W and the seeds
-  /// before they claim, so a configuration those already refute never
-  /// takes a stripe lock (tryCandidate).
+  /// V of Fig. 4 across shards. Searchers probe W and the seeds before
+  /// they claim, so a configuration those already refute never takes a
+  /// stripe lock (tryCandidate).
   ConcurrentSet<Bitset, BitsetHash> ParVisited;
   /// W of Fig. 4: (mask, value) refutations, filed under the first set
   /// bit of value so a probe touches only entries that could match
@@ -377,7 +377,6 @@ struct SearchContext {
   /// (a unit or a stolen task) plus shards mid-scan; IdleShards lets
   /// busy shards skip the publish when nobody could take it.
   bool Stealing = false;
-  unsigned StealDepthLimit = 0;
   std::vector<std::unique_ptr<StealDeque>> Deques;
   std::atomic<unsigned> ActiveWorkers{0};
   std::atomic<unsigned> IdleShards{0};
@@ -540,14 +539,6 @@ public:
     // references into Frames across the recursive dfs() call, so the
     // vector must never reallocate.
     Frames.resize(Ctx.Ops.size() + 1);
-    LocalOrder = Ctx.OpOrder;
-    Activity.assign(Ctx.Ops.size(), 0);
-    // DFS restarts engage where un-claiming is private: deterministic
-    // mode (unit-local V) and sequential unlimited mode (SeqVisited has
-    // a single owner). Sharded unlimited mode skips them — erasing from
-    // the shared claim map would race sibling probes, and stealing
-    // already repairs the imbalance restarts target there.
-    RestartsOn = Ctx.Opts.Restarts && (Ctx.Deterministic || !Ctx.Sharded);
   }
 
   /// Binds the checker to this shard's structure and runs the initial
@@ -610,22 +601,6 @@ public:
       {
         obs::TraceSpan Span("synth.unit");
         Won = tryCandidate(Ctx.OpOrder[Unit]);
-        // Luby restarts: a conflict-heavy descent set RestartPending and
-        // unwound, un-claiming only the abandoned path — every refuted
-        // configuration stays claimed (and in W / the SAT layer), so the
-        // re-entry replays the learned database into a search reordered
-        // by activity. Terminating: each round's conflicts are fresh
-        // refuted configurations, of which there are finitely many.
-        while (!Won && RestartPending && !AbortFlag && !UnitStop) {
-          RestartPending = false;
-          ++RestartIdx;
-          ConflictsSinceRestart = 0;
-          ++Stats.Restarts;
-          if (Ctx.Opts.ActivityOrdering)
-            resortLocalOrder();
-          Won = tryCandidate(Ctx.OpOrder[Unit]);
-        }
-        RestartPending = false;
       }
       Clock.stop(); // Inter-unit work (binds, waits) is not a phase.
       finishUnit();
@@ -667,22 +642,6 @@ private:
     CurrentUnit = Unit;
     UnitStop = false;
     UnitTruncated = false;
-    RestartPending = false;
-    RestartIdx = 0;
-    ConflictsSinceRestart = 0;
-    if (Ctx.Opts.ActivityOrdering) {
-      if (Ctx.Deterministic) {
-        // Unit-local activity, like every other piece of unit state:
-        // the candidate order inside a unit must be a pure function of
-        // the unit, not of the units this shard happened to run before.
-        std::fill(Activity.begin(), Activity.end(), 0);
-        TotalActivity = 0;
-        BumpsSinceDecay = 0;
-        LocalOrder = Ctx.OpOrder;
-      } else {
-        resortLocalOrder();
-      }
-    }
     if (!Ctx.Deterministic)
       return;
     Account = Ctx.Ledger.openAccount(Unit);
@@ -725,32 +684,20 @@ private:
   bool dfs() {
     if (Applied.count() == Ctx.Ops.size())
       return true;
-    for (unsigned CandIdx = 0; CandIdx != LocalOrder.size(); ++CandIdx) {
-      unsigned I = LocalOrder[CandIdx];
+    for (unsigned I : Ctx.OpOrder) {
       if (Applied.test(I))
         continue;
       // relaxed: advisory idle hint; a stale zero just skips one offer.
-      if (Ctx.Stealing && AppliedSeq.size() <= Ctx.StealDepthLimit &&
+      if (Ctx.Stealing && AppliedSeq.size() <= MaxOfferDepth &&
           Ctx.IdleShards.load(std::memory_order_relaxed) > 0 &&
-          coldCandidate(I) && offerSteal(I))
+          offerSteal(I))
         continue; // Someone else explores this edge; see stealLoop.
       if (tryCandidate(I))
         return true;
-      if (AbortFlag || UnitStop || RestartPending)
+      if (AbortFlag || UnitStop)
         return false;
     }
     return false;
-  }
-
-  /// Steal-offer heuristic: keep conflict-hot candidates local — the
-  /// refutations learned around them live in this shard's recent path
-  /// context — and publish only the cold ones (activity at or below the
-  /// mean). With activity ordering off, everything is offered, which is
-  /// the pre-existing behavior.
-  bool coldCandidate(unsigned I) const {
-    if (!Ctx.Opts.ActivityOrdering)
-      return true;
-    return Activity[I] * Ctx.Ops.size() <= TotalActivity;
   }
 
   /// The body of one DFS edge: prune, claim, apply op \p I, recheck,
@@ -763,21 +710,20 @@ private:
     Bitset &Next = F.Next;
     Next = Applied;
     Next.set(I);
+    // Every mode probes W (and the seeds) before it claims: a match
+    // proves the recheck would fail, so a refuted configuration never
+    // enters the visited set. Losing the claim is the visited prune, and
+    // winning it commits this shard to exploring the configuration.
     if (Ctx.Deterministic) {
       // Unit-local pruning: nothing another shard does can change which
       // prefixes this unit affords, so the charge sequence below is
-      // deterministic. The claim comes first (as in the sequential
-      // branch below) so a refuted configuration fires its conflict
-      // event exactly once — noteRefuted feeds the activity and restart
-      // machinery, and its event count must be a property of the
-      // configuration, not of how many paths re-reach it.
-      if (!UnitVisited.insert(Next)) {
-        ++Stats.VisitedPrunes;
-        return false;
-      }
+      // deterministic.
       if (Ctx.Opts.CexPruning && matchesUnitWrong(Next)) {
         ++Stats.CexPrunes;
-        noteRefuted(I);
+        return false;
+      }
+      if (!UnitVisited.insert(Next)) {
+        ++Stats.VisitedPrunes;
         return false;
       }
       if (Stop.stopRequested()) {
@@ -801,43 +747,20 @@ private:
         return false;
       }
     } else {
-      // The claim's place depends on the mode. Sequential: the claim
-      // comes first, so a refuted configuration fires its conflict
-      // event exactly once however many paths re-reach it — the event
-      // stream feeds activity and restarts, and is part of the
-      // byte-identical sequence contract. Sharded: the seed/W probes
-      // come first. Both are lock-free and monotone, so a match proves
-      // the recheck would fail and the configuration needs no claim;
-      // only what neither refutes takes a stripe lock. Most of a deep
-      // proof's reaches are refuted, so this keeps them out of the
-      // shared table. The price is one conflict event per W-matched
-      // reach instead of per configuration, which sharded mode can
-      // pay: it runs no restarts and promises no exact sequence.
-      // Either way, losing the claim is the visited prune, and winning
-      // it commits this shard to exploring the configuration.
-      bool ClaimFirst = !Ctx.Sharded;
-      if (ClaimFirst && !Ctx.visitedClaim(Next)) {
-        ++Stats.VisitedPrunes;
-        return false;
-      }
-      // Imported (cross-job) refutations before run-local ones: each
-      // seeded prune skips a check an earlier digest-identical run
-      // already paid for. Seeded prunes fire the conflict event too —
-      // refutedness is an instance fact, and a seeded run must follow
-      // the same activity/restart trajectory as the run that would have
-      // refuted the configuration by checking it (this is what keeps
-      // learning sequence-invariant with the ordering knobs on).
+      // Both probes are lock-free and monotone, so under sharding only
+      // what neither refutes takes a stripe lock; most of a deep proof's
+      // reaches are refuted and stay out of the shared table. Imported
+      // (cross-job) refutations go first: each seeded prune skips a
+      // check an earlier digest-identical run already paid for.
       if (!Ctx.SeedWrong.empty() && Ctx.matchesSeed(Next)) {
         ++Stats.SeededPrunes;
-        noteRefuted(I);
         return false;
       }
       if (Ctx.Opts.CexPruning && Ctx.matchesWrong(Next)) {
         ++Stats.CexPrunes;
-        noteRefuted(I);
         return false;
       }
-      if (!ClaimFirst && !Ctx.visitedClaim(Next)) {
+      if (!Ctx.visitedClaim(Next)) {
         ++Stats.VisitedPrunes;
         return false;
       }
@@ -894,17 +817,8 @@ private:
       if (!Success) {
         Applied.reset(I);
         AppliedSeq.pop_back();
-        // A pending restart abandons this configuration unexplored, not
-        // refuted: release the claim so the re-entered unit can reach
-        // it again. (Refuted configurations keep their claims — they
-        // are the learned database the restart replays.)
-        if (RestartPending)
-          unclaim(Next);
       }
     } else {
-      // A failed recheck refutes the claimed configuration: the third
-      // source of conflict events (besides seed- and W-matches above).
-      noteRefuted(I);
       if (Ctx.Opts.CexPruning && !Res.Cex.empty() &&
           Checker.providesCounterexamples()) {
         // Mostly SAT-layer work (constraint derivation + clause push);
@@ -1110,161 +1024,17 @@ private:
     if (Value.none())
       return;
 
-    // Conflict clause minimization: resolve the fresh entry against
-    // previously learned ones to shrink it to a (greedy) minimal core,
-    // then drop it outright if a stored entry already subsumes it. The
-    // witness database is the unit's own entries in deterministic mode
-    // and this shard's in-order learn log otherwise — both deterministic
-    // scans, so minimized masks stay a pure function of the search
-    // history that produced them.
-    const std::vector<std::pair<Bitset, Bitset>> &Witnesses =
-        Ctx.Deterministic ? UnitWrong : LocalLearned;
-    if (Ctx.Opts.ClauseMinimization) {
-      uint64_t Dropped = minimizeEntry(Mask, Value, Witnesses);
-      if (Dropped) {
-        ++Stats.ClausesMinimized;
-        Stats.LiteralsDropped += Dropped;
-      }
-      // Local subsumption: a witness with a subset mask agreeing on it
-      // already refutes everything this entry would — learn nothing.
-      unsigned Scans = 0;
-      for (size_t W = Witnesses.size();
-           W-- > 0 && Scans < MinimizeScanBudget;) {
-        ++Scans;
-        const std::pair<Bitset, Bitset> &E = Witnesses[W];
-        if (Mask.contains(E.first) && (Value & E.first) == E.second) {
-          ++Stats.SubsumedDropped;
-          return;
-        }
-      }
-    }
-
     if (Ctx.Opts.EarlyTermination)
       (Ctx.Deterministic ? *UnitET : Ctx.ET)
           .addMaskValueConstraint(Mask, Value);
-    if (Ctx.Deterministic) {
+    if (Ctx.Deterministic)
       UnitWrong.push_back({std::move(Mask), std::move(Value)});
-    } else {
-      if (Ctx.Opts.ClauseMinimization)
-        LocalLearned.push_back({Mask, Value});
+    else
       Ctx.addWrong(std::move(Mask), std::move(Value));
-    }
-  }
-
-  /// Conflict clause minimization by self-subsumption. The entry
-  /// (Mask, Value) refutes every configuration agreeing with Value on
-  /// Mask. For a mask bit b, the configurations agreeing with the entry
-  /// on Mask \ {b} split on b: the half agreeing at b is refuted by the
-  /// entry itself, and a witness (M2, V2) with M2 ⊆ Mask, b ∈ M2, and
-  /// V2 agreeing with Value on M2 everywhere except exactly at b
-  /// refutes the other half — so b resolves away and the shrunken
-  /// entry (Mask \ {b}, Value \ {b}) is sound, pruning strictly more.
-  /// Greedy over bits in ascending order, newest witnesses first,
-  /// bounded by a deterministic scan budget; never empties the value
-  /// part (learnCex's soundness guard). Returns the bits dropped.
-  uint64_t minimizeEntry(Bitset &Mask, Bitset &Value,
-                         const std::vector<std::pair<Bitset, Bitset>> &Ws) {
-    if (Ws.empty())
-      return 0;
-    uint64_t Dropped = 0;
-    unsigned Scans = 0;
-    Bitset Diff;
-    for (size_t B = 0; B != Mask.size(); ++B) {
-      if (Scans >= MinimizeScanBudget)
-        break;
-      if (!Mask.test(B))
-        continue;
-      if (Value.test(B) && Value.count() == 1)
-        continue; // The value part must stay nonempty.
-      for (size_t W = Ws.size(); W-- > 0 && Scans < MinimizeScanBudget;) {
-        ++Scans;
-        const std::pair<Bitset, Bitset> &E = Ws[W];
-        if (!E.first.test(B) || !Mask.contains(E.first))
-          continue;
-        Diff = Value;
-        Diff &= E.first;
-        Diff ^= E.second;
-        if (!Diff.test(B) || Diff.count() != 1)
-          continue;
-        Mask.reset(B);
-        Value.reset(B);
-        ++Dropped;
-        break;
-      }
-    }
-    return Dropped;
   }
 
   bool matchesUnitWrong(const Bitset &Bits) const {
     return matchesAny(UnitWrong, Bits);
-  }
-
-  /// The conflict event: a configuration proved refuted — by a seed
-  /// match, a W match, or a failed recheck. Refutedness is a semantic
-  /// fact about the configuration (independent of which of the three
-  /// settled it), so the event stream, and with it the activity scores
-  /// and restart points, is identical across checker backends and
-  /// across seeded/unseeded runs. Sequential and budget searches fire it
-  /// once per configuration (they claim before probing); sharded
-  /// searches probe before claiming and fire it once per W/seed-matched
-  /// reach. Bumps the candidate's activity and advances the Luby restart
-  /// schedule.
-  void noteRefuted(unsigned I) {
-    if (Ctx.Opts.ActivityOrdering)
-      bumpActivity(I);
-    if (!RestartsOn || RestartPending)
-      return;
-    ++ConflictsSinceRestart;
-    if (ConflictsSinceRestart < sat::luby(RestartIdx) * DfsRestartBase)
-      return;
-    if (Ctx.Deterministic) {
-      // A restart replays the unit prefix through fresh rechecks;
-      // charge the account so restart-heavy units pay for their churn
-      // and the outcome stays a pure function of (job, budget).
-      if (!Account.canSpend())
-        return;
-      Account.charge();
-    }
-    RestartPending = true;
-  }
-
-  /// +1 per conflict event, everything halved every
-  /// ActivityDecayInterval bumps — the integer analogue of VSIDS decay,
-  /// kept exact so replays reproduce the scores bit-for-bit.
-  void bumpActivity(unsigned I) {
-    Activity[I] += 1;
-    TotalActivity += 1;
-    if (++BumpsSinceDecay < ActivityDecayInterval)
-      return;
-    BumpsSinceDecay = 0;
-    TotalActivity = 0;
-    for (uint64_t &A : Activity) {
-      A >>= 1;
-      TotalActivity += A;
-    }
-  }
-
-  /// Re-derives LocalOrder from the activity scores: hot candidates
-  /// first; ties (and the all-zero initial state) keep the base
-  /// additive-first order via the stable sort — the deterministic
-  /// tie-break. Called only at unit starts and restart points, so the
-  /// order is frozen across the DFS levels of one descent.
-  void resortLocalOrder() {
-    LocalOrder = Ctx.OpOrder;
-    std::stable_sort(LocalOrder.begin(), LocalOrder.end(),
-                     [this](unsigned A, unsigned B) {
-                       return Activity[A] > Activity[B];
-                     });
-  }
-
-  /// Releases a configuration claim during a restart unwind. Only ever
-  /// called where the claim container is private (the ctor's RestartsOn
-  /// gate): the unit-local table, or SeqVisited with its single owner.
-  void unclaim(const Bitset &B) {
-    if (Ctx.Deterministic)
-      UnitVisited.erase(B);
-    else
-      Ctx.SeqVisited.erase(B);
   }
 
   /// A stop observed at a checkpoint ends this shard; classify why. A
@@ -1340,38 +1110,10 @@ private:
   /// function of the unit alone); only engaged in deterministic mode.
   std::optional<EarlyTermination> UnitET;
 
-  // Conflict-driven search state (activity ordering + restarts); see
-  // noteRefuted and the docs/ARCHITECTURE.md "Conflict-driven search"
-  // section.
-  /// The DFS candidate order, re-derived from activity at unit starts
-  /// and restart points; equals Ctx.OpOrder with the knob off.
-  std::vector<unsigned> LocalOrder;
-  /// Per-candidate conflict-participation scores (integer VSIDS).
-  std::vector<uint64_t> Activity;
-  uint64_t TotalActivity = 0;
-  unsigned BumpsSinceDecay = 0;
-  static constexpr unsigned ActivityDecayInterval = 256;
-  /// Restarts enabled for this shard (knob + mode gate; see the ctor).
-  bool RestartsOn = false;
-  /// Set by noteRefuted at a Luby point; dfs unwinds to the unit root,
-  /// un-claiming the abandoned path, and runUnits re-enters.
-  bool RestartPending = false;
-  uint64_t RestartIdx = 0;
-  uint64_t ConflictsSinceRestart = 0;
-  /// Conflicts before the first restart (Luby-scaled afterwards). A
-  /// restart re-pays the checker queries of the abandoned held path, so
-  /// the base is deliberately high: restarts reorder pathological
-  /// searches without taxing well-behaved ones.
-  static constexpr uint64_t DfsRestartBase = 2048;
-  /// Clause-minimization witness database outside deterministic mode
-  /// (which scans UnitWrong instead): this shard's own entries in learn
-  /// order. Shard-local on purpose — scanning the shared W would make
-  /// minimized masks depend on sibling timing.
-  std::vector<std::pair<Bitset, Bitset>> LocalLearned;
-  /// Witness entries examined per learnCex call, a hard deterministic
-  /// bound: minimization cost and results are a pure function of the
-  /// learn history, never of wall-clock or scheduling.
-  static constexpr unsigned MinimizeScanBudget = 4096;
+  /// Maximum depth (in applied ops) at which a shard offers subtrees to
+  /// thieves. Shallow offers hand over big subtrees; deep offers churn
+  /// the deques for slivers of work.
+  static constexpr unsigned MaxOfferDepth = 3;
 };
 
 /// Replays \p Seq from the initial configuration, snapshotting the table
@@ -1463,7 +1205,6 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   // unit-local V/W/quota state cannot be handed across shards without
   // making the verdict depend on scheduling).
   Ctx.Stealing = Ctx.Sharded && !Ctx.Deterministic && Opts.WorkStealing;
-  Ctx.StealDepthLimit = Opts.StealDepth;
   if (Ctx.Stealing) {
     Ctx.Deques.reserve(Shards);
     for (unsigned S = 0; S != Shards; ++S)

@@ -86,42 +86,6 @@ struct SynthOptions {
   bool EarlyTermination = true;
   bool WaitRemoval = true;
   bool RuleGranularity = false;
-  /// Conflict clause minimization: every learned (mask, value)
-  /// refutation is greedily shrunk to a smaller still-refuted core by
-  /// resolving it against previously learned entries (self-subsumption;
-  /// checker-free, each dropped mask bit is justified by a witness
-  /// entry covering the opposite value of that bit). Smaller masks
-  /// refute strictly more configurations, so the W set prunes more per
-  /// entry and exported clauses seed later runs harder. The witness
-  /// scan is bounded by a fixed deterministic budget per learned entry,
-  /// so in budget mode the minimized clause — and hence the charge
-  /// sequence — stays a pure function of (job, budget). Because
-  /// minimization can change *which* configurations are pruned (and so
-  /// the budget-mode charge order), this knob is semantic and part of
-  /// digestOf(SynthJob).
-  bool ClauseMinimization = true;
-  /// Activity-based candidate ordering: VSIDS-like per-command activity
-  /// scores, bumped when a command participates in a conflict (its
-  /// candidate failed after claiming a configuration) and periodically
-  /// halved. Each shard re-sorts its DFS candidate order by activity at
-  /// unit boundaries and restart points only — never mid-unit — with
-  /// ties broken by the base deterministic order, so the order is a
-  /// pure function of the unit's own conflict history. In budget mode
-  /// activity state is unit-local (reset per unit), keeping verdict and
-  /// sequence a pure function of (job, budget); semantic, part of
-  /// digestOf(SynthJob).
-  bool ActivityOrdering = true;
-  /// Deterministic Luby restarts: after luby(k)*RestartBase conflicts a
-  /// unit unwinds its DFS (un-claiming the abandoned path but keeping
-  /// every learned clause, SAT constraint, and settled subtree claim)
-  /// and re-enters with an activity-resorted candidate order. Active in
-  /// sequential and deterministic-budget searches; sharded unlimited
-  /// searches skip restarts (the shared claim map makes un-claiming
-  /// racy, and stealing already repairs imbalance there). Each restart
-  /// charges one unit of the check budget in budget mode, so the
-  /// schedule is finite and reproducible; semantic, part of
-  /// digestOf(SynthJob).
-  bool Restarts = true;
   /// Hard logical budget (0 = unlimited): the total number of charged
   /// check calls the search may spend, carved deterministically into
   /// per-work-unit quotas (earlier units receive the remainder, every
@@ -177,11 +141,6 @@ struct SynthOptions {
   /// state forbids cross-shard hand-offs. A performance knob, excluded
   /// from digestOf(SynthJob).
   bool WorkStealing = true;
-  /// Maximum depth (in applied ops) at which a shard offers subtrees to
-  /// thieves. Shallow offers hand over big subtrees (good), deep offers
-  /// churn the deques for slivers of work. Performance knob, excluded
-  /// from digests.
-  unsigned StealDepth = 3;
   /// Cross-job learning store (null = off; see support/ConstraintStore.h).
   /// On start the search imports the wrong-set entries earlier runs of
   /// this (LearningScenario, RuleGranularity) published — pre-populating
@@ -241,16 +200,13 @@ struct SynthStats {
   /// shard (work-stealing; always zero in deterministic budget mode and
   /// in sequential runs). Each stolen task costs one extra bind query.
   uint64_t StolenTasks = 0;
-  /// Conflict-driven search accounting (synth/OrderUpdate.cpp; all zero
-  /// with the corresponding knobs off): learned refutations whose mask
-  /// was shrunk by clause minimization, total mask bits dropped across
-  /// those, Luby restarts executed, and learned entries discarded
-  /// because an existing entry with a subset mask already subsumed them
-  /// (ConstraintStore insert-time subsumption plus the searcher's local
-  /// duplicate filter).
+  /// Always zero: the search neither minimizes clauses nor restarts.
+  /// Kept only because the benchmark suite still reports them.
   uint64_t ClausesMinimized = 0;
-  uint64_t LiteralsDropped = 0;
   uint64_t Restarts = 0;
+  /// Learned entries the ConstraintStore discarded at insert because an
+  /// entry with a subset mask already subsumed them, or that it evicted
+  /// because a new entry subsumed them.
   uint64_t SubsumedDropped = 0;
   /// Portfolio members the engine skipped because their (scenario,
   /// granularity) learning key already held an up-front UNSAT proof
@@ -307,7 +263,6 @@ struct SynthStats {
     SeededPrunes += S.SeededPrunes;
     StolenTasks += S.StolenTasks;
     ClausesMinimized += S.ClausesMinimized;
-    LiteralsDropped += S.LiteralsDropped;
     Restarts += S.Restarts;
     SubsumedDropped += S.SubsumedDropped;
     ShedMembers += S.ShedMembers;

@@ -180,11 +180,9 @@ inline bool allIntermediateConfigsHold(const Topology &Topo,
 /// A deep exhaustive Impossible proof, the bench/engine_scaling.cpp
 /// "deep-proof" recipe at a test-sized diff cap: a long-path diamond
 /// whose final config blackholes the destination, so the search must
-/// refute the entire safe sub-lattice — thousands of conflicts, enough
-/// to cross the Luby restart base and to give clause minimization
-/// sibling entries to resolve against. \p Skip selects among the
-/// instances the seed grows; Skip=1's lattice both restarts and
-/// minimizes within a few thousand checker queries.
+/// refute the entire safe sub-lattice, thousands of refuted
+/// configurations. \p Skip selects among the instances the seed grows;
+/// Skip=1's proof takes a few thousand checker queries.
 inline Scenario deepImpossible(unsigned Skip = 0) {
   constexpr unsigned DiffCap = 22;
   Rng SR(23);

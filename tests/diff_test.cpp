@@ -169,8 +169,8 @@ TEST(DiffLiarTest, MinimizerShrinksWhileStillDisagreeing) {
 }
 
 /// A short in-process fuzz run over the fast backends stays clean. This
-/// drives generation, the whole cell matrix (sharded, stolen, and
-/// conflict-knob cells included), churn streams, one large sequential
+/// drives generation, the whole cell matrix (sharded and stolen cells
+/// included), churn streams, one large sequential
 /// instance, and the engine — under TSan in CI it doubles as a race
 /// hunt over the entire stack.
 TEST(DiffFuzzTest, ShortRunIsClean) {

@@ -137,6 +137,13 @@ Bitset bits(size_t N, std::initializer_list<unsigned> Set) {
   return B;
 }
 
+/// A six-op store entry refuting every configuration that agrees with
+/// \p Value on \p Mask.
+ConstraintStore::Entry entry(std::initializer_list<unsigned> Mask,
+                             std::initializer_list<unsigned> Value) {
+  return {bits(6, Mask), bits(6, Value)};
+}
+
 } // namespace
 
 // --- ConstraintStore semantics ----------------------------------------------
@@ -186,6 +193,54 @@ TEST(ConstraintStoreTest, PerKeyCapBoundsTheEntryList) {
   EXPECT_EQ(Store.publish(Key, 8, Batch), 3u);
   EXPECT_EQ(Store.fetch(Key, 8).size(), 3u);
   EXPECT_EQ(Store.publish(Key, 8, Batch), 0u) << "a full key admits nothing";
+}
+
+TEST(ConstraintStoreTest, SubsumesOrdersRefutationStrength) {
+  using Entry = ConstraintStore::Entry;
+  Entry Small = entry({1, 3}, {1});
+  Entry Fat = entry({1, 2, 3}, {1, 2});
+  Entry Disagrees = entry({1, 2, 3}, {2, 3});
+  // Fat's value agrees with Small on Small's mask and carries more
+  // constraints: every config Fat refutes, Small refutes too.
+  EXPECT_TRUE(ConstraintStore::subsumes(Small, Fat));
+  EXPECT_FALSE(ConstraintStore::subsumes(Fat, Small))
+      << "a superset mask must never subsume its own core";
+  EXPECT_FALSE(ConstraintStore::subsumes(Small, Disagrees))
+      << "value disagreement on the core's mask breaks subsumption";
+  EXPECT_TRUE(ConstraintStore::subsumes(Small, Small))
+      << "subsumption must be reflexive";
+}
+
+TEST(ConstraintStoreTest, InsertTimeSubsumptionKeepsOnlyTheFrontier) {
+  ConstraintStore Store;
+  Digest Key = ConstraintStore::keyFor(Digest{11, 11}, false);
+
+  // A fat ancestor, then a smaller core of it: the core evicts the
+  // ancestor (reverse subsumption), and the drop is counted.
+  size_t Dropped = 0;
+  EXPECT_EQ(Store.publish(Key, 6, {entry({1, 2, 3}, {1, 2})}, &Dropped), 1u);
+  EXPECT_EQ(Dropped, 0u);
+  EXPECT_EQ(Store.publish(Key, 6, {entry({1, 3}, {1})}, &Dropped), 1u);
+  EXPECT_EQ(Dropped, 1u) << "the smaller core must evict its ancestor";
+  std::vector<ConstraintStore::Entry> Frontier = Store.fetch(Key, 6);
+  ASSERT_EQ(Frontier.size(), 1u);
+  EXPECT_EQ(Frontier[0].first, bits(6, {1, 3}));
+
+  // Forward direction: an incoming entry dominated by the stored core
+  // is dropped at insert, and also counted.
+  Dropped = 0;
+  EXPECT_EQ(Store.publish(Key, 6, {entry({1, 3, 5}, {1, 5})}, &Dropped), 0u);
+  EXPECT_EQ(Dropped, 1u) << "a dominated incoming entry must be dropped";
+  EXPECT_EQ(Store.fetch(Key, 6).size(), 1u);
+
+  // An up-front UNSAT proof survives later publishes, and publishes
+  // survive the proof: the two records are independent halves of one key.
+  EXPECT_FALSE(Store.knownImpossible(Key));
+  Store.markImpossible(Key, 6);
+  EXPECT_TRUE(Store.knownImpossible(Key));
+  EXPECT_EQ(Store.publish(Key, 6, {entry({0, 2}, {2})}), 1u);
+  EXPECT_TRUE(Store.knownImpossible(Key));
+  EXPECT_EQ(Store.fetch(Key, 6).size(), 2u);
 }
 
 // --- Invariance matrix ------------------------------------------------------

@@ -134,6 +134,14 @@ TEST(TopologyTest, LinkLookup) {
   EXPECT_EQ(To->Switch, B);
   EXPECT_EQ(To->Port, PB);
   EXPECT_EQ(T.linkFrom(A, PB), nullptr);
+
+  // A malformed second link out of A's port, claimed by B: each
+  // (switch, port) pair still resolves to its own first link.
+  T.addLink(Location::switchPort(B, PA), Location::host(T.addHost("h")));
+  EXPECT_EQ(T.linkFrom(A, PA)->Switch, B);
+  const Location *Odd = T.linkFrom(B, PA);
+  ASSERT_NE(Odd, nullptr);
+  EXPECT_TRUE(Odd->isHost());
 }
 
 TEST(TopologyTest, HostAttachment) {

@@ -188,8 +188,6 @@ TEST(StealDeterminismTest, BudgetedCellsAreByteIdentical) {
 // content. The store is filled per cell by the same budgeted run, so
 // every seeded cell starts from identical imports that refute only part
 // of the lattice, leaving both the seed and the run-local W probe work.
-// Restarts are off: they re-pay the checks of each abandoned path, a
-// cost only the 1-shard search has, and the comparison is of pruning.
 TEST(StealDeterminismTest, ShardedRefutationKeepsProofAndQueryCount) {
   Scenario S = deepImpossible(1);
   ASSERT_FALSE(S.Flows.empty());
@@ -202,7 +200,6 @@ TEST(StealDeterminismTest, ShardedRefutationKeepsProofAndQueryCount) {
         std::shared_ptr<ConstraintStore> Store;
         auto Tweak = [&](SynthOptions &O) {
           O.EarlyTermination = false;
-          O.Restarts = false;
           O.Learning = Store;
         };
         if (Seeded) {
@@ -229,30 +226,5 @@ TEST(StealDeterminismTest, ShardedRefutationKeepsProofAndQueryCount) {
             << Cell << ": " << Checks << " checks against " << RefChecks
             << " at 1 shard";
       }
-  }
-}
-
-// StealDepth = 0 restricts offers to the unit root's own edges; the
-// search must still be sound and complete with the narrowest window,
-// and with stealing confined to depth 0 the verdicts must match the
-// default-depth runs.
-TEST(StealDeterminismTest, DepthZeroOffersStaySound) {
-  Scenario Feasible = diamondWithUpdates(600, 4);
-  Scenario Infeasible = blackholedDiamond(700, 4);
-  for (const Scenario *S : {&Feasible, &Infeasible}) {
-    LabelingChecker Checker(LabelingChecker::Mode::Incremental);
-    FormulaFactory FF;
-    SynthOptions Opts;
-    Opts.Shards = 4;
-    Opts.WorkStealing = true;
-    Opts.StealDepth = 0;
-    Opts.WaitRemoval = false;
-    Opts.ShardCheckerFactory = []() -> std::unique_ptr<CheckerBackend> {
-      return std::make_unique<LabelingChecker>(
-          LabelingChecker::Mode::Incremental);
-    };
-    SynthResult Res = synthesizeUpdate(*S, FF, Checker, Opts);
-    SynthResult Seq = runSearch(*S, 1, /*Steal=*/false);
-    EXPECT_EQ(Res.Status, Seq.Status) << "depth-0 stealing flipped verdict";
   }
 }

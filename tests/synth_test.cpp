@@ -403,7 +403,7 @@ TEST(EarlyTerminationTest, EmptyNotUpdatedMeansImpossible) {
 // is added (forcing whoever adds it to visit this test and mergeFrom),
 // and the doubling check verifies each existing field actually merges.
 #if defined(__x86_64__) || defined(__aarch64__)
-static_assert(sizeof(SynthStats) == 224,
+static_assert(sizeof(SynthStats) == 216,
               "SynthStats changed size: add the new field to mergeFrom() "
               "and to MergeFromCoversEveryField, then update this pin");
 #endif
@@ -426,7 +426,6 @@ TEST(SynthStatsTest, MergeFromCoversEveryField) {
   A.SeededPrunes = 13;
   A.StolenTasks = 22;
   A.ClausesMinimized = 23;
-  A.LiteralsDropped = 24;
   A.Restarts = 25;
   A.SubsumedDropped = 26;
   A.ShedMembers = 27;
@@ -463,7 +462,6 @@ TEST(SynthStatsTest, MergeFromCoversEveryField) {
   EXPECT_EQ(B.SeededPrunes, 2 * A.SeededPrunes);
   EXPECT_EQ(B.StolenTasks, 2 * A.StolenTasks);
   EXPECT_EQ(B.ClausesMinimized, 2 * A.ClausesMinimized);
-  EXPECT_EQ(B.LiteralsDropped, 2 * A.LiteralsDropped);
   EXPECT_EQ(B.Restarts, 2 * A.Restarts);
   EXPECT_EQ(B.SubsumedDropped, 2 * A.SubsumedDropped);
   EXPECT_EQ(B.ShedMembers, 2 * A.ShedMembers);
