@@ -266,35 +266,6 @@ KripkeStructure::findForwardingLoop() const {
   return std::nullopt;
 }
 
-std::vector<StateId> KripkeStructure::topoOrder() const {
-  // Post-order DFS gives successors-before-predecessors.
-  std::vector<StateId> Order;
-  Order.reserve(numStates());
-  std::vector<uint8_t> Done(numStates(), 0);
-  std::vector<std::pair<StateId, size_t>> Stack;
-
-  for (StateId Root = 0; Root != numStates(); ++Root) {
-    if (Done[Root])
-      continue;
-    Stack.emplace_back(Root, 0);
-    Done[Root] = 1; // On stack or finished.
-    while (!Stack.empty()) {
-      auto &[S, EdgeIdx] = Stack.back();
-      if (EdgeIdx == Succs[S].size()) {
-        Order.push_back(S);
-        Stack.pop_back();
-        continue;
-      }
-      StateId Next = Succs[S][EdgeIdx++];
-      if (Next == S || Done[Next])
-        continue;
-      Done[Next] = 1;
-      Stack.emplace_back(Next, 0);
-    }
-  }
-  return Order;
-}
-
 std::vector<std::vector<StateId>>
 KripkeStructure::enumerateTraces(size_t MaxTraces) const {
   std::vector<std::vector<StateId>> Traces;

@@ -142,10 +142,6 @@ public:
   /// std::nullopt if the structure is DAG-like.
   std::optional<std::vector<StateId>> findForwardingLoop() const;
 
-  /// States in topological order (children/successors before parents);
-  /// valid only when DAG-like. Sink self-loops are ignored for ordering.
-  std::vector<StateId> topoOrder() const;
-
   /// Enumerates complete traces (initial state to sink) for testing; stops
   /// after \p MaxTraces. Each trace is the state sequence ending at a
   /// sink (the infinite suffix repeats the sink).

@@ -9,22 +9,34 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 
 using namespace netupd;
+
+namespace {
+
+bool bit(const uint64_t *W, unsigned I) { return (W[I / 64] >> (I % 64)) & 1; }
+
+void put(uint64_t *W, unsigned I, bool V) {
+  uint64_t Mask = uint64_t(1) << (I % 64);
+  W[I / 64] = (W[I / 64] & ~Mask) | (uint64_t(V) << (I % 64));
+}
+
+} // namespace
 
 Closure::Closure(Formula Root) {
   assert(Root && "null root formula");
 
-  // Collect the subformula DAG.
+  // Collect the subformula DAG. Factory ids increase from children to
+  // parents (a node is interned only after its children exist), so every
+  // subformula's id is at most the root's and a flat array marks them.
+  std::vector<bool> Seen(Root->id() + 1);
   std::vector<Formula> Stack = {Root};
-  std::unordered_map<Formula, bool> Seen;
   while (!Stack.empty()) {
     Formula F = Stack.back();
     Stack.pop_back();
-    if (Seen.count(F))
+    if (Seen[F->id()])
       continue;
-    Seen[F] = true;
+    Seen[F->id()] = true;
     Items.push_back(F);
     if (F->lhs())
       Stack.push_back(F->lhs());
@@ -32,21 +44,23 @@ Closure::Closure(Formula Root) {
       Stack.push_back(F->rhs());
   }
 
-  // Factory ids increase from children to parents (a node is interned only
-  // after its children exist), so sorting by id yields a topological order
-  // with children first.
+  // Sorting by id yields a topological order with children first.
   std::sort(Items.begin(), Items.end(),
             [](Formula A, Formula B) { return A->id() < B->id(); });
 
-  for (unsigned I = 0, E = size(); I != E; ++I)
-    Index[Items[I]] = I;
+  Nodes.reserve(size());
+  for (Formula F : Items)
+    Nodes.push_back(Node{F->kind(), F->lhs() ? indexOf(F->lhs()) : 0,
+                         F->rhs() ? indexOf(F->rhs()) : 0});
   RootIdx = indexOf(Root);
 }
 
 unsigned Closure::indexOf(Formula F) const {
-  auto It = Index.find(F);
-  assert(It != Index.end() && "formula not in closure");
-  return It->second;
+  auto It = std::lower_bound(
+      Items.begin(), Items.end(), F,
+      [](Formula A, Formula B) { return A->id() < B->id(); });
+  assert(It != Items.end() && *It == F && "formula not in closure");
+  return static_cast<unsigned>(It - Items.begin());
 }
 
 Bitset Closure::atomBits(const StateInfo &S) const {
@@ -72,82 +86,82 @@ Bitset Closure::atomBits(const StateInfo &S) const {
 
 Bitset Closure::sinkLabel(const Bitset &AtomBits) const {
   assert(AtomBits.size() == size() && "atom bits from a different closure");
-  Bitset M = AtomBits;
+  Bitset Out = AtomBits;
+  uint64_t *M = Out.data();
   // Children precede parents, so a single forward pass settles every bit.
   // On the constant trace of a sink: X a = a, a U b = b, a R b = b.
   for (unsigned I = 0, E = size(); I != E; ++I) {
-    Formula F = Items[I];
-    switch (F->kind()) {
+    const Node &N = Nodes[I];
+    switch (N.Kind) {
     case FKind::And:
-      M.assign(I, M.test(indexOf(F->lhs())) && M.test(indexOf(F->rhs())));
+      put(M, I, bit(M, N.Lhs) && bit(M, N.Rhs));
       break;
     case FKind::Or:
-      M.assign(I, M.test(indexOf(F->lhs())) || M.test(indexOf(F->rhs())));
+      put(M, I, bit(M, N.Lhs) || bit(M, N.Rhs));
       break;
     case FKind::Next:
-      M.assign(I, M.test(indexOf(F->lhs())));
+      put(M, I, bit(M, N.Lhs));
       break;
     case FKind::Until:
     case FKind::Release:
-      M.assign(I, M.test(indexOf(F->rhs())));
+      put(M, I, bit(M, N.Rhs));
       break;
     default:
       break; // Constants and atoms came from AtomBits.
     }
   }
-  return M;
+  return Out;
 }
 
-Bitset Closure::extend(const Bitset &SuccM, const Bitset &AtomBits) const {
+void Closure::extend(const Bitset &SuccM, const Bitset &AtomBits,
+                     Bitset &Out) const {
   assert(SuccM.size() == size() && AtomBits.size() == size() &&
          "sets from a different closure");
-  Bitset M = AtomBits;
+  assert(&Out != &SuccM && "extend output aliases the successor set");
+  Out = AtomBits;
+  uint64_t *M = Out.data();
+  const uint64_t *Succ = SuccM.data();
   for (unsigned I = 0, E = size(); I != E; ++I) {
-    Formula F = Items[I];
-    switch (F->kind()) {
+    const Node &N = Nodes[I];
+    switch (N.Kind) {
     case FKind::And:
-      M.assign(I, M.test(indexOf(F->lhs())) && M.test(indexOf(F->rhs())));
+      put(M, I, bit(M, N.Lhs) && bit(M, N.Rhs));
       break;
     case FKind::Or:
-      M.assign(I, M.test(indexOf(F->lhs())) || M.test(indexOf(F->rhs())));
+      put(M, I, bit(M, N.Lhs) || bit(M, N.Rhs));
       break;
     case FKind::Next:
-      M.assign(I, SuccM.test(indexOf(F->lhs())));
+      put(M, I, bit(Succ, N.Lhs));
       break;
     case FKind::Until:
       // a U b = b | (a & X(a U b)).
-      M.assign(I, M.test(indexOf(F->rhs())) ||
-                      (M.test(indexOf(F->lhs())) && SuccM.test(I)));
+      put(M, I, bit(M, N.Rhs) || (bit(M, N.Lhs) && bit(Succ, I)));
       break;
     case FKind::Release:
       // a R b = b & (a | X(a R b)).
-      M.assign(I, M.test(indexOf(F->rhs())) &&
-                      (M.test(indexOf(F->lhs())) || SuccM.test(I)));
+      put(M, I, bit(M, N.Rhs) && (bit(M, N.Lhs) || bit(Succ, I)));
       break;
     default:
       break;
     }
   }
-  return M;
 }
 
 bool Closure::follows(const Bitset &M1, const Bitset &M2) const {
   assert(M1.size() == size() && M2.size() == size() &&
          "sets from a different closure");
   for (unsigned I = 0, E = size(); I != E; ++I) {
-    Formula F = Items[I];
+    const Node &N = Nodes[I];
     bool Expected;
-    switch (F->kind()) {
+    switch (N.Kind) {
     case FKind::Next:
-      Expected = M2.test(indexOf(F->lhs()));
+      Expected = M2.test(N.Lhs);
       break;
     case FKind::Until:
-      Expected = M1.test(indexOf(F->rhs())) ||
-                 (M1.test(indexOf(F->lhs())) && M2.test(I));
+      Expected = M1.test(N.Rhs) || (M1.test(N.Lhs) && M2.test(I));
       break;
     case FKind::Release:
-      Expected = M1.test(indexOf(F->rhs())) &&
-                 (M1.test(indexOf(F->lhs())) || M2.test(I));
+      Expected = M1.test(N.Rhs) && (M1.test(N.Lhs) || M2.test(I));
       break;
     default:
       continue;
@@ -162,8 +176,8 @@ bool Closure::consistentAt(const Bitset &M, const Bitset &AtomBits) const {
   assert(M.size() == size() && AtomBits.size() == size() &&
          "sets from a different closure");
   for (unsigned I = 0, E = size(); I != E; ++I) {
-    Formula F = Items[I];
-    switch (F->kind()) {
+    const Node &N = Nodes[I];
+    switch (N.Kind) {
     case FKind::True:
       if (!M.test(I))
         return false;
@@ -178,13 +192,11 @@ bool Closure::consistentAt(const Bitset &M, const Bitset &AtomBits) const {
         return false;
       break;
     case FKind::And:
-      if (M.test(I) !=
-          (M.test(indexOf(F->lhs())) && M.test(indexOf(F->rhs()))))
+      if (M.test(I) != (M.test(N.Lhs) && M.test(N.Rhs)))
         return false;
       break;
     case FKind::Or:
-      if (M.test(I) !=
-          (M.test(indexOf(F->lhs())) || M.test(indexOf(F->rhs()))))
+      if (M.test(I) != (M.test(N.Lhs) || M.test(N.Rhs)))
         return false;
       break;
     default:

@@ -22,6 +22,12 @@
 ///  - follows:    the successor relation on consistent sets, used by tests
 ///                and by counterexample extraction.
 ///
+/// Construction compiles the items into a table of {kind, lhs index, rhs
+/// index}, so these operations are one forward pass over that table with
+/// word-level bit access and no hashing. extend writes into a caller-owned
+/// set, reusing its storage; for closures of up to 128 items, which Bitset
+/// stores inline, neither extend nor sinkLabel allocates.
+///
 /// Note: the paper's Fig. 5 lists Holds0(q, a R b) = Holds0(a) | Holds0(b)
 /// and follows has "a R b in M1 iff a in M1 or (b in M1 and ...)"; both
 /// deviate from the standard release expansion a R b = b & (a | X(a R b)).
@@ -37,7 +43,6 @@
 #include "ltl/Formula.h"
 #include "support/Bitset.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace netupd {
@@ -59,6 +64,7 @@ public:
   unsigned rootIndex() const { return RootIdx; }
 
   /// The index of subformula \p F; asserts that F is in the closure.
+  /// A binary search over the id-sorted items.
   unsigned indexOf(Formula F) const;
 
   /// Computes the truth values of the non-temporal skeleton at a state:
@@ -74,7 +80,14 @@ public:
   /// The unique maximally-consistent set M at a state with atoms
   /// \p AtomBits whose temporal obligations defer to successor set
   /// \p SuccM, i.e. the M with follows(M, SuccM) and matching atoms.
-  Bitset extend(const Bitset &SuccM, const Bitset &AtomBits) const;
+  Bitset extend(const Bitset &SuccM, const Bitset &AtomBits) const {
+    Bitset M;
+    extend(SuccM, AtomBits, M);
+    return M;
+  }
+
+  /// As above, writing M into \p Out; reuses Out's storage.
+  void extend(const Bitset &SuccM, const Bitset &AtomBits, Bitset &Out) const;
 
   /// The follows(M1, M2) relation of §5 restricted to this closure.
   bool follows(const Bitset &M1, const Bitset &M2) const;
@@ -84,8 +97,16 @@ public:
   bool consistentAt(const Bitset &M, const Bitset &AtomBits) const;
 
 private:
-  std::vector<Formula> Items;
-  std::unordered_map<Formula, unsigned> Index;
+  /// One compiled item: its kind and its children's indices (0 where the
+  /// kind has no such child).
+  struct Node {
+    FKind Kind;
+    unsigned Lhs;
+    unsigned Rhs;
+  };
+
+  std::vector<Formula> Items; // Sorted by id: children before parents.
+  std::vector<Node> Nodes;    // Nodes[I] compiles Items[I].
   unsigned RootIdx = 0;
 };
 

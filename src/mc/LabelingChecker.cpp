@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 
 using namespace netupd;
 
@@ -19,36 +18,45 @@ CheckResult LabelingChecker::bindImpl(KripkeStructure &Structure, Formula Phi) {
   K = &Structure;
   Cl = std::make_unique<Closure>(Phi);
   UndoStack.clear();
+  UndoDepth = 0;
 
+  unsigned N = K->numStates();
   AtomBits.clear();
-  AtomBits.reserve(K->numStates());
-  for (StateId S = 0; S != K->numStates(); ++S)
+  AtomBits.reserve(N);
+  SinkLabels.clear();
+  SinkLabels.reserve(N);
+  for (StateId S = 0; S != N; ++S) {
     AtomBits.push_back(Cl->atomBits(K->stateInfo(S)));
+    SinkLabels.push_back(Cl->sinkLabel(AtomBits.back()));
+  }
 
-  Labels.assign(K->numStates(), LabelSet());
-  GrayStamp.assign(K->numStates(), 0);
-  DoneStamp.assign(K->numStates(), 0);
-  AncestorStamp.assign(K->numStates(), 0);
-  InHeapStamp.assign(K->numStates(), 0);
-  PosOf.assign(K->numStates(), 0);
+  Labels.assign(N, LabelSet());
+  GrayStamp.assign(N, 0);
+  DoneStamp.assign(N, 0);
+  AncestorStamp.assign(N, 0);
+  DirtyStamp.assign(N, 0);
   Stamp = 0;
+  PostOrder.reserve(N);
   return fullCheck();
 }
 
-LabelSet LabelingChecker::computeLabel(StateId S) {
+void LabelingChecker::computeLabel(StateId S, LabelSet &Out) {
   ++LabelOps;
-  if (K->isSink(S))
-    return {Cl->sinkLabel(AtomBits[S])};
+  Out.clear();
+  if (K->isSink(S)) {
+    Out.push_back(SinkLabels[S]);
+    return;
+  }
 
-  LabelSet Out;
   for (StateId Next : K->succs(S)) {
     assert(Next != S && "self-loop on a non-sink state");
-    for (const Bitset &SuccM : Labels[Next])
-      Out.push_back(Cl->extend(SuccM, AtomBits[S]));
+    for (const Bitset &SuccM : Labels[Next]) {
+      Out.emplace_back();
+      Cl->extend(SuccM, AtomBits[S], Out.back());
+    }
   }
   std::sort(Out.begin(), Out.end());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
 }
 
 CheckResult LabelingChecker::fullCheck() {
@@ -56,27 +64,30 @@ CheckResult LabelingChecker::fullCheck() {
   // A forwarding loop makes the structure non-DAG-like; such
   // configurations are rejected outright (§3.2), reported as a violation
   // whose counterexample is the loop itself.
-  if (auto Loop = K->findForwardingLoop()) {
+  PostOrder.clear();
+  if (auto Loop = findLoopFrom(nullptr, &PostOrder)) {
     CheckResult R;
     R.Holds = false;
     R.Cex = std::move(*Loop);
     return R;
   }
 
-  for (StateId S : K->topoOrder())
-    Labels[S] = computeLabel(S);
+  // A state's label is computed in place: it reads only its successors'
+  // labels, and its own buffer is reused, growing only when outgrown.
+  for (StateId S : PostOrder)
+    computeLabel(S, Labels[S]);
   return checkInitStates();
 }
 
 std::optional<std::vector<StateId>>
-LabelingChecker::findLoopFrom(const std::vector<StateId> &Changed) {
-  // Three-color DFS over the descendants of the changed states. Any cycle
-  // introduced by the update contains a changed state (its edges are the
-  // only new ones) and hence lies among those descendants; the pre-update
-  // structure was DAG-like by the checker's invariant.
+LabelingChecker::findLoopFrom(const std::vector<StateId> *Roots,
+                              std::vector<StateId> *PostOrder) {
   ++Stamp;
-  std::vector<std::pair<StateId, size_t>> Stack;
-  for (StateId Root : Changed) {
+  std::vector<std::pair<StateId, uint32_t>> &Stack = DfsStack;
+  Stack.clear();
+  size_t NumRoots = Roots ? Roots->size() : K->numStates();
+  for (size_t I = 0; I != NumRoots; ++I) {
+    StateId Root = Roots ? (*Roots)[I] : static_cast<StateId>(I);
     if (DoneStamp[Root] == Stamp)
       continue;
     Stack.emplace_back(Root, 0);
@@ -86,6 +97,8 @@ LabelingChecker::findLoopFrom(const std::vector<StateId> &Changed) {
       const auto &Succs = K->succs(S);
       if (EdgeIdx == Succs.size()) {
         DoneStamp[S] = Stamp;
+        if (PostOrder)
+          PostOrder->push_back(S);
         Stack.pop_back();
         continue;
       }
@@ -93,6 +106,7 @@ LabelingChecker::findLoopFrom(const std::vector<StateId> &Changed) {
       if (Next == S || DoneStamp[Next] == Stamp)
         continue;
       if (GrayStamp[Next] == Stamp) {
+        // Back edge: the cycle is the DFS-stack suffix from Next to S.
         std::vector<StateId> Cycle;
         bool InCycle = false;
         for (const auto &[Q, Unused] : Stack) {
@@ -114,10 +128,12 @@ LabelingChecker::findLoopFrom(const std::vector<StateId> &Changed) {
 CheckResult
 LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
   ++Queries;
-  UndoStack.emplace_back();
-  UndoFrame &Frame = UndoStack.back();
+  if (UndoDepth == UndoStack.size())
+    UndoStack.emplace_back();
+  UndoFrame &Frame = UndoStack[UndoDepth++];
+  assert(Frame.Used == 0 && "undo frame reused before its rollback");
 
-  if (auto Loop = findLoopFrom(Changed)) {
+  if (auto Loop = findLoopFrom(&Changed, nullptr)) {
     // Labels are left untouched: the caller must roll this update back
     // (the search cannot proceed through a rejected configuration), and
     // rollback restores the edges the current labels describe.
@@ -134,7 +150,8 @@ LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
   std::vector<StateId> &Ancestors = ScratchAncestors;
   Ancestors.clear();
   {
-    std::vector<StateId> Stack(Changed.begin(), Changed.end());
+    std::vector<StateId> &Stack = ScratchStack;
+    Stack.assign(Changed.begin(), Changed.end());
     for (StateId S : Changed)
       AncestorStamp[S] = Stamp;
     while (!Stack.empty()) {
@@ -151,12 +168,12 @@ LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
   }
 
   // Post-order DFS within the ancestor set (following successor edges
-  // restricted to the set) yields children-first positions.
+  // restricted to the set) yields a children-first order.
   std::vector<StateId> &Order = ScratchOrder;
   Order.clear();
-  Order.reserve(Ancestors.size());
   {
-    std::vector<std::pair<StateId, size_t>> Stack;
+    std::vector<std::pair<StateId, uint32_t>> &Stack = DfsStack;
+    Stack.clear();
     for (StateId Root : Ancestors) {
       if (DoneStamp[Root] == Stamp)
         continue;
@@ -179,34 +196,40 @@ LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
       }
     }
   }
-  // Positions live in the stamp-validated PosOf array (DoneStamp ==
-  // Stamp marks membership in Order), not a per-query hash map.
-  for (uint32_t I = 0; I != Order.size(); ++I)
-    PosOf[Order[I]] = I;
 
   // Relabel, children first, stopping as soon as a label is unchanged.
-  using Entry = std::pair<uint32_t, StateId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> Heap;
+  // Order is topological within the region and every predecessor of a
+  // region state lies in the region, so one sweep over Order reaches each
+  // dirty state after all of its dirty successors.
+  size_t Pending = 0;
   for (StateId S : Changed) {
-    if (InHeapStamp[S] == Stamp)
+    if (DirtyStamp[S] == Stamp)
       continue;
-    InHeapStamp[S] = Stamp;
-    Heap.emplace(PosOf[S], S);
+    DirtyStamp[S] = Stamp;
+    ++Pending;
   }
-
-  while (!Heap.empty()) {
-    StateId S = Heap.top().second;
-    Heap.pop();
-    LabelSet New = computeLabel(S);
-    if (New == Labels[S])
+  for (auto It = Order.begin(); Pending != 0; ++It) {
+    assert(It != Order.end() && "dirty state outside the relabel region");
+    StateId S = *It;
+    if (DirtyStamp[S] != Stamp)
+      continue;
+    --Pending;
+    computeLabel(S, ScratchLabel);
+    if (ScratchLabel == Labels[S])
       continue; // Unchanged: ancestors keep their labels.
-    Frame.OldLabels.emplace_back(S, std::move(Labels[S]));
-    Labels[S] = std::move(New);
+    // The frame entry swaps its spare buffer for the old label, and the
+    // new label is copied into that spare.
+    if (Frame.Used == Frame.Saved.size())
+      Frame.Saved.emplace_back();
+    auto &[Saved, OldLabel] = Frame.Saved[Frame.Used++];
+    Saved = S;
+    OldLabel.swap(Labels[S]);
+    Labels[S] = ScratchLabel;
     for (StateId P : K->preds(S)) {
-      if (P == S || InHeapStamp[P] == Stamp)
+      if (P == S || DirtyStamp[P] == Stamp)
         continue;
-      InHeapStamp[P] = Stamp;
-      Heap.emplace(PosOf[P], P);
+      DirtyStamp[P] = Stamp;
+      ++Pending;
     }
   }
 
@@ -225,13 +248,13 @@ LabelingChecker::recheckImpl(const UpdateInfo &Update) {
 void LabelingChecker::notifyRollback() {
   if (M == Mode::Batch)
     return; // Batch never reuses labels; nothing to restore.
-  assert(!UndoStack.empty() && "rollback without a matching recheck");
-  UndoFrame &Frame = UndoStack.back();
-  // Restore in reverse order of saving.
-  for (auto It = Frame.OldLabels.rbegin(); It != Frame.OldLabels.rend();
-       ++It)
-    Labels[It->first] = std::move(It->second);
-  UndoStack.pop_back();
+  assert(UndoDepth != 0 && "rollback without a matching recheck");
+  UndoFrame &Frame = UndoStack[--UndoDepth];
+  // Restore in reverse order of saving; each entry keeps the label it
+  // swapped out as a spare buffer.
+  for (size_t I = Frame.Used; I-- != 0;)
+    Labels[Frame.Saved[I].first].swap(Frame.Saved[I].second);
+  Frame.Used = 0;
 }
 
 CheckResult LabelingChecker::checkInitStates() {
@@ -258,12 +281,14 @@ std::vector<StateId> LabelingChecker::extractCex(StateId Init,
   std::vector<StateId> Path = {Init};
   StateId Cur = Init;
   Bitset CurM = M;
+  Bitset Extended;
   while (!K->isSink(Cur)) {
     bool Found = false;
     for (StateId Next : K->succs(Cur)) {
       assert(Next != Cur && "self-loop on a non-sink state");
       for (const Bitset &SuccM : Labels[Next]) {
-        if (Cl->extend(SuccM, AtomBits[Cur]) != CurM)
+        Cl->extend(SuccM, AtomBits[Cur], Extended);
+        if (Extended != CurM)
           continue;
         Path.push_back(Next);
         Cur = Next;

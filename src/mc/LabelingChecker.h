@@ -22,6 +22,15 @@
 /// The complexity is O(|ancestors(U)| * 2^|phi|) versus O(|K| * 2^|phi|)
 /// for the monolithic relabeling (Corollary 1 discussion).
 ///
+/// The steady state does no hashing and no allocation. The closure is a
+/// compiled table (ltl/Closure.h); each state's sink label is computed
+/// once at bind; the monolithic pass computes each label in place, and
+/// the incremental pass into a checker-owned scratch set that it copies
+/// in only when the label changed; the relabel order, the DFS stacks and
+/// the undo frames are checker-owned buffers reused across queries. The
+/// monolithic pass runs one three-colour DFS that both rejects forwarding
+/// loops and yields the children-first order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NETUPD_MC_LABELINGCHECKER_H
@@ -57,13 +66,19 @@ public:
   /// The current label of \p S; exposed for tests.
   const LabelSet &label(StateId S) const { return Labels[S]; }
 
+  /// The children-first order the last full check labeled states in (the
+  /// post-order of its DFS); exposed for tests.
+  const std::vector<StateId> &postOrder() const { return PostOrder; }
+
 protected:
   CheckResult bindImpl(KripkeStructure &K, Formula Phi) override;
   CheckResult recheckImpl(const UpdateInfo &Update) override;
 
 private:
-  /// Computes the label of \p S from its successors' current labels.
-  LabelSet computeLabel(StateId S);
+  /// Computes the label of \p S from its successors' current labels into
+  /// \p Out, reusing Out's storage. Out may be S's own label, which is
+  /// not read.
+  void computeLabel(StateId S, LabelSet &Out);
 
   /// Relabels every state (monolithic pass) and re-checks initial states.
   CheckResult fullCheck();
@@ -72,10 +87,18 @@ private:
   /// current frame.
   CheckResult incrementalCheck(const std::vector<StateId> &Changed);
 
-  /// Looks for a forwarding loop among the descendants of \p Changed (a
-  /// new cycle must contain a changed state). Returns the cycle if found.
+  /// Three-colour DFS along successor edges from \p Roots, or from every
+  /// state in id order when \p Roots is null. Returns the first cycle
+  /// found (other than a sink self-loop); otherwise appends every state
+  /// the DFS finished to \p PostOrder (when non-null), children first.
+  /// Started from the changed states of an update it finds any new loop:
+  /// a new cycle must contain a changed state, and the pre-update
+  /// structure was DAG-like by the checker's invariant. Started from
+  /// every state it finds the cycle KripkeStructure::findForwardingLoop()
+  /// finds.
   std::optional<std::vector<StateId>>
-  findLoopFrom(const std::vector<StateId> &Changed);
+  findLoopFrom(const std::vector<StateId> *Roots,
+               std::vector<StateId> *PostOrder);
 
   /// Verifies all initial states and extracts a counterexample if needed.
   CheckResult checkInitStates();
@@ -87,27 +110,31 @@ private:
   Mode M;
   KripkeStructure *K = nullptr;
   std::unique_ptr<Closure> Cl;
-  std::vector<Bitset> AtomBits; // Per-state atom valuations.
+  std::vector<Bitset> AtomBits;   // Per-state atom valuations.
+  std::vector<Bitset> SinkLabels; // Per-state Holds0 set, used while a sink.
   std::vector<LabelSet> Labels;
   uint64_t LabelOps = 0;
 
-  /// Saved labels for rollback, one frame per recheckAfterUpdate.
+  /// Saved labels for rollback, one frame per recheckAfterUpdate. Frames
+  /// at or above UndoDepth (whose Used is 0), and entries at or above a
+  /// frame's Used, are spare: they keep their buffers for the next query
+  /// to swap into.
   struct UndoFrame {
-    std::vector<std::pair<StateId, LabelSet>> OldLabels;
+    std::vector<std::pair<StateId, LabelSet>> Saved;
+    size_t Used = 0;
   };
   std::vector<UndoFrame> UndoStack;
+  size_t UndoDepth = 0;
 
   /// Stamp-based scratch marks, reused across queries so the incremental
   /// path never touches memory proportional to the whole structure.
-  std::vector<uint32_t> GrayStamp, DoneStamp, AncestorStamp, InHeapStamp;
+  std::vector<uint32_t> GrayStamp, DoneStamp, AncestorStamp, DirtyStamp;
   uint32_t Stamp = 0;
 
-  /// Topological position of each state within the current relabel
-  /// region; valid where DoneStamp == Stamp. Replaces a per-query
-  /// unordered_map that dominated the prune-path allocation profile.
-  std::vector<uint32_t> PosOf;
-  /// Scratch buffers reused across incremental queries.
-  std::vector<StateId> ScratchAncestors, ScratchOrder;
+  /// Buffers reused across queries.
+  LabelSet ScratchLabel;
+  std::vector<StateId> PostOrder, ScratchAncestors, ScratchOrder, ScratchStack;
+  std::vector<std::pair<StateId, uint32_t>> DfsStack;
 };
 
 } // namespace netupd

@@ -283,6 +283,12 @@ public:
     return words()[I];
   }
 
+  /// The backing words, for word-level kernels (ltl/Closure.cpp) that
+  /// would otherwise re-resolve the inline/heap storage on every bit
+  /// access. Bits at or above size() must stay zero.
+  uint64_t *data() { return words(); }
+  const uint64_t *data() const { return words(); }
+
   /// Index of the lowest set bit, or size() when none is set. Indexes
   /// the wrong-set watch lists (support/ConcurrentSet.h).
   size_t firstSetBit() const {

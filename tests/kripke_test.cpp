@@ -87,22 +87,6 @@ TEST(KripkeTest, PredsMirrorSuccs) {
                 K.preds(Next).end());
 }
 
-TEST(KripkeTest, TopoOrderPutsSuccessorsFirst) {
-  Fig1Network N = buildFig1();
-  KripkeStructure K(N.Topo, N.Red, {N.FlowH1H3});
-  std::vector<StateId> Order = K.topoOrder();
-  ASSERT_EQ(Order.size(), K.numStates());
-  std::vector<unsigned> Pos(K.numStates());
-  for (unsigned I = 0; I != Order.size(); ++I)
-    Pos[Order[I]] = I;
-  for (StateId S = 0; S != K.numStates(); ++S)
-    for (StateId Next : K.succs(S)) {
-      if (Next != S) {
-        EXPECT_LT(Pos[Next], Pos[S]);
-      }
-    }
-}
-
 TEST(KripkeTest, ForwardingLoopDetected) {
   // Two switches forwarding a class to each other forever.
   Topology T;
