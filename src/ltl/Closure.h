@@ -80,13 +80,7 @@ public:
   /// The unique maximally-consistent set M at a state with atoms
   /// \p AtomBits whose temporal obligations defer to successor set
   /// \p SuccM, i.e. the M with follows(M, SuccM) and matching atoms.
-  Bitset extend(const Bitset &SuccM, const Bitset &AtomBits) const {
-    Bitset M;
-    extend(SuccM, AtomBits, M);
-    return M;
-  }
-
-  /// As above, writing M into \p Out; reuses Out's storage.
+  /// Writes M into \p Out, reusing its storage; Out must not alias SuccM.
   void extend(const Bitset &SuccM, const Bitset &AtomBits, Bitset &Out) const;
 
   /// The follows(M1, M2) relation of §5 restricted to this closure.

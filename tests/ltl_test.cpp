@@ -147,8 +147,11 @@ TEST(ClosureTest, ExtendMatchesTraceSemantics) {
 
     // Label the trace back to front.
     Bitset M = Cl.sinkLabel(Cl.atomBits(T.back()));
-    for (size_t I = T.size() - 1; I-- > 0;)
-      M = Cl.extend(M, Cl.atomBits(T[I]));
+    Bitset Prev;
+    for (size_t I = T.size() - 1; I-- > 0;) {
+      std::swap(M, Prev);
+      Cl.extend(Prev, Cl.atomBits(T[I]), M);
+    }
 
     for (unsigned I = 0; I != Cl.size(); ++I)
       EXPECT_EQ(M.test(I), evalOnTrace(Cl.item(I), T))
@@ -166,7 +169,8 @@ TEST(ClosureTest, FollowsAcceptsExtend) {
     StateInfo A = randomTrace(R, 1)[0];
     StateInfo B = randomTrace(R, 1)[0];
     Bitset MB = Cl.sinkLabel(Cl.atomBits(B));
-    Bitset MA = Cl.extend(MB, Cl.atomBits(A));
+    Bitset MA;
+    Cl.extend(MB, Cl.atomBits(A), MA);
     EXPECT_TRUE(Cl.follows(MA, MB));
     EXPECT_TRUE(Cl.consistentAt(MA, Cl.atomBits(A)));
     EXPECT_TRUE(Cl.consistentAt(MB, Cl.atomBits(B)));

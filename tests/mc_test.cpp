@@ -460,8 +460,8 @@ TEST(LabelingCheckerTest, IncrementalDoesLessWorkThanBatch) {
 }
 
 /// After one warm-up, a recheck plus rollback that leaves every label
-/// unchanged allocates nothing, in either mode: the labels, the heap, the
-/// DFS stacks and the undo frames all live in reused checker buffers.
+/// unchanged allocates nothing, in either mode: the labels, the relabel
+/// order, the DFS stacks and the undo frames all live in reused checker buffers.
 TEST(LabelingCheckerTest, UnchangedRecheckAndRollbackAllocateNothing) {
   // The chain and cosmetic last-hop update of
   // IncrementalDoesLessWorkThanBatch.

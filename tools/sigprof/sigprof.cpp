@@ -17,9 +17,10 @@
 ///   LD_PRELOAD=build/libsigprof.so SIGPROF_OUT=prof.txt ./some_binary
 ///   python3 scripts/sigprof_report.py prof.txt
 ///
-/// Environment: SIGPROF_OUT (default sigprof.out), SIGPROF_HZ (samples
-/// per CPU-second, default 1000), SIGPROF_MAX (sample slots, default
-/// 200000; the buffer is mapped lazily, so unused slots cost no memory).
+/// Environment: SIGPROF_OUT, the output path (default sigprof.out). The
+/// timer fires 1000 times per CPU-second, and the buffer holds 200,000
+/// samples (200 CPU-seconds; it is mapped lazily, so unused slots cost
+/// no memory). Later samples are counted as dropped.
 ///
 /// Output format: "# sigprof samples N dropped D", one line per sample
 /// with hex addresses innermost first (the first one is the interrupted
@@ -44,6 +45,8 @@
 namespace {
 
 constexpr int MaxDepth = 48;
+constexpr size_t Capacity = 200000;
+constexpr long IntervalUsec = 1000; // 1 kHz of CPU time.
 
 struct Sample {
   uint32_t Depth;
@@ -51,7 +54,6 @@ struct Sample {
 };
 
 Sample *Samples = nullptr;
-size_t Capacity = 0;
 std::atomic<size_t> Next{0};
 std::atomic<size_t> Dropped{0};
 
@@ -97,15 +99,6 @@ void onProf(int, siginfo_t *, void *Ctx) {
   errno = SavedErrno;
 }
 
-size_t envSize(const char *Name, size_t Default) {
-  const char *V = std::getenv(Name);
-  if (!V || !*V)
-    return Default;
-  char *End = nullptr;
-  unsigned long long N = std::strtoull(V, &End, 10);
-  return (*End == '\0' && N > 0) ? static_cast<size_t>(N) : Default;
-}
-
 void writeAll(int Fd, const char *Buf, size_t Len) {
   while (Len > 0) {
     ssize_t W = write(Fd, Buf, Len);
@@ -117,7 +110,6 @@ void writeAll(int Fd, const char *Buf, size_t Len) {
 }
 
 __attribute__((constructor)) void start() {
-  Capacity = envSize("SIGPROF_MAX", 200000);
   void *Mem = mmap(nullptr, Capacity * sizeof(Sample), PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (Mem == MAP_FAILED)
@@ -136,11 +128,9 @@ __attribute__((constructor)) void start() {
   sigemptyset(&SA.sa_mask);
   sigaction(SIGPROF, &SA, nullptr);
 
-  size_t Hz = envSize("SIGPROF_HZ", 1000);
-  long Usec = static_cast<long>(Hz >= 1000000 ? 1 : 1000000 / Hz);
   itimerval T;
-  T.it_interval.tv_sec = Usec / 1000000;
-  T.it_interval.tv_usec = Usec % 1000000;
+  T.it_interval.tv_sec = 0;
+  T.it_interval.tv_usec = IntervalUsec;
   T.it_value = T.it_interval;
   setitimer(ITIMER_PROF, &T, nullptr);
 }
