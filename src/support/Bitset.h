@@ -257,8 +257,8 @@ public:
   /// finalizer. Plain FNV-1a's low k bits depend only on the low k bits
   /// of each word, so configurations differing only in high ops would
   /// share every low hash bit; the finalizer spreads each input bit over
-  /// the whole result, so both the top bits (ConcurrentSet's stripe) and
-  /// the low bits (its slot) are usable.
+  /// the whole result, so the low bits (the claim table's slot) and the
+  /// whole value (its tag) both tell configurations apart.
   size_t hash() const {
     uint64_t H = 1469598103934665603ull;
     const uint64_t *W = words();

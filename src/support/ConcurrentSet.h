@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The pruning containers behind the synthesis search
-/// (synth/OrderUpdate.cpp): a striped open-addressed hash set for the
-/// visited (V) configurations, a watch-list–indexed wrong-set (W) for
+/// (synth/OrderUpdate.cpp): a lock-free open-addressed claim table for
+/// the visited (V) configurations, a watch-list–indexed wrong-set (W) for
 /// counterexample constraints, and a flat sequential set for unit-local
 /// V state. All hold *monotone* state — entries are only ever added,
 /// never modified or removed during a search — which is what makes
@@ -16,8 +16,8 @@
 /// mined on one shard is a fact about the problem instance, valid for
 /// every other shard the moment it becomes visible.
 ///
-/// ConcurrentSet::insert doubles as the claim operation of the sharded
-/// search: exactly one caller receives true per value, so two shards
+/// ClaimTable::claim is the claim operation of the sharded search:
+/// exactly one caller receives true per value, so two shards
 /// reaching the same intermediate configuration agree on which of them
 /// explores the subtree below it (the other prunes). The sharded search
 /// probes W before it claims, so configurations W already refutes never
@@ -34,123 +34,227 @@
 #ifndef NETUPD_SUPPORT_CONCURRENTSET_H
 #define NETUPD_SUPPORT_CONCURRENTSET_H
 
-#include "obs/Metrics.h"
 #include "support/Bitset.h"
-#include "support/ThreadAnnotations.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <mutex>
+#include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
 namespace netupd {
 
-/// A thread-safe grow-only hash set: 64 lock stripes, each guarding an
-/// open-addressed slot table. One hash computation and one mutex
-/// acquisition per operation; linear probing touches a handful of
-/// contiguous slots instead of chasing unordered_set buckets, and
-/// insert-only semantics mean the table never tombstones.
+/// The shared V set of the sharded search: a lock-free, grow-only claim
+/// table for fixed-width Bitset keys. The key width (a subset of the
+/// search's ops) is fixed for the whole search, so reset() sizes every
+/// slot once: one atomic tag word followed by the key's words, all in one
+/// flat array, with no per-slot allocation and no Bitset copies.
 ///
-/// The stripe comes from the top bits of the hash and the slot from the
-/// low bits. Taking both from the low bits would leave only one slot in
-/// 64 reachable as a home slot within a stripe, and probe chains would
-/// grow into long clusters. \p Hash must therefore mix into every bit,
-/// as BitsetHash does; there is no std::hash default, whose identity
-/// hash over small ints would put them all in stripe 0.
+/// A claim probes linearly from the slot given by the low hash bits. An
+/// empty tag is CASed to Busy, the key is stored, and then the tag is
+/// release-stored as the whole hash (top bit forced on, so it can never
+/// read as Empty or Busy). A claim that meets its own tag acquires the
+/// key words and compares them, so a losing claim — most of a deep
+/// proof's claims — only loads. A claim that meets Busy waits for the
+/// writer, which may be storing this very key.
 ///
-/// Lock acquisitions on the claim path feed the synth.vset_lock_ns wait
-/// histogram when the obs detail tier is on — and cost one relaxed load
-/// when it is off.
-template <typename T, typename Hash> class ConcurrentSet {
+/// Growth is a pinned migration. A claim stores its participant's pin
+/// (seq_cst) and then loads Resizing; a resizer stores Resizing (seq_cst)
+/// and then loads every pin. Under seq_cst at least one side sees the
+/// other, so a claim either backs off until the resize ends or is waited
+/// for; migration starts only once every pin is clear, so it moves every
+/// completed claim and no claim runs against the old slots. The claim
+/// whose win reaches 3/4 load sets Resizing, doubles the table and
+/// publishes it by clearing Resizing (release). Nothing else locks, and
+/// the old slots are freed at once: nobody can still hold them.
+class ClaimTable {
 public:
-  /// Inserts \p V; returns true iff it was not already present. The
-  /// true-return is unique per value across all threads (the claim).
-  bool insert(const T &V) {
-    size_t H = Hash()(V);
-    Stripe &S = Stripes[H >> StripeShift];
-    obs::timedLock(S.M, lockWait());
-    MutexLock Lock(S.M, std::adopt_lock);
-    return S.insert(H, V);
+  /// Slots after every reset(); the table doubles from here.
+  static constexpr size_t InitialCapacity = 1024;
+
+  ClaimTable() = default;
+  ClaimTable(const ClaimTable &) = delete;
+  ClaimTable &operator=(const ClaimTable &) = delete;
+
+  /// Empties the table and shapes it for \p NumBits-wide keys claimed by
+  /// participants 0 .. \p Participants-1. Not thread-safe; call before
+  /// the search fans out.
+  void reset(size_t NumBits, unsigned Participants) {
+    KeyWords = (NumBits + 63) / 64;
+    Pins = std::vector<Pin>(Participants);
+    // Each participant can win one claim past the threshold before it
+    // sees a resize start; keep that overshoot inside the free quarter.
+    size_t Cap = InitialCapacity;
+    while (Cap / 4 <= Participants)
+      Cap *= 2;
+    Slots = allocate(Cap);
+    setCapacity(Cap);
+    // relaxed: reset is single-threaded; the searchers start later.
+    Count.store(0, std::memory_order_relaxed);
+    Resizing.store(false, std::memory_order_relaxed);
   }
 
-  size_t size() const {
-    size_t N = 0;
-    for (const Stripe &S : Stripes) {
-      MutexLock Lock(S.M);
-      N += S.Count;
-    }
-    return N;
+  /// Claims \p Key for participant \p P: true for exactly one caller per
+  /// key, across all threads and resizes. \p Key must be as wide as
+  /// reset() said, and no two threads may use the same \p P at once.
+  bool claim(const Bitset &Key, unsigned P) {
+    assert(Key.numWords() == KeyWords && P < Pins.size());
+    const uint64_t Tag = Key.hash() | TagBit;
+    std::atomic<unsigned> &MyPin = Pins[P].Pinned;
+    pin(MyPin);
+    bool Won = insert(Tag, Key.data());
+    // relaxed: the count only triggers growth; grow() re-reads it after
+    // every pin's release store below has been acquired.
+    bool Grow = Won && Count.fetch_add(1, std::memory_order_relaxed) + 1 >=
+                           Threshold;
+    MyPin.store(0, std::memory_order_release);
+    if (Grow)
+      grow();
+    return Won;
   }
 
-  void clear() {
-    for (Stripe &S : Stripes) {
-      MutexLock Lock(S.M);
-      S.Slots.clear();
-      S.Count = 0;
-    }
-  }
+  /// Claimed keys. Exact once every claimant has finished.
+  // relaxed: a count, read by callers that joined the claimants.
+  size_t size() const { return Count.load(std::memory_order_relaxed); }
 
 private:
-  static constexpr unsigned StripeBits = 6;
-  static constexpr unsigned NumStripes = 1u << StripeBits;
-  static constexpr unsigned StripeShift =
-      std::numeric_limits<size_t>::digits - StripeBits;
+  static constexpr uint64_t Empty = 0;
+  static constexpr uint64_t Busy = 1;
+  static constexpr uint64_t TagBit = uint64_t(1) << 63;
 
-  struct Slot {
-    size_t H = 0;
-    bool Used = false;
-    T Value{};
+  struct alignas(64) Pin {
+    std::atomic<unsigned> Pinned{0};
   };
 
-  struct Stripe {
-    mutable Mutex M;
-    std::vector<Slot> Slots NETUPD_GUARDED_BY(M);
-    size_t Count NETUPD_GUARDED_BY(M) = 0;
+  using Words = std::unique_ptr<std::atomic<uint64_t>[]>;
 
-    bool insert(size_t H, const T &V) NETUPD_REQUIRES(M) {
-      if (Slots.size() < 16 || Count * 10 >= Slots.size() * 7)
-        grow();
-      size_t Mask = Slots.size() - 1;
-      for (size_t I = H & Mask;; I = (I + 1) & Mask) {
-        Slot &S = Slots[I];
-        if (!S.Used) {
-          S.H = H;
-          S.Used = true;
-          S.Value = V;
-          ++Count;
-          return true;
-        }
-        if (S.H == H && S.Value == V)
-          return false;
-      }
-    }
-
-    void grow() NETUPD_REQUIRES(M) {
-      size_t NewSize = Slots.empty() ? 16 : Slots.size() * 2;
-      std::vector<Slot> Old = std::move(Slots);
-      Slots.assign(NewSize, Slot{});
-      size_t Mask = NewSize - 1;
-      for (Slot &S : Old) {
-        if (!S.Used)
-          continue;
-        size_t I = S.H & Mask;
-        while (Slots[I].Used)
-          I = (I + 1) & Mask;
-        Slots[I] = std::move(S);
-      }
-    }
-  };
-
-  static obs::Histogram &lockWait() {
-    static obs::Histogram &H =
-        obs::MetricsRegistry::instance().histogram("synth.vset_lock_ns");
-    return H;
+  /// \p Cap zeroed (Empty) slots.
+  Words allocate(size_t Cap) const {
+    return std::make_unique<std::atomic<uint64_t>[]>(Cap * (KeyWords + 1));
   }
 
-  Stripe Stripes[NumStripes];
+  /// The claim count that makes \p Cap slots double: 3/4 load.
+  static size_t thresholdFor(size_t Cap) { return Cap / 4 * 3; }
+
+  void setCapacity(size_t Cap) {
+    Mask = Cap - 1;
+    Threshold = thresholdFor(Cap);
+  }
+
+  /// Waits until \p Done() holds. The thread waited for may be
+  /// descheduled, so a short busy phase gives way to yielding.
+  template <typename Pred> static void spinUntil(Pred Done) {
+    for (unsigned Spins = 0; !Done(); ++Spins)
+      if (Spins >= 64)
+        std::this_thread::yield();
+  }
+
+  /// Pins \p MyPin outside any resize: on return no migration can start
+  /// until the pin is cleared, and the slot fields are the published ones.
+  void pin(std::atomic<unsigned> &MyPin) {
+    for (;;) {
+      MyPin.store(1, std::memory_order_seq_cst);
+      if (!Resizing.load(std::memory_order_seq_cst))
+        return;
+      MyPin.store(0, std::memory_order_release);
+      spinUntil([&] { return !Resizing.load(std::memory_order_acquire); });
+    }
+  }
+
+  /// The probe; the caller is pinned.
+  bool insert(uint64_t Tag, const uint64_t *Key) {
+    const size_t Stride = KeyWords + 1;
+    for (size_t I = Tag & Mask;; I = (I + 1) & Mask) {
+      std::atomic<uint64_t> *S = &Slots[I * Stride];
+      uint64_t T = S->load(std::memory_order_acquire);
+      if (T == Empty) {
+        if (S->compare_exchange_strong(T, Busy, std::memory_order_acquire,
+                                       std::memory_order_acquire)) {
+          // relaxed: the release store of the tag publishes the key.
+          for (size_t W = 0; W != KeyWords; ++W)
+            S[W + 1].store(Key[W], std::memory_order_relaxed);
+          S->store(Tag, std::memory_order_release);
+          return true;
+        }
+        // Another claim took the slot first; T is what it wrote.
+      }
+      if (T == Busy) // Another claim is storing this slot's key.
+        spinUntil([&] {
+          return (T = S->load(std::memory_order_acquire)) != Busy;
+        });
+      if (T == Tag && keyEquals(S + 1, Key))
+        return false;
+    }
+  }
+
+  bool keyEquals(const std::atomic<uint64_t> *K, const uint64_t *Key) const {
+    for (size_t W = 0; W != KeyWords; ++W)
+      // relaxed: ordered by the acquire load of the slot's tag.
+      if (K[W].load(std::memory_order_relaxed) != Key[W])
+        return false;
+    return true;
+  }
+
+  /// Doubles the table unless another claim is already doing so; that
+  /// one re-reads the count once the pins clear, so it sees this win.
+  void grow() {
+    bool Expected = false;
+    if (!Resizing.compare_exchange_strong(Expected, true,
+                                          std::memory_order_seq_cst))
+      return;
+    for (Pin &P : Pins)
+      spinUntil([&] { return P.Pinned.load(std::memory_order_seq_cst) == 0; });
+    // Every slot write and count increment happened before some pin's
+    // release clear, which the loads above acquired.
+    // relaxed: ordered by those acquires.
+    size_t N = Count.load(std::memory_order_relaxed);
+    if (N >= Threshold) {
+      size_t Cap = (Mask + 1) * 2;
+      while (N >= thresholdFor(Cap))
+        Cap *= 2;
+      migrate(Cap);
+    }
+    Resizing.store(false, std::memory_order_release);
+  }
+
+  /// Rehashes every claimed key into \p Cap fresh slots. Runs alone:
+  /// every pin is clear and Resizing keeps new claims out.
+  void migrate(size_t Cap) {
+    const size_t Stride = KeyWords + 1;
+    Words New = allocate(Cap);
+    const size_t NewMask = Cap - 1;
+    // relaxed: single-threaded here (see above).
+    for (size_t I = 0; I <= Mask; ++I) {
+      const std::atomic<uint64_t> *S = &Slots[I * Stride];
+      uint64_t Tag = S->load(std::memory_order_relaxed);
+      if (Tag == Empty)
+        continue;
+      size_t J = Tag & NewMask;
+      while (New[J * Stride].load(std::memory_order_relaxed) != Empty)
+        J = (J + 1) & NewMask;
+      std::atomic<uint64_t> *D = &New[J * Stride];
+      // relaxed: single-threaded, as above.
+      for (size_t W = 0; W <= KeyWords; ++W)
+        D[W].store(S[W].load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+    }
+    Slots = std::move(New);
+    setCapacity(Cap);
+  }
+
+  // Read by every claim and written only by reset() and migrations, which
+  // run while no claim is pinned.
+  Words Slots;
+  size_t Mask = 0;
+  size_t Threshold = 0;
+  size_t KeyWords = 0;
+  std::vector<Pin> Pins;
+  std::atomic<bool> Resizing{false};
+  // Written by every win; kept off the read-mostly line above.
+  alignas(64) std::atomic<size_t> Count{0};
 };
 
 /// The wrong-set: counterexample constraints (Mask, Value) meaning "any

@@ -329,23 +329,25 @@ struct SearchContext {
   /// !Deterministic.
   BudgetLedger Ledger;
 
-  // Pruning state. V keeps one representation per mode (the striped
-  // claim table costs locks a single-shard run must not pay); W is one
+  // Pruning state. V keeps one representation per mode (the shared
+  // claim table costs atomics a single-shard run must not pay); W is one
   // watch-indexed container for both modes — its probes and CAS appends
   // are lock-free, so they cost a single-shard run nothing either.
   FlatBitsetSet SeqVisited;             // V of Fig. 4 (one shard).
-  /// V of Fig. 4 across shards. Searchers probe W and the seeds before
-  /// they claim, so a configuration those already refute never takes a
-  /// stripe lock (tryCandidate).
-  ConcurrentSet<Bitset, BitsetHash> ParVisited;
+  /// V of Fig. 4 across shards, reset only for a sharded non-budget
+  /// search (budget mode keeps V unit-local). Searchers probe W and the
+  /// seeds before they claim, so a configuration those already refute
+  /// never enters the table (tryCandidate).
+  ClaimTable ParVisited;
   /// W of Fig. 4: (mask, value) refutations, filed under the first set
   /// bit of value so a probe touches only entries that could match
   /// (ConcurrentSet.h). reset() after buildOps, before any searcher.
   WatchedWrongSet Wrong;
 
-  /// The claim: true for exactly one caller per configuration.
-  bool visitedClaim(const Bitset &B) {
-    return Sharded ? ParVisited.insert(B) : SeqVisited.insert(B);
+  /// The claim by shard \p Shard: true for exactly one caller per
+  /// configuration.
+  bool visitedClaim(const Bitset &B, unsigned Shard) {
+    return Sharded ? ParVisited.claim(B, Shard) : SeqVisited.insert(B);
   }
   bool matchesWrong(const Bitset &Bits) const { return Wrong.matches(Bits); }
   void addWrong(Bitset Mask, Bitset Value) {
@@ -748,8 +750,8 @@ private:
       }
     } else {
       // Both probes are lock-free and monotone, so under sharding only
-      // what neither refutes takes a stripe lock; most of a deep proof's
-      // reaches are refuted and stay out of the shared table. Imported
+      // what neither refutes is claimed in the shared table; most of a
+      // deep proof's reaches are refuted and stay out of it. Imported
       // (cross-job) refutations go first: each seeded prune skips a
       // check an earlier digest-identical run already paid for.
       if (!Ctx.SeedWrong.empty() && Ctx.matchesSeed(Next)) {
@@ -760,7 +762,7 @@ private:
         ++Stats.CexPrunes;
         return false;
       }
-      if (!Ctx.visitedClaim(Next)) {
+      if (!Ctx.visitedClaim(Next, ShardIndex)) {
         ++Stats.VisitedPrunes;
         return false;
       }
@@ -1205,6 +1207,8 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   // unit-local V/W/quota state cannot be handed across shards without
   // making the verdict depend on scheduling).
   Ctx.Stealing = Ctx.Sharded && !Ctx.Deterministic && Opts.WorkStealing;
+  if (Ctx.Sharded && !Ctx.Deterministic)
+    Ctx.ParVisited.reset(Ctx.Ops.size(), Shards);
   if (Ctx.Stealing) {
     Ctx.Deques.reserve(Shards);
     for (unsigned S = 0; S != Shards; ++S)

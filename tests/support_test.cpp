@@ -248,59 +248,92 @@ static Bitset configOf(unsigned V) {
   return B;
 }
 
-TEST(ConcurrentSetTest, InsertClear) {
-  ConcurrentSet<Bitset, BitsetHash> Set;
-  EXPECT_TRUE(Set.insert(configOf(7)));
-  EXPECT_FALSE(Set.insert(configOf(7))) << "second insert must lose the claim";
-  EXPECT_EQ(Set.size(), 1u);
-  Set.clear();
+TEST(ClaimTableTest, SecondClaimLoses) {
+  ClaimTable Set;
+  Set.reset(16, 1);
   EXPECT_EQ(Set.size(), 0u);
-  EXPECT_TRUE(Set.insert(configOf(7))) << "clear must release the claim";
+  EXPECT_TRUE(Set.claim(configOf(7), 0));
+  EXPECT_FALSE(Set.claim(configOf(7), 0)) << "second claim must lose";
+  EXPECT_EQ(Set.size(), 1u);
+  Set.reset(16, 1);
+  EXPECT_EQ(Set.size(), 0u);
+  EXPECT_TRUE(Set.claim(configOf(7), 0)) << "reset must release the claim";
 }
 
-TEST(ConcurrentSetTest, BitsetKeys) {
-  ConcurrentSet<Bitset, BitsetHash> Set;
+TEST(ClaimTableTest, BitsetKeys) {
+  ClaimTable Set;
+  Set.reset(70, 2);
   Bitset A(70), B(70);
   B.set(69);
-  EXPECT_TRUE(Set.insert(A));
-  EXPECT_TRUE(Set.insert(B));
-  EXPECT_FALSE(Set.insert(A));
+  EXPECT_TRUE(Set.claim(A, 0));
+  EXPECT_TRUE(Set.claim(B, 1));
+  EXPECT_FALSE(Set.claim(A, 1));
+  EXPECT_FALSE(Set.claim(B, 0)) << "the second key word must be compared";
   EXPECT_EQ(Set.size(), 2u);
 }
 
-// The claim semantics under contention: every value is claimed exactly
-// once no matter how many threads race for it, with the values spread
-// over every stripe.
-TEST(ConcurrentSetTest, ClaimsAreUniqueAcrossThreads) {
-  ConcurrentSet<Bitset, BitsetHash> Set;
-  constexpr unsigned NumValues = 1000;
+/// 8 threads, each its own participant, claim every value of \p Values;
+/// each thread starts at a different offset so wins are spread across
+/// threads. Checks that every value was won exactly once.
+static void raceClaims(size_t NumBits, const std::vector<Bitset> &Values) {
   constexpr unsigned NumThreads = 8;
-  std::vector<Bitset> Values;
-  std::set<size_t> Stripes;
-  for (unsigned V = 0; V != NumValues; ++V) {
-    Values.push_back(configOf(V));
-    Stripes.insert(BitsetHash()(Values.back()) >> 58);
-  }
-  ASSERT_EQ(Stripes.size(), 64u) << "the values must contend on every stripe";
-  std::atomic<unsigned> Claims{0};
+  ClaimTable Set;
+  Set.reset(NumBits, NumThreads);
+  std::vector<std::atomic<unsigned>> Wins(Values.size());
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&] {
-      for (const Bitset &V : Values)
-        if (Set.insert(V))
-          Claims.fetch_add(1);
+    Threads.emplace_back([&, T] {
+      size_t N = Values.size();
+      for (size_t K = 0, I = T * N / NumThreads; K != N; ++K, I = (I + 1) % N)
+        if (Set.claim(Values[I], T))
+          Wins[I].fetch_add(1);
     });
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_EQ(Claims.load(), NumValues);
-  EXPECT_EQ(Set.size(), static_cast<size_t>(NumValues));
+  size_t Wrong = 0;
+  for (std::atomic<unsigned> &W : Wins)
+    Wrong += W.load() != 1;
+  EXPECT_EQ(Wrong, 0u) << "values not claimed exactly once";
+  EXPECT_EQ(Set.size(), Values.size());
 }
 
-// The claim table takes its stripe from the top hash bits and its slot
-// from the low bits, so both ends of Bitset::hash() must depend on every
-// op. Configurations that differ only in high ops (bits 10-21 of a
-// 22-op search) must still reach all 64 stripes and all 64 low-bit
-// residues; plain FNV-1a kept the low bits constant here.
+// The claim semantics under contention: every value is claimed exactly
+// once no matter how many threads race for it.
+TEST(ClaimTableTest, ClaimsAreUniqueAcrossThreads) {
+  std::vector<Bitset> Values;
+  for (unsigned V = 0; V != 1000; ++V)
+    Values.push_back(configOf(V));
+  raceClaims(16, Values);
+}
+
+// The same under growth: 50k values from the initial capacity force at
+// least five pinned migrations mid-race, with one-word and three-word
+// keys. A claim lost or doubled across a migration shows up here.
+TEST(ClaimTableTest, ClaimsAreUniqueAcrossResizes) {
+  constexpr unsigned NumValues = 50000;
+  static_assert(NumValues > (ClaimTable::InitialCapacity << 4) / 4 * 3,
+                "the race must cross the 3/4 load of five capacities");
+  std::vector<Bitset> OneWord, ThreeWords;
+  for (unsigned V = 0; V != NumValues; ++V) {
+    Bitset A(20), B(130);
+    for (unsigned I = 0; I != 16; ++I)
+      if (V >> I & 1) {
+        A.set(I);
+        B.set(9 + 8 * I); // Bits 9..129: every word carries some.
+      }
+    OneWord.push_back(A);
+    ThreeWords.push_back(B);
+  }
+  ASSERT_EQ(ThreeWords.front().numWords(), 3u);
+  raceClaims(20, OneWord);
+  raceClaims(130, ThreeWords);
+}
+
+// The claim table takes its slot from the low hash bits and compares the
+// whole hash as the slot's tag, so both ends of Bitset::hash() must
+// depend on every op. Configurations that differ only in high ops (bits
+// 10-21 of a 22-op search) must still reach all 64 low-bit residues and
+// all 64 top-bit residues; plain FNV-1a kept the low bits constant here.
 TEST(BitsetTest, HashDispersesHighBitsToBothEnds) {
   std::set<size_t> Low, High;
   for (uint64_t V = 0; V != 4096; ++V) {
