@@ -13,14 +13,14 @@
 /// variants (blackholed destinations, initial-violation configs) — and
 /// runs it through every cell of
 ///
-///     backend registry x granularity x shards {1,4} x steal on/off
-///                      x budget on/off x learning on/off,
+///     backend registry x granularity x shards {1,4} x budget on/off
+///                      x learning on/off,
 ///
 /// checking the repository's determinism contracts (the oracle; see
 /// docs/ARCHITECTURE.md "Scenario zoo & differential fuzzing"):
 ///
 ///  - unlimited cells of one granularity agree on the verdict, across
-///    every backend, shard count, steal setting, and learning setting;
+///    every backend, shard count, and learning setting;
 ///  - unlimited *sequential* cells (1 shard) return byte-identical
 ///    command sequences — pruning differences between backends (hsa
 ///    yields no counterexamples) must never change the sequence, only
@@ -33,7 +33,7 @@
 ///    learned constraints, and agree on BudgetSpent on non-Success;
 ///  - a budgeted cell that completes (is not Aborted) agrees with the
 ///    unlimited verdict;
-///  - stealing is inert when off or unsharded (StolenTasks == 0);
+///  - stealing is inert unsharded (StolenTasks == 0);
 ///  - granularities relate: InitialViolation is granularity-independent,
 ///    and a switch-feasible instance is rule-feasible (the converse
 ///    fails by design on double diamonds).

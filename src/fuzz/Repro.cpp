@@ -7,6 +7,8 @@
 
 #include "fuzz/Repro.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -96,7 +98,10 @@ void writeIds(std::ostream &OS, const char *Tag,
 /// Minimal line/token cursor over the input text.
 class Cursor {
 public:
-  explicit Cursor(const std::string &Text) : In(Text) {}
+  /// \p FirstLine numbers the first line of \p Text, so a section cut
+  /// from a larger file reports the file's line numbers.
+  explicit Cursor(const std::string &Text, unsigned FirstLine = 1)
+      : In(Text), LineNo(FirstLine - 1) {}
 
   /// Next non-empty, non-comment line split into tokens; empty at EOF.
   bool nextLine(std::vector<std::string> &Tokens, std::string &Raw) {
@@ -121,17 +126,15 @@ public:
 
 private:
   std::istringstream In;
-  unsigned LineNo = 0;
+  unsigned LineNo;
 };
 
+/// Decimal digits only. std::from_chars into an unsigned type takes no
+/// sign and no whitespace, and fails on overflow instead of wrapping.
 bool parseU64(const std::string &T, uint64_t &Out) {
-  try {
-    size_t Pos = 0;
-    Out = std::stoull(T, &Pos);
-    return Pos == T.size();
-  } catch (...) {
-    return false;
-  }
+  const char *End = T.data() + T.size();
+  auto [Ptr, Ec] = std::from_chars(T.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
 }
 
 bool parseU32(const std::string &T, uint32_t &Out) {
@@ -306,9 +309,11 @@ std::string fuzz::serializeScenario(const Scenario &S) {
   return OS.str();
 }
 
-std::optional<Scenario> fuzz::parseScenario(const std::string &Text,
-                                            std::string *Err) {
-  Cursor C(Text);
+namespace {
+
+std::optional<Scenario> parseScenarioAt(const std::string &Text,
+                                        unsigned FirstLine, std::string *Err) {
+  Cursor C(Text, FirstLine);
   std::vector<std::string> Tok;
   std::string Raw;
 
@@ -481,6 +486,13 @@ std::optional<Scenario> fuzz::parseScenario(const std::string &Text,
   return S;
 }
 
+} // namespace
+
+std::optional<Scenario> fuzz::parseScenario(const std::string &Text,
+                                            std::string *Err) {
+  return parseScenarioAt(Text, 1, Err);
+}
+
 std::string fuzz::serializeRepro(const Repro &R) {
   std::ostringstream OS;
   OS << "netupd-repro 1\n";
@@ -540,7 +552,10 @@ std::optional<Repro> fuzz::parseRepro(const std::string &Text,
     fail(Err, C.line(), "missing scenario section");
     return std::nullopt;
   }
-  std::optional<Scenario> S = parseScenario(Text.substr(Pos + 1), Err);
+  unsigned ScenarioLine = static_cast<unsigned>(
+      std::count(Text.begin(), Text.begin() + Pos + 1, '\n') + 1);
+  std::optional<Scenario> S =
+      parseScenarioAt(Text.substr(Pos + 1), ScenarioLine, Err);
   if (!S)
     return std::nullopt;
   R.S = std::move(*S);

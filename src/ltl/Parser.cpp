@@ -10,6 +10,7 @@
 #include "support/Strings.h"
 
 #include <cctype>
+#include <string>
 
 using namespace netupd;
 
@@ -131,6 +132,19 @@ private:
     return nullptr;
   }
 
+  /// Runs \p Rule one nesting level deeper. Every recursive step of the
+  /// grammar goes through here, so input nested past MaxLtlNesting fails
+  /// with an error instead of overflowing the native stack.
+  Formula nested(Formula (Parser::*Rule)()) {
+    if (Depth == MaxLtlNesting)
+      return fail("formula nested deeper than " +
+                  std::to_string(MaxLtlNesting) + " levels");
+    ++Depth;
+    Formula F = (this->*Rule)();
+    --Depth;
+    return F;
+  }
+
   Formula parseImplies() {
     Formula L = parseOr();
     if (!L)
@@ -138,7 +152,7 @@ private:
     if (Cur.K != TokKind::Arrow)
       return L;
     advance();
-    Formula R = parseImplies(); // Right associative.
+    Formula R = nested(&Parser::parseImplies); // Right associative.
     if (!R)
       return nullptr;
     return Factory.implies(L, R);
@@ -179,7 +193,7 @@ private:
     if (Cur.K == TokKind::Ident && (Cur.Text == "U" || Cur.Text == "R")) {
       bool IsUntil = Cur.Text == "U";
       advance();
-      Formula R = parseTemporal(); // Right associative.
+      Formula R = nested(&Parser::parseTemporal); // Right associative.
       if (!R)
         return nullptr;
       return IsUntil ? Factory.until(L, R) : Factory.release(L, R);
@@ -190,7 +204,7 @@ private:
   Formula parseUnary() {
     if (Cur.K == TokKind::Bang) {
       advance();
-      Formula Inner = parseUnary();
+      Formula Inner = nested(&Parser::parseUnary);
       if (!Inner)
         return nullptr;
       return Factory.negate(Inner);
@@ -199,7 +213,7 @@ private:
         (Cur.Text == "X" || Cur.Text == "F" || Cur.Text == "G")) {
       std::string Op = Cur.Text;
       advance();
-      Formula Inner = parseUnary();
+      Formula Inner = nested(&Parser::parseUnary);
       if (!Inner)
         return nullptr;
       if (Op == "X")
@@ -214,7 +228,7 @@ private:
   Formula parsePrimary() {
     if (Cur.K == TokKind::LParen) {
       advance();
-      Formula Inner = parseImplies();
+      Formula Inner = nested(&Parser::parseImplies);
       if (!Inner)
         return nullptr;
       if (Cur.K != TokKind::RParen)
@@ -269,6 +283,7 @@ private:
   size_t Pos = 0;
   Token Cur;
   std::string Err;
+  unsigned Depth = 0; // Active nested() levels.
 };
 
 } // namespace

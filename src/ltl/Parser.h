@@ -17,6 +17,9 @@
 ///   atom ::= ('sw' | 'port' | 'src' | 'dst' | 'typ') ('=' | '!=') number
 ///
 /// Negation is pushed to atoms during parsing, so the result is in NNF.
+/// Nesting is bounded: each '!', 'X', 'F', 'G', '(' and each link of a
+/// right-associative '->', 'U' or 'R' chain is one level, and input
+/// deeper than MaxLtlNesting levels is rejected with an error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +32,10 @@
 #include <string>
 
 namespace netupd {
+
+/// The deepest nesting parseLtl accepts (see the file comment); it keeps
+/// the recursive descent far inside a default thread stack.
+constexpr unsigned MaxLtlNesting = 2000;
 
 /// Result of parsing: the formula on success, or a diagnostic message.
 struct ParseResult {

@@ -9,12 +9,12 @@
 /// The pruning containers behind the synthesis search
 /// (synth/OrderUpdate.cpp): a lock-free open-addressed claim table for
 /// the visited (V) configurations, a watch-list–indexed wrong-set (W) for
-/// counterexample constraints, and a flat sequential set for unit-local
-/// V state. All hold *monotone* state — entries are only ever added,
-/// never modified or removed during a search — which is what makes
-/// sharing them across DFS shards sound: a V claim or a W constraint
-/// mined on one shard is a fact about the problem instance, valid for
-/// every other shard the moment it becomes visible.
+/// counterexample constraints, and a flat sequential set for a V that
+/// only one shard claims in. All hold *monotone* state — entries are
+/// only ever added, never modified or removed during a search — which
+/// is what makes sharing them across DFS shards sound: a V claim or a W
+/// constraint mined on one shard is a fact about the problem instance,
+/// valid for every other shard the moment it becomes visible.
 ///
 /// ClaimTable::claim is the claim operation of the sharded search:
 /// exactly one caller receives true per value, so two shards
@@ -278,10 +278,12 @@ public:
   WatchedWrongSet &operator=(const WatchedWrongSet &) = delete;
 
   /// Drops all constraints and re-shapes for \p NumBits-wide
-  /// configurations. Not thread-safe; call before the search fans out.
+  /// configurations, keeping the bucket array when the width is
+  /// unchanged. Not thread-safe; call before the search fans out.
   void reset(size_t NumBits) {
     destroy();
-    Buckets = std::vector<std::atomic<Node *>>(NumBits);
+    if (Buckets.size() != NumBits)
+      Buckets = std::vector<std::atomic<Node *>>(NumBits);
     // relaxed: reset is documented single-threaded; no concurrent readers.
     for (auto &B : Buckets)
       B.store(nullptr, std::memory_order_relaxed);
@@ -392,9 +394,10 @@ private:
 /// A single-threaded insert-only set of Bitsets, open-addressed so the
 /// per-probe cost is a hash plus a few contiguous slot compares and the
 /// per-insert cost is a buffer-reusing Bitset assignment — no node
-/// allocations. Used for the sequential search's V set and the
-/// budget-mode unit-local V set, both of which clear() per unit and
-/// refill to a similar size (the slot buffers are kept across clears).
+/// allocations. The V set of a pruning scope only one shard claims in:
+/// a one-shard search's, and budget mode's unit scopes, which clear()
+/// per unit and refill to a similar size (the slot buffers are kept
+/// across clears).
 class FlatBitsetSet {
 public:
   /// Inserts \p B; returns true iff it was not already present.

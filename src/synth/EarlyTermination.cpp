@@ -123,6 +123,17 @@ void EarlyTermination::addMaskValueConstraint(const Bitset &Mask,
   addCexConstraint(Updated, NotUpdated);
 }
 
+void EarlyTermination::reset() {
+  MutexLock Lock(M);
+  Solver = sat::Solver();
+  PairVars.clear();
+  Mentioned.clear();
+  Clauses = 0;
+  KnownImpossible = false;
+  Dirty = false;
+  LastSat = true;
+}
+
 bool EarlyTermination::impossible() {
   obs::timedLock(M, satLockWait());
   MutexLock Lock(M, std::adopt_lock);

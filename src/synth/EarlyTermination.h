@@ -97,6 +97,11 @@ public:
     Stop = std::move(Token);
   }
 
+  /// Drops every constraint, leaving the object as freshly constructed
+  /// apart from the stop token, so one instance can serve unit after
+  /// unit of a budgeted search.
+  void reset();
+
   uint64_t numClauses() const {
     MutexLock Lock(M);
     return Clauses;

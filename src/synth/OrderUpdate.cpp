@@ -5,15 +5,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The search is factored into two layers so one code path serves both the
-// sequential and the sharded mode:
+// The search is factored into two layers, and one code path serves
+// every configuration of it:
 //
 //  - SearchContext: everything shared across shards — the op table, the
-//    concurrent V/W pruning state, the SAT layer, global budgets, the
-//    top-level work-unit counter, and the winner slot. All of it is
-//    either immutable after setup or monotone (V claims, W entries, SAT
-//    clauses, stop flags only ever accumulate), which is why sharing is
-//    sound: a prune learned anywhere holds everywhere.
+//    shared pruning scope, global budgets, the top-level work-unit
+//    counter, and the winner slot. All of it is either immutable after
+//    setup or monotone (V claims, W entries, SAT clauses, stop flags only
+//    ever accumulate), which is why sharing is sound: a prune learned
+//    anywhere holds everywhere.
 //
 //  - ShardSearcher: everything one shard owns — a private KripkeStructure
 //    it mutates and rolls back, a private CheckerBackend following that
@@ -21,6 +21,20 @@
 //    LIFO mutate/recheck/rollback discipline the backends (and the
 //    MemoizingChecker sync-depth machine) assume is therefore preserved
 //    per shard by construction.
+//
+// A PruneScope holds the pruning state of Fig. 4 and §4.2: the visited
+// set V, the wrong set W and the SAT layer. Each searcher runs against
+// one scope, chosen once when it is built:
+//
+//  - the shared scope, owned by the context. Its V is a plain
+//    FlatBitsetSet when one shard claims in it and the lock-free
+//    ClaimTable when several do; W and the SAT layer are thread-safe
+//    either way.
+//  - in deterministic budget mode, a unit scope the shard owns and
+//    resets at the start of every unit (see below).
+//
+// So the hot loop — tryCandidate, learnCex, the early-termination check
+// — runs one probe sequence and names no mode.
 //
 // Work units are depth-one prefixes: candidate first operation i roots
 // unit i, and shards pull units from an atomic cursor. Depth one matters
@@ -32,22 +46,23 @@
 // prunes, and since all units complete before a verdict is reached, every
 // skipped subtree has been fully explored by its claimant.
 //
-// Work-stealing (sharded non-budget mode): a depth-one split load-
-// balances badly when one unit dwarfs the rest, so shards that run out
-// of units steal below depth one. A shard exploring a shallow DFS node
-// may, instead of descending into a candidate child itself, publish a
-// descriptor (path from the root, candidate op, owning unit) on its
-// bounded deque; idle shards pop descriptors, replay the path on their
-// private structure (raw mutations, then one checker bind), and explore
-// the subtree with the normal claim/prune protocol. Soundness needs no
-// new machinery: a descriptor is published *instead of* the owner's
-// descent, and the exit protocol (a shard leaves only when every deque
-// is empty and no worker is active — and every pusher drains its own
-// deque before leaving) guarantees each published subtree is eventually
-// explored by exactly whoever reaches it, with the V claims arbitrating
-// duplication exactly as for units. Verdicts stay scheduling-
-// independent for the same reason sharding's are; deterministic budget
-// mode never steals (unit-local state cannot be handed across shards).
+// Work-stealing runs exactly when several shards claim in the shared
+// scope: a depth-one split load-balances badly when one unit dwarfs the
+// rest, so shards that run out of units steal below depth one. A shard
+// exploring a shallow DFS node may, instead of descending into a
+// candidate child itself, publish a descriptor (path from the root,
+// candidate op, owning unit) on its bounded deque; idle shards pop
+// descriptors, replay the path on their private structure (raw
+// mutations, then one checker bind), and explore the subtree with the
+// normal claim/prune protocol. Soundness needs no new machinery: a
+// descriptor is published *instead of* the owner's descent, and the exit
+// protocol (a shard leaves only when every deque is empty and no worker
+// is active — and every pusher drains its own deque before leaving)
+// guarantees each published subtree is eventually explored by exactly
+// whoever reaches it, with the V claims arbitrating duplication exactly
+// as for units. Verdicts stay scheduling-independent for the same reason
+// sharding's are. Budget mode never steals: a unit scope cannot be
+// handed across shards.
 //
 // Deterministic budget mode (a finite MaxCheckCalls/UnitCheckCalls)
 // trades the shared pruning state for reproducibility: cross-shard
@@ -55,12 +70,14 @@
 // timing, which is fine when every unit runs to completion (the verdict
 // is exhaustion-stable) but fatal when a budget truncates units — the
 // same job could then Abort or Succeed depending on shard layout. So
-// under a budget each unit explores with unit-local V/W/SAT state and a
-// fixed quota drawn from the BudgetLedger (support/Budget.h), making a
-// unit's outcome — Success with a specific sequence, exhausted quota, or
-// fully-explored failure — a pure function of (instance, quota). The
-// winner is the lowest-indexed successful unit, not the first in time,
-// so the returned sequence is deterministic too. The wall clock never
+// under a budget each unit explores against a freshly reset unit scope
+// with a fixed quota drawn from the BudgetLedger (support/Budget.h),
+// making a unit's outcome — Success with a specific sequence, exhausted
+// quota, or fully-explored failure — a pure function of (instance,
+// quota). The winner is the lowest-indexed successful unit, not the
+// first in time, so the returned sequence is deterministic too. A
+// retiring unit copies its W entries into the shared W, so the run's
+// learning export is the shared W in every mode. The wall clock never
 // interrupts a unit: TimeoutSeconds is polled only between units
 // (everywhere, not just in budget mode — the per-candidate clock read is
 // gone). The duplicated cross-unit exploration this costs is the price
@@ -92,35 +109,6 @@ using namespace netupd;
 
 namespace {
 
-/// Accumulates wall time into a nanosecond phase counter while alive —
-/// the unit of the per-shard phase breakdown (SynthStats::CheckSeconds
-/// and friends). Inert unless constructed armed, so a detail-off run
-/// pays one relaxed load per tryCandidate and no clock reads. An
-/// optional histogram additionally receives the per-call duration.
-class PhaseScope {
-public:
-  PhaseScope(bool Armed, uint64_t &AccNs, obs::Histogram *H = nullptr)
-      : Acc(Armed ? &AccNs : nullptr), Hist(H) {
-    if (Acc)
-      T0 = obs::nowNs();
-  }
-  ~PhaseScope() {
-    if (!Acc)
-      return;
-    uint64_t D = obs::nowNs() - T0;
-    *Acc += D;
-    if (Hist)
-      Hist->record(D);
-  }
-  PhaseScope(const PhaseScope &) = delete;
-  PhaseScope &operator=(const PhaseScope &) = delete;
-
-private:
-  uint64_t *Acc;
-  obs::Histogram *Hist;
-  uint64_t T0 = 0;
-};
-
 /// Per-call mutate/rollback latency (applySwitchUpdate and undo both
 /// feed it), alive only under the obs detail tier.
 obs::Histogram &mutateLatency() {
@@ -135,10 +123,10 @@ obs::Histogram &mutateLatency() {
 /// spans the whole unit (the recursion included), so a run of
 /// consecutive pruned candidates — the bulk of a deep exhaustive proof —
 /// extends one open "prune" slice with zero clock reads; only real
-/// phase transitions pay. Against one PhaseScope per phase (two reads
-/// each), a full candidate costs ~4 reads and a pruned one none — the
-/// reads were the dominant share of the metrics tier's 43% overhead on
-/// prune-heavy workloads. Inert when unarmed.
+/// phase transitions pay: a full candidate costs ~4 reads and a pruned
+/// one none. Two reads per phase were the dominant share of the metrics
+/// tier's 43% overhead on prune-heavy workloads. One-off phases (the
+/// binds) use the same clock: switchTo, then stop. Inert when unarmed.
 class PhaseClock {
 public:
   explicit PhaseClock(bool Armed) : On(Armed) {}
@@ -209,21 +197,6 @@ std::vector<Rule> classSlice(const Table &T, const Header &Hdr) {
   return Out;
 }
 
-/// True if configuration \p Bits agrees with wrong-set entry \p E on
-/// every masked operation — the one matching rule behind the W set, the
-/// unit-local W set, and the imported seed list.
-bool entryMatches(const std::pair<Bitset, Bitset> &E, const Bitset &Bits) {
-  return (Bits & E.first) == E.second;
-}
-
-bool matchesAny(const std::vector<std::pair<Bitset, Bitset>> &Entries,
-                const Bitset &Bits) {
-  for (const std::pair<Bitset, Bitset> &E : Entries)
-    if (entryMatches(E, Bits))
-      return true;
-  return false;
-}
-
 /// The table resulting from firing one op on \p Current: the whole final
 /// table (switch granularity), or Current with one class's slice replaced
 /// by the final slice (rule granularity).
@@ -240,6 +213,47 @@ Table opResultTable(const Table &Current, const Table &FinalT,
       Rules.push_back(R);
   return Table(std::move(Rules));
 }
+
+/// The pruning state one searcher runs against: V, W and the SAT layer
+/// of Fig. 4 and §4.2 (see the file comment). Everything in it only
+/// grows between resets, so all who share a scope may prune on anything
+/// any of them added.
+struct PruneScope {
+  /// Empties the scope and shapes it for \p NumOps-wide configurations
+  /// claimed by \p Claimants shards. Not thread-safe; call before the
+  /// claimants search.
+  void reset(size_t NumOps, unsigned Claimants) {
+    Concurrent = Claimants > 1;
+    if (Concurrent)
+      Claims.reset(NumOps, Claimants);
+    else
+      Visited.clear();
+    Wrong.reset(NumOps);
+    ET.reset();
+  }
+
+  /// True when several shards claim in V, which is then the ClaimTable.
+  bool concurrent() const { return Concurrent; }
+
+  /// Shard \p Shard's claim on \p B: true for exactly one caller per
+  /// configuration. Losing it is the visited prune.
+  bool claim(const Bitset &B, unsigned Shard) {
+    return Concurrent ? Claims.claim(B, Shard) : Visited.insert(B);
+  }
+
+  /// W of Fig. 4: (mask, value) refutations, filed under the first set
+  /// bit of value so a probe touches only entries that could match
+  /// (support/ConcurrentSet.h).
+  WatchedWrongSet Wrong;
+  EarlyTermination ET; // Internally synchronized.
+
+private:
+  bool Concurrent = false;
+  // V: a plain set for one claimant, which must not pay for atomics on
+  // the hottest probe of an exhaustive proof; the claim table otherwise.
+  FlatBitsetSet Visited;
+  ClaimTable Claims;
+};
 
 /// A subtree descriptor published for stealing: replay Path from the
 /// initial configuration, then explore candidate Cand from there, on
@@ -311,48 +325,19 @@ struct SearchContext {
   std::vector<unsigned> OpOrder; // DFS candidate order (adds first).
   std::vector<std::vector<unsigned>> SwitchOps; // Switch -> op indices.
 
-  /// True once runSearch decided to spawn sibling shards. Decided before
-  /// any searcher runs and constant afterwards; selects between the
-  /// plain and the concurrent pruning containers below. The V/W probes
-  /// run per candidate at every DFS node — the hottest loop of
-  /// prune-dominated exhaustive searches — and a single-shard run must
-  /// not pay lock/atomic overhead there (measured ~8x on the Fig. 8(h)
-  /// exhaustive bench when it did).
-  bool Sharded = false;
-
   /// True when a finite check budget engaged deterministic budget mode
-  /// (see the file comment): pruning state is unit-local (the containers
-  /// below sit unused), quotas come from Ledger, and the winner is the
-  /// lowest successful unit. Decided before any searcher runs.
+  /// (see the file comment): every searcher prunes against its own unit
+  /// scope, quotas come from Ledger, and the winner is the lowest
+  /// successful unit. Decided before any searcher runs.
   bool Deterministic = false;
   /// The per-unit carve of the check budget; unlimited when
   /// !Deterministic.
   BudgetLedger Ledger;
 
-  // Pruning state. V keeps one representation per mode (the shared
-  // claim table costs atomics a single-shard run must not pay); W is one
-  // watch-indexed container for both modes — its probes and CAS appends
-  // are lock-free, so they cost a single-shard run nothing either.
-  FlatBitsetSet SeqVisited;             // V of Fig. 4 (one shard).
-  /// V of Fig. 4 across shards, reset only for a sharded non-budget
-  /// search (budget mode keeps V unit-local). Searchers probe W and the
-  /// seeds before they claim, so a configuration those already refute
-  /// never enters the table (tryCandidate).
-  ClaimTable ParVisited;
-  /// W of Fig. 4: (mask, value) refutations, filed under the first set
-  /// bit of value so a probe touches only entries that could match
-  /// (ConcurrentSet.h). reset() after buildOps, before any searcher.
-  WatchedWrongSet Wrong;
-
-  /// The claim by shard \p Shard: true for exactly one caller per
-  /// configuration.
-  bool visitedClaim(const Bitset &B, unsigned Shard) {
-    return Sharded ? ParVisited.claim(B, Shard) : SeqVisited.insert(B);
-  }
-  bool matchesWrong(const Bitset &Bits) const { return Wrong.matches(Bits); }
-  void addWrong(Bitset Mask, Bitset Value) {
-    Wrong.add(std::move(Mask), std::move(Value));
-  }
+  /// The shared pruning scope. Searchers outside budget mode prune
+  /// against it; in budget mode it only collects the retired units' W
+  /// entries for the learning export. Reset before any searcher runs.
+  PruneScope Shared;
 
   /// Wrong-set entries imported from the cross-job ConstraintStore:
   /// filled before any searcher runs and immutable afterwards. The
@@ -363,27 +348,21 @@ struct SearchContext {
   /// runSearch).
   WatchedWrongSet SeedWrong;
   /// True when this run publishes its learned entries on retirement;
-  /// budget-mode searchers then keep their unit-local entries for the
-  /// export instead of dropping them with the unit.
+  /// budget-mode searchers then copy their unit scope's W into the
+  /// shared one instead of dropping it with the unit.
   bool ExportLearning = false;
 
-  bool matchesSeed(const Bitset &Bits) const {
-    return SeedWrong.matches(Bits);
-  }
-
-  /// Work-stealing state (sharded non-budget mode only; see the file
-  /// comment). One bounded deque per shard; a shard pushes only to its
-  /// own — takeTask scans it first, so a pusher drains its own offers
-  /// before it may exit, which is what keeps published subtrees from
-  /// being stranded. ActiveWorkers counts shards currently holding work
-  /// (a unit or a stolen task) plus shards mid-scan; IdleShards lets
-  /// busy shards skip the publish when nobody could take it.
-  bool Stealing = false;
+  /// Work-stealing state, used only when several shards claim in the
+  /// shared scope (see the file comment). One bounded deque per shard; a
+  /// shard pushes only to its own — takeTask scans it first, so a pusher
+  /// drains its own offers before it may exit, which is what keeps
+  /// published subtrees from being stranded. ActiveWorkers counts shards
+  /// currently holding work (a unit or a stolen task) plus shards
+  /// mid-scan; IdleShards lets busy shards skip the publish when nobody
+  /// could take it.
   std::vector<std::unique_ptr<StealDeque>> Deques;
   std::atomic<unsigned> ActiveWorkers{0};
   std::atomic<unsigned> IdleShards{0};
-
-  EarlyTermination ET; // Internally synchronized; non-budget mode only.
 
   // Cancellation and abort-cause bookkeeping. The wall clock only
   // matters between work units (soft hint); check budgets are accounted
@@ -541,20 +520,26 @@ public:
     // references into Frames across the recursive dfs() call, so the
     // vector must never reallocate.
     Frames.resize(Ctx.Ops.size() + 1);
+    if (Ctx.Deterministic) {
+      UnitScope.emplace();
+      UnitScope->ET.setStopToken(Stop);
+      Scope = &*UnitScope;
+    }
   }
 
   /// Binds the checker to this shard's structure and runs the initial
   /// full check (Fig. 4 line 7); counted like any other query but exempt
   /// from budget charging — setup cost, performed once per shard.
   CheckResult bindInitial() {
-    PhaseScope Ps(obs::detailEnabled(), PhaseCheckNs);
+    Clock.switchTo(PhaseCheckNs);
     CheckResult R = Checker.bind(K, Ctx.Phi);
+    Clock.stop();
     ++Stats.CheckCalls;
     return R;
   }
 
   /// Pulls top-level units until they run out, the shard aborts, or a
-  /// sibling wins; then (stealing mode) turns thief and drains the
+  /// sibling wins; then, if shards steal, turns thief and drains the
   /// deques. Publishes this shard's sequence if it finds one.
   void runUnits() {
     for (;;) {
@@ -592,11 +577,10 @@ public:
       if (Unit >= Ctx.OpOrder.size())
         break; // Genuine exhaustion: every unit claimed.
       // relaxed: advisory outranking bound (see recordWinner).
-      if (Ctx.Deterministic &&
-          Unit > Ctx.BestUnit.load(std::memory_order_relaxed))
+      if (Unit > Ctx.BestUnit.load(std::memory_order_relaxed))
         return; // A lower unit already won; everything from here on is
                 // outranked (units are pulled in increasing order).
-      if (Ctx.Stealing)
+      if (Stealing)
         Ctx.ActiveWorkers.fetch_add(1, std::memory_order_acq_rel);
       beginUnit(Unit);
       bool Won;
@@ -606,14 +590,14 @@ public:
       }
       Clock.stop(); // Inter-unit work (binds, waits) is not a phase.
       finishUnit();
-      if (Ctx.Stealing)
+      if (Stealing)
         Ctx.ActiveWorkers.fetch_sub(1, std::memory_order_acq_rel);
       if (Won) {
         Ctx.recordWinner(Unit, AppliedSeq);
         return; // Keep the final structure; no rollback.
       }
     }
-    if (Ctx.Stealing)
+    if (Stealing)
       stealLoop();
   }
 
@@ -630,56 +614,45 @@ public:
     PhaseCheckNs = PhaseMutateNs = PhasePruneNs = PhaseSatNs = 0;
   }
 
-  /// Unit-local wrong-set entries collected for the cross-job export
-  /// (deterministic budget mode only — elsewhere entries live in the
-  /// context's shared containers). Harvested after the shard retires.
-  std::vector<std::pair<Bitset, Bitset>> LearnedWrong;
-
 private:
   /// Resets the unit-scoped state before exploring unit \p Unit. In
-  /// deterministic mode that is the whole point: fresh local V/W/SAT
-  /// state and a fresh quota account make the unit's outcome a pure
-  /// function of (instance, quota).
+  /// budget mode that is the whole point: a fresh unit scope and a fresh
+  /// quota account make the unit's outcome a pure function of
+  /// (instance, quota).
   void beginUnit(size_t Unit) {
     CurrentUnit = Unit;
     UnitStop = false;
     UnitTruncated = false;
-    if (!Ctx.Deterministic)
+    if (!UnitScope)
       return;
     Account = Ctx.Ledger.openAccount(Unit);
     Checker.setBudget(&Account);
-    UnitVisited.clear();
-    UnitWrong.clear();
+    UnitScope->reset(Ctx.Ops.size(), 1);
     FailuresSinceEtCheck = 0;
-    if (Ctx.Opts.EarlyTermination) {
-      UnitET.emplace();
-      UnitET->setStopToken(Stop);
-    }
   }
 
   /// Folds the finished (or abandoned) unit's accounting into the shard
   /// stats and the shared abort-cause flags.
   void finishUnit() {
-    if (!Ctx.Deterministic)
+    if (!UnitScope)
       return;
     Stats.BudgetSpent += Account.spent();
-    if (UnitET)
-      Stats.SatClauses += UnitET->numClauses();
+    Stats.SatClauses += UnitScope->ET.numClauses();
     if (UnitTruncated)
       // relaxed: a tally read only after every shard joined.
       Ctx.ExhaustedUnits.fetch_add(1, std::memory_order_relaxed);
-    // Unit-local entries are still instance facts; keep them for the
-    // cross-job export instead of dropping them with the unit. (Budget
-    // mode never *imports*, but what a budgeted probe learned is gold
-    // for the unbudgeted runs that follow it.)
+    // Unit-local entries are still instance facts; hand them to the
+    // shared W, the run's cross-job export, instead of dropping them
+    // with the unit. (Budget mode never *imports*, but what a budgeted
+    // probe learned is gold for the unbudgeted runs that follow it.)
     if (Ctx.ExportLearning)
-      LearnedWrong.insert(LearnedWrong.end(), UnitWrong.begin(),
-                          UnitWrong.end());
+      for (std::pair<Bitset, Bitset> &E : UnitScope->Wrong.snapshot())
+        Ctx.Shared.Wrong.add(std::move(E.first), std::move(E.second));
     Checker.setBudget(nullptr);
   }
 
   /// The recursive part of Fig. 4: try every remaining candidate from
-  /// the current configuration. In stealing mode, shallow candidates
+  /// the current configuration. When shards steal, shallow candidates
   /// may be published for an idle sibling instead of descended into —
   /// the claim protocol arbitrates duplication either way, so the
   /// subtree is explored exactly once no matter who reaches it.
@@ -690,7 +663,7 @@ private:
       if (Applied.test(I))
         continue;
       // relaxed: advisory idle hint; a stale zero just skips one offer.
-      if (Ctx.Stealing && AppliedSeq.size() <= MaxOfferDepth &&
+      if (Stealing && AppliedSeq.size() <= MaxOfferDepth &&
           Ctx.IdleShards.load(std::memory_order_relaxed) > 0 &&
           offerSteal(I))
         continue; // Someone else explores this edge; see stealLoop.
@@ -712,68 +685,50 @@ private:
     Bitset &Next = F.Next;
     Next = Applied;
     Next.set(I);
-    // Every mode probes W (and the seeds) before it claims: a match
-    // proves the recheck would fail, so a refuted configuration never
-    // enters the visited set. Losing the claim is the visited prune, and
-    // winning it commits this shard to exploring the configuration.
-    if (Ctx.Deterministic) {
-      // Unit-local pruning: nothing another shard does can change which
-      // prefixes this unit affords, so the charge sequence below is
-      // deterministic.
-      if (Ctx.Opts.CexPruning && matchesUnitWrong(Next)) {
-        ++Stats.CexPrunes;
-        return false;
-      }
-      if (!UnitVisited.insert(Next)) {
-        ++Stats.VisitedPrunes;
-        return false;
-      }
-      if (Stop.stopRequested()) {
-        noteStop();
-        return false;
-      }
-      // relaxed: advisory outranking bound (see recordWinner).
-      if (Ctx.BestUnit.load(std::memory_order_relaxed) < CurrentUnit) {
-        // Outranked mid-unit by a lower winner; every unit this shard
-        // could still pull is outranked too, so end the shard. No cause
-        // flag: a recorded winner makes this a Success, not an abort.
-        AbortFlag = true;
-        return false;
-      }
-      if (!Account.canSpend()) {
-        // Quota dry mid-subtree: abandon this unit (recorded as
-        // truncation by finishUnit) but keep pulling later units, which
-        // own their quotas and may still conclude deterministically.
-        UnitTruncated = true;
-        UnitStop = true;
-        return false;
-      }
-    } else {
-      // Both probes are lock-free and monotone, so under sharding only
-      // what neither refutes is claimed in the shared table; most of a
-      // deep proof's reaches are refuted and stay out of it. Imported
-      // (cross-job) refutations go first: each seeded prune skips a
-      // check an earlier digest-identical run already paid for.
-      if (!Ctx.SeedWrong.empty() && Ctx.matchesSeed(Next)) {
-        ++Stats.SeededPrunes;
-        return false;
-      }
-      if (Ctx.Opts.CexPruning && Ctx.matchesWrong(Next)) {
-        ++Stats.CexPrunes;
-        return false;
-      }
-      if (!Ctx.visitedClaim(Next, ShardIndex)) {
-        ++Stats.VisitedPrunes;
-        return false;
-      }
-      // A stop observed after the claim leaves the configuration
-      // claimed-but-unexplored, which is fine: noteStop records the
-      // abort cause, so the verdict block never mistakes this
-      // truncated run for an exhaustive proof.
-      if (Stop.stopRequested()) {
-        noteStop();
-        return false;
-      }
+    // W and the seeds are probed before the claim: a match proves the
+    // recheck would fail, so a refuted configuration never enters V —
+    // under sharding, most of a deep proof's reaches stay out of the
+    // claim table. Imported (cross-job) refutations go first: each seeded
+    // prune skips a check an earlier digest-identical run already paid
+    // for. Losing the claim is the visited prune, and winning it commits
+    // this shard to exploring the configuration.
+    if (!Ctx.SeedWrong.empty() && Ctx.SeedWrong.matches(Next)) {
+      ++Stats.SeededPrunes;
+      return false;
+    }
+    if (Ctx.Opts.CexPruning && Scope->Wrong.matches(Next)) {
+      ++Stats.CexPrunes;
+      return false;
+    }
+    if (!Scope->claim(Next, ShardIndex)) {
+      ++Stats.VisitedPrunes;
+      return false;
+    }
+    // A stop observed after the claim leaves the configuration
+    // claimed-but-unexplored, which is fine: noteStop records the abort
+    // cause, so the verdict block never mistakes this truncated run for
+    // an exhaustive proof.
+    if (Stop.stopRequested()) {
+      noteStop();
+      return false;
+    }
+    // The last two checks bite only under a budget: elsewhere a recorded
+    // winner has already fired Found, and the account is unlimited.
+    // relaxed: advisory outranking bound (see recordWinner).
+    if (Ctx.BestUnit.load(std::memory_order_relaxed) < CurrentUnit) {
+      // Outranked mid-unit by a lower winner; every unit this shard
+      // could still pull is outranked too, so end the shard. No cause
+      // flag: a recorded winner makes this a Success, not an abort.
+      AbortFlag = true;
+      return false;
+    }
+    if (!Account.canSpend()) {
+      // Quota dry mid-subtree: abandon this unit (recorded as truncation
+      // by finishUnit) but keep pulling later units, which own their
+      // quotas and may still conclude deterministically.
+      UnitTruncated = true;
+      UnitStop = true;
+      return false;
     }
 
     const MicroOp &Op = Ctx.Ops[I];
@@ -843,11 +798,9 @@ private:
     if (Ctx.Opts.EarlyTermination && !Res.Holds &&
         ++FailuresSinceEtCheck >= EtCheckInterval) {
       FailuresSinceEtCheck = 0;
-      // Deterministic mode consults the unit-local solver (its clause
-      // set, and therefore its verdict, is a pure function of the unit);
-      // an UNSAT answer is an instance-level proof either way.
-      EarlyTermination &ET = Ctx.Deterministic ? *UnitET : Ctx.ET;
-      if (ET.impossible()) {
+      // An UNSAT answer is an instance-level proof whichever scope's
+      // clauses produced it.
+      if (Scope->ET.impossible()) {
         Stats.EarlyTerminated = true;
         // relaxed: a cause flag read only after every shard joined.
         Ctx.EtImpossible.store(true, std::memory_order_relaxed);
@@ -916,11 +869,9 @@ private:
       Applied.set(OpIdx);
       AppliedSeq.push_back(OpIdx);
     }
-    CheckResult BindRes;
-    {
-      PhaseScope Ps(obs::detailEnabled(), PhaseCheckNs);
-      BindRes = Checker.bind(K, Ctx.Phi);
-    }
+    // tryCandidate's first phase switch closes the bind's check slice.
+    Clock.switchTo(PhaseCheckNs);
+    CheckResult BindRes = Checker.bind(K, Ctx.Phi);
     ++Stats.CheckCalls; // The price of a steal: one extra bind query.
     ++Stats.StolenTasks;
     // The owner reached this prefix through successful rechecks, so the
@@ -1027,16 +978,8 @@ private:
       return;
 
     if (Ctx.Opts.EarlyTermination)
-      (Ctx.Deterministic ? *UnitET : Ctx.ET)
-          .addMaskValueConstraint(Mask, Value);
-    if (Ctx.Deterministic)
-      UnitWrong.push_back({std::move(Mask), std::move(Value)});
-    else
-      Ctx.addWrong(std::move(Mask), std::move(Value));
-  }
-
-  bool matchesUnitWrong(const Bitset &Bits) const {
-    return matchesAny(UnitWrong, Bits);
+      Scope->ET.addMaskValueConstraint(Mask, Value);
+    Scope->Wrong.add(std::move(Mask), std::move(Value));
   }
 
   /// A stop observed at a checkpoint ends this shard; classify why. A
@@ -1059,9 +1002,12 @@ private:
   SearchContext &Ctx;
   KripkeStructure &K;       // Shard-private; mutate/rollback stays here.
   CheckerBackend &Checker;  // Shard-private, follows K.
-  /// This shard's slot in Ctx.Deques (primary 0, thread T -> T+1).
+  /// This shard's slot in Ctx.Deques and claimant index in the shared
+  /// scope (primary 0, thread T -> T+1).
   unsigned ShardIndex;
   StopToken Stop;
+  /// Shards steal exactly when several claim in the shared scope.
+  const bool Stealing = Ctx.Shared.concurrent();
 
   Bitset Applied;
   std::vector<unsigned> AppliedSeq;
@@ -1106,11 +1052,12 @@ private:
   /// The quota ran dry mid-subtree — distinct from finishing a unit
   /// with the quota exactly spent, which is a complete exploration.
   bool UnitTruncated = false;
-  FlatBitsetSet UnitVisited;
-  std::vector<std::pair<Bitset, Bitset>> UnitWrong;
-  /// Unit-local SAT layer (constructed per unit so its clause set is a
-  /// function of the unit alone); only engaged in deterministic mode.
-  std::optional<EarlyTermination> UnitET;
+  /// Budget mode's unit scope, reset by beginUnit; empty otherwise.
+  std::optional<PruneScope> UnitScope;
+  /// The scope every probe, claim and learned entry of this shard uses:
+  /// the unit scope when engaged, else the shared one. Set once, in the
+  /// constructor.
+  PruneScope *Scope = &Ctx.Shared;
 
   /// Maximum depth (in applied ops) at which a shard offers subtrees to
   /// thieves. Shallow offers hand over big subtrees; deep offers churn
@@ -1148,9 +1095,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   SynthResult Result;
   obs::TraceSpan SearchSpan("synth.search");
   SearchContext Ctx(Topo, Initial, Final, Classes, Phi, Opts);
-  Ctx.ET.setStopToken(Ctx.stopToken());
   Ctx.buildOps();
-  Ctx.Wrong.reset(Ctx.Ops.size());
   Ctx.SeedWrong.reset(Ctx.Ops.size());
 
   // A finite check budget engages deterministic mode: carve it into
@@ -1163,6 +1108,23 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     Ctx.Ledger =
         BudgetLedger::carveTotal(Opts.MaxCheckCalls, Ctx.OpOrder.size());
   Ctx.Deterministic = Ctx.Ledger.limited();
+
+  // Shape the shared scope before anything searches or is imported. It
+  // is claimed concurrently when several shards prune against it, which
+  // budget mode's shards never do (each has its unit scope); that is
+  // also exactly when shards steal.
+  unsigned Shards = Opts.Shards == 0 ? 1 : Opts.Shards;
+  Shards =
+      static_cast<unsigned>(std::min<size_t>(Shards, Ctx.OpOrder.size()));
+  if (!Opts.ShardCheckerFactory)
+    Shards = 1; // No way to build sibling checkers; degrade gracefully.
+  Ctx.Shared.reset(Ctx.Ops.size(), Ctx.Deterministic ? 1 : Shards);
+  Ctx.Shared.ET.setStopToken(Ctx.stopToken());
+  if (Ctx.Shared.concurrent()) {
+    Ctx.Deques.reserve(Shards);
+    for (unsigned S = 0; S != Shards; ++S)
+      Ctx.Deques.push_back(std::make_unique<StealDeque>());
+  }
 
   // Cross-job learning (support/ConstraintStore.h): import the wrong-set
   // entries earlier runs of this (scenario, granularity) published and
@@ -1186,33 +1148,10 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
       for (std::pair<Bitset, Bitset> &E :
            Opts.Learning->fetch(LearnKey, Ctx.Ops.size())) {
         if (Opts.EarlyTermination)
-          Ctx.ET.addMaskValueConstraint(E.first, E.second);
+          Ctx.Shared.ET.addMaskValueConstraint(E.first, E.second);
         Ctx.SeedWrong.add(std::move(E.first), std::move(E.second));
       }
     }
-  }
-
-  // Decide the mode before anything searches: Sharded selects the
-  // concurrent pruning containers, so it must be constant from the
-  // first probe on.
-  unsigned Shards = Opts.Shards == 0 ? 1 : Opts.Shards;
-  Shards =
-      static_cast<unsigned>(std::min<size_t>(Shards, Ctx.OpOrder.size()));
-  if (!Opts.ShardCheckerFactory)
-    Shards = 1; // No way to build sibling checkers; degrade gracefully.
-  Ctx.Sharded = Shards > 1;
-
-  // Work-stealing engages only where it is sound *and* useful: sharded
-  // (someone to steal from) and non-deterministic (budget mode's
-  // unit-local V/W/quota state cannot be handed across shards without
-  // making the verdict depend on scheduling).
-  Ctx.Stealing = Ctx.Sharded && !Ctx.Deterministic && Opts.WorkStealing;
-  if (Ctx.Sharded && !Ctx.Deterministic)
-    Ctx.ParVisited.reset(Ctx.Ops.size(), Shards);
-  if (Ctx.Stealing) {
-    Ctx.Deques.reserve(Shards);
-    for (unsigned S = 0; S != Shards; ++S)
-      Ctx.Deques.push_back(std::make_unique<StealDeque>());
   }
 
   KripkeStructure K(Topo, Initial, Classes);
@@ -1224,32 +1163,22 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   // SynthSeconds never includes command building or wait removal —
   // WaitRemovalSeconds measures the latter separately.
   double SearchSeconds = 0.0;
-  // Budget-mode learning export: extra shards move their unit-local
-  // entries here before their threads join (elsewhere the shared W
-  // containers already hold everything).
-  std::vector<std::vector<std::pair<Bitset, Bitset>>> ShardLearned;
   auto Finish = [&](SynthStatus Status) {
     Primary.finalizeStats();
     Total.mergeFrom(Primary.Stats);
-    // Unit-local solvers folded their clause counts into shard stats
-    // already (deterministic mode); the shared solver adds the rest.
-    Total.SatClauses += Ctx.ET.numClauses();
+    // Unit scopes folded their clause counts into shard stats already;
+    // the shared scope adds the rest.
+    Total.SatClauses += Ctx.Shared.ET.numClauses();
     if (LearnOn) {
       // Publish what this run learned — every entry passed the learn-
       // time guard, and entries from interrupted or aborted runs are
-      // just as sound (each stands on its own counterexample).
-      std::vector<std::pair<Bitset, Bitset>> Learned;
-      if (Ctx.Deterministic) {
-        Learned = std::move(Primary.LearnedWrong);
-        for (std::vector<std::pair<Bitset, Bitset>> &L : ShardLearned)
-          Learned.insert(Learned.end(), L.begin(), L.end());
-      } else {
-        Learned = Ctx.Wrong.snapshot();
-      }
+      // just as sound (each stands on its own counterexample). Retired
+      // units copied theirs into the shared W.
       Total.ImportedConstraints = Ctx.SeedWrong.size();
       size_t StoreDropped = 0;
-      Total.ExportedConstraints = Opts.Learning->publish(
-          LearnKey, Ctx.Ops.size(), Learned, &StoreDropped);
+      Total.ExportedConstraints =
+          Opts.Learning->publish(LearnKey, Ctx.Ops.size(),
+                                 Ctx.Shared.Wrong.snapshot(), &StoreDropped);
       Total.SubsumedDropped += StoreDropped;
       // An Impossible verdict is a ground instance fact — a SAT proof
       // or an exhaustive exploration, never a truncation (which reports
@@ -1262,11 +1191,9 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     Total.ExhaustedUnits = Ctx.ExhaustedUnits.load();
     Total.HitBudget = Ctx.WallAbort.load() || Total.ExhaustedUnits > 0;
     Total.Interrupted = Ctx.ExternalAbort.load() || Ctx.WallAbort.load();
-    if (Ctx.Deterministic) {
-      uint64_t Cap = Ctx.Ledger.totalQuota();
-      Total.BudgetRemaining =
-          Cap > Total.BudgetSpent ? Cap - Total.BudgetSpent : 0;
-    }
+    uint64_t Cap = Ctx.Ledger.totalQuota(); // 0 when unlimited.
+    Total.BudgetRemaining =
+        Cap > Total.BudgetSpent ? Cap - Total.BudgetSpent : 0;
     Total.SynthSeconds = SearchSeconds;
     Result.Status = Status;
     Result.Stats = Total;
@@ -1289,7 +1216,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     return Result;
   }
   if (!Ctx.SeedWrong.empty() && Opts.EarlyTermination &&
-      Ctx.ET.impossible()) {
+      Ctx.Shared.ET.impossible()) {
     // The imported constraints alone are contradictory: no simple order
     // exists, proven before a single work unit ran. A reuse-off search
     // reaches the same verdict (by its own SAT proof or by exhaustion)
@@ -1308,7 +1235,6 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     // engine's job pool, whose workers may all be blocked inside jobs
     // waiting for exactly these threads (see engine/Engine.h).
     std::vector<SynthStats> ShardStats(Shards - 1);
-    ShardLearned.resize(Shards - 1);
     std::vector<std::thread> Threads;
     Threads.reserve(Shards - 1);
     for (unsigned T = 0; T != Shards - 1; ++T) {
@@ -1333,7 +1259,6 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
         Shard.Stats.CacheMisses += ShardChecker->cacheMisses();
         Shard.finalizeStats();
         ShardStats[T] = std::move(Shard.Stats);
-        ShardLearned[T] = std::move(Shard.LearnedWrong);
       });
     }
     Primary.runUnits();

@@ -23,34 +23,39 @@
 /// traffic class's rules on one switch, which succeeds on instances where
 /// no switch-granularity order exists (Fig. 8(h)/(i)).
 ///
+/// One search core: the op-order tree is prefix-split at depth one —
+/// every candidate first operation roots one work unit — and each unit
+/// is explored against a pruning scope holding V, W and the SAT layer.
+///
 /// Sharded search: with SynthOptions::Shards > 1 (and a
-/// ShardCheckerFactory to build per-shard checkers) the op-order tree is
-/// prefix-split at depth one — every candidate first operation roots one
-/// work unit — and the units are consumed by shard threads. Each shard
-/// owns a private KripkeStructure and checker (the mutate/rollback
-/// discipline stays strictly shard-local), while the pruning state is
-/// global and monotone: the V set doubles as a claim map (exactly one
-/// shard explores each configuration's subtree), W constraints and SAT
-/// clauses mined anywhere prune everywhere, and the first shard to find
-/// a sequence cancels its siblings through a StopToken. Feasibility
-/// verdicts are scheduling-independent — Success iff a sequence exists,
-/// Impossible only by exhaustion or SAT proof — though *which* correct
-/// sequence is returned may vary with timing (same sequence class, not
-/// the same sequence). See docs/ARCHITECTURE.md for the design.
+/// ShardCheckerFactory to build per-shard checkers) the units are
+/// consumed by shard threads. Each shard owns a private KripkeStructure
+/// and checker (the mutate/rollback discipline stays strictly
+/// shard-local), while the scope is shared and monotone: the V set
+/// doubles as a claim map (exactly one shard explores each
+/// configuration's subtree), W constraints and SAT clauses mined
+/// anywhere prune everywhere, idle shards steal shallow subtrees once
+/// every unit is claimed, and the first shard to find a sequence cancels
+/// its siblings through a StopToken. Feasibility verdicts are
+/// scheduling-independent — Success iff a sequence exists, Impossible
+/// only by exhaustion or SAT proof — though *which* correct sequence is
+/// returned may vary with timing (same sequence class, not the same
+/// sequence). One shard is the paper's sequential search. See
+/// docs/ARCHITECTURE.md for the design.
 ///
 /// Deterministic budgets: a finite check budget (MaxCheckCalls or
 /// UnitCheckCalls) switches the search into deterministic budget mode.
 /// The budget is carved into fixed per-work-unit quotas
-/// (support/Budget.h), each unit explores with unit-local pruning state,
-/// and the lowest-indexed successful unit supplies the result — so the
-/// verdict AND the returned sequence are a pure function of (job,
-/// budget), identical at every shard and worker count, Aborted verdicts
-/// included. TimeoutSeconds is only a soft wall-clock hint that fires
-/// between work units, never inside one; it is the single remaining
-/// source of timing dependence and is excluded from job digests
-/// (timeout-influenced runs are flagged Interrupted and never cached —
-/// unlike pure quota-exhaustion Aborts, which are deterministic and are
-/// replayed by the engine's result cache).
+/// (support/Budget.h), each unit explores against its own scope, reset
+/// per unit, and shards never steal; the lowest-indexed successful unit
+/// supplies the result — so the verdict AND the returned sequence are a
+/// pure function of (job, budget), identical at every shard and worker
+/// count, Aborted verdicts included. TimeoutSeconds is only a soft
+/// wall-clock hint that fires between work units, never inside one; it
+/// is the single remaining source of timing dependence and is excluded
+/// from job digests (timeout-influenced runs are flagged Interrupted and
+/// never cached — unlike pure quota-exhaustion Aborts, which are
+/// deterministic and are replayed by the engine's result cache).
 ///
 /// Cross-job learning: with SynthOptions::Learning set, the search seeds
 /// its W set and SAT layer from the ConstraintStore before exploring and
@@ -131,16 +136,6 @@ struct SynthOptions {
   /// state their backend needs. Must be callable concurrently and must
   /// outlive the synthesizeUpdate call.
   std::function<std::unique_ptr<CheckerBackend>()> ShardCheckerFactory;
-  /// Work-stealing below the depth-one unit split (sharded non-budget
-  /// searches only): shards that run out of top-level units steal
-  /// shallow subtree descriptors other shards published instead of
-  /// going idle, which is what lets a handful of heavy units keep every
-  /// shard busy. Verdict-preserving by the same argument as sharding
-  /// itself (the V claim map arbitrates who explores what), and
-  /// automatically off in deterministic budget mode, whose unit-local
-  /// state forbids cross-shard hand-offs. A performance knob, excluded
-  /// from digestOf(SynthJob).
-  bool WorkStealing = true;
   /// Cross-job learning store (null = off; see support/ConstraintStore.h).
   /// On start the search imports the wrong-set entries earlier runs of
   /// this (LearningScenario, RuleGranularity) published — pre-populating

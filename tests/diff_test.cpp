@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 namespace netupd {
@@ -100,6 +101,52 @@ TEST(DiffCorpusTest, ReproFormatRoundTrips) {
     EXPECT_EQ(R2->Title, R->Title) << Path;
     EXPECT_EQ(R2->Seed, R->Seed) << Path;
     EXPECT_EQ(Text, fuzz::serializeRepro(*R2)) << Path;
+  }
+}
+
+/// Numerals in a repro are plain decimal digits. A sign used to be
+/// accepted and wrapped: "seed -1" read as 2^64-1, and a table header
+/// for switch -18446744073709551615 silently named switch 1. Both
+/// corruptions must now fail, naming the offending line.
+TEST(DiffCorpusTest, SignedNumeralsAreRejected) {
+  const std::string Path = corpusDir() + "/double-diamond.repro";
+  std::ifstream In(Path);
+  ASSERT_TRUE(In) << Path;
+  std::vector<std::string> Lines;
+  for (std::string L; std::getline(In, L);)
+    Lines.push_back(L);
+  auto FirstLine = [&](const std::string &Prefix) {
+    for (size_t I = 0; I != Lines.size(); ++I)
+      if (Lines[I].rfind(Prefix, 0) == 0)
+        return I;
+    ADD_FAILURE() << "no '" << Prefix << "' line in " << Path;
+    return size_t(0);
+  };
+  auto Join = [](const std::vector<std::string> &Ls) {
+    std::string Text;
+    for (const std::string &L : Ls)
+      Text += L + "\n";
+    return Text;
+  };
+  ASSERT_TRUE(fuzz::parseRepro(Join(Lines)).has_value());
+
+  const size_t Seed = FirstLine("seed ");
+  const size_t Table = FirstLine("table ");
+  struct Corruption {
+    size_t Line;
+    std::string Text;
+  };
+  for (const Corruption &C :
+       {Corruption{Seed, "seed -1"}, Corruption{Seed, "seed +7"},
+        Corruption{Table, "table -18446744073709551615 " +
+                              Lines[Table].substr(Lines[Table].rfind(' ') +
+                                                  1)}}) {
+    std::vector<std::string> Bad = Lines;
+    Bad[C.Line] = C.Text;
+    std::string Err;
+    EXPECT_FALSE(fuzz::parseRepro(Join(Bad), &Err).has_value()) << C.Text;
+    EXPECT_EQ(Err.rfind("line " + std::to_string(C.Line + 1) + ": ", 0), 0u)
+        << C.Text << " -> " << Err;
   }
 }
 

@@ -246,11 +246,11 @@ TEST(ConstraintStoreTest, InsertTimeSubsumptionKeepsOnlyTheFrontier) {
 // --- Invariance matrix ------------------------------------------------------
 
 // Acceptance: for every registered backend (the memoizing decorator
-// included), shard count and stealing mode, a run seeded from a
-// populated store returns the same verdict — and, wherever sequences are
-// deterministic, the byte-identical command sequence — as a reuse-off
-// run. Sharded searches probe the seed set and W before they claim, so
-// the seeded sharded cells check that this prunes no completable order.
+// included) and shard count, a run seeded from a populated store
+// returns the same verdict — and, wherever sequences are deterministic,
+// the byte-identical command sequence — as a reuse-off run. Sharded
+// searches probe the seed set and W before they claim, so the seeded
+// sharded cells check that this prunes no completable order.
 TEST(LearningInvarianceTest, FeasibleMatrixAcrossBackendRegistry) {
   Scenario Feas = diamondWithUpdates(9000, 4);
   std::vector<std::string> Backends = BackendFactory::instance().names();
@@ -261,35 +261,30 @@ TEST(LearningInvarianceTest, FeasibleMatrixAcrossBackendRegistry) {
     bool Learns = BackendFactory::instance()
                       .create(Backend, Feas)
                       ->providesCounterexamples();
-    for (unsigned Shards : {1u, 4u})
-      for (bool Steal : {false, true}) {
-        if (Shards == 1 && Steal)
-          continue; // Stealing is inert unsharded.
-        auto Tweak = [Steal](SynthOptions &O) { O.WorkStealing = Steal; };
-        std::string Cell = Backend + " shards=" + std::to_string(Shards) +
-                           " steal=" + std::to_string(Steal);
-        RunResult Ref = runOnce(Feas, Backend, Shards, nullptr, Tweak);
-        auto Store = std::make_shared<ConstraintStore>();
-        RunResult Warm = runOnce(Feas, Backend, Shards, Store, Tweak);
-        RunResult Seeded = runOnce(Feas, Backend, Shards, Store, Tweak);
+    for (unsigned Shards : {1u, 4u}) {
+      std::string Cell = Backend + " shards=" + std::to_string(Shards);
+      RunResult Ref = runOnce(Feas, Backend, Shards, nullptr);
+      auto Store = std::make_shared<ConstraintStore>();
+      RunResult Warm = runOnce(Feas, Backend, Shards, Store);
+      RunResult Seeded = runOnce(Feas, Backend, Shards, Store);
 
-        EXPECT_EQ(Ref.Status, SynthStatus::Success) << Cell;
-        EXPECT_EQ(Warm.Status, Ref.Status)
-            << Cell << ": an empty store changed the verdict";
-        EXPECT_EQ(Seeded.Status, Ref.Status)
-            << Cell << ": a populated store changed the verdict";
-        if (Learns) {
-          EXPECT_GT(Seeded.Stats.ImportedConstraints, 0u)
-              << Cell << ": the seeded run had nothing to import";
-        }
-        if (Shards == 1) {
-          EXPECT_EQ(Warm.Rendered, Ref.Rendered) << Cell;
-          EXPECT_EQ(Seeded.Rendered, Ref.Rendered)
-              << Cell << ": seeding changed the sequential sequence";
-        } else {
-          expectValidSequence(Feas, Seeded.Commands);
-        }
+      EXPECT_EQ(Ref.Status, SynthStatus::Success) << Cell;
+      EXPECT_EQ(Warm.Status, Ref.Status)
+          << Cell << ": an empty store changed the verdict";
+      EXPECT_EQ(Seeded.Status, Ref.Status)
+          << Cell << ": a populated store changed the verdict";
+      if (Learns) {
+        EXPECT_GT(Seeded.Stats.ImportedConstraints, 0u)
+            << Cell << ": the seeded run had nothing to import";
       }
+      if (Shards == 1) {
+        EXPECT_EQ(Warm.Rendered, Ref.Rendered) << Cell;
+        EXPECT_EQ(Seeded.Rendered, Ref.Rendered)
+            << Cell << ": seeding changed the sequential sequence";
+      } else {
+        expectValidSequence(Feas, Seeded.Commands);
+      }
+    }
   }
 }
 

@@ -106,6 +106,56 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(parseLtl(FF, "port ^ 1").ok());
 }
 
+namespace {
+
+/// The three ways the grammar recurses, nested \p N levels deep: leading
+/// negations, parentheses, and a right-associative implication chain.
+std::string deepNegation(unsigned N) {
+  return std::string(N, '!') + "sw=1";
+}
+std::string deepParens(unsigned N) {
+  return std::string(N, '(') + "sw=1" + std::string(N, ')');
+}
+std::string deepImplication(unsigned N) {
+  std::string S;
+  for (unsigned I = 0; I != N; ++I)
+    S += "sw=1 -> ";
+  return S + "sw=2";
+}
+
+} // namespace
+
+/// Nesting up to the limit parses, 1,000 levels comfortably inside it.
+TEST(ParserTest, DeepNestingParses) {
+  FormulaFactory FF;
+  for (unsigned N : {1000u, MaxLtlNesting}) {
+    ParseResult Neg = parseLtl(FF, deepNegation(N));
+    ASSERT_TRUE(Neg.ok()) << N << ": " << Neg.Error;
+    EXPECT_EQ(Neg.F, N % 2 ? FF.notAtom(Prop::onSwitch(1))
+                           : FF.atom(Prop::onSwitch(1)));
+    ParseResult Par = parseLtl(FF, deepParens(N));
+    ASSERT_TRUE(Par.ok()) << N << ": " << Par.Error;
+    EXPECT_EQ(Par.F, FF.atom(Prop::onSwitch(1)));
+    ParseResult Imp = parseLtl(FF, deepImplication(N));
+    EXPECT_TRUE(Imp.ok()) << N << ": " << Imp.Error;
+  }
+}
+
+/// Past the limit every shape is an error, not a stack overflow —
+/// including input a hundred times deeper than any real property.
+TEST(ParserTest, OverDeepNestingIsAnError) {
+  FormulaFactory FF;
+  for (unsigned N : {MaxLtlNesting + 1, 100000u}) {
+    for (const std::string &Text :
+         {deepNegation(N), deepParens(N), deepImplication(N)}) {
+      ParseResult P = parseLtl(FF, Text);
+      EXPECT_FALSE(P.ok()) << N;
+      EXPECT_NE(P.Error.find("nested deeper"), std::string::npos)
+          << N << ": " << P.Error;
+    }
+  }
+}
+
 TEST(ParserTest, PrinterRoundTrip) {
   FormulaFactory FF;
   Rng R(13);

@@ -6,15 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Determinism matrix for the work-stealing layer of the sharded search
-/// (SynthOptions::WorkStealing): across shard counts {1, 2, 4, 8} and
-/// steal on/off, verdicts must be identical on feasible and infeasible
-/// instances, budget-bound runs must stay byte-identical to the 1-shard
-/// reference (commands included), and deterministic budget mode must
-/// never steal at all — its unit-local state forbids cross-shard
+/// Determinism matrix for the work-stealing layer of the sharded search,
+/// which steals whenever several shards share the pruning scope: across
+/// shard counts {1, 2, 4, 8}, verdicts must be identical on feasible and
+/// infeasible instances, budget-bound runs must stay byte-identical to
+/// the 1-shard reference (commands included), and deterministic budget
+/// mode must never steal at all — its unit scopes forbid cross-shard
 /// hand-offs, so a single stolen task there would be a contract breach.
-/// A deep-proof matrix over shards, steal and store seeding pins the
-/// sharded probe-before-claim order: same verdict, same query count.
+/// A deep-proof matrix over shards and store seeding pins the sharded
+/// probe-before-claim order: same verdict, same query count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,18 +74,15 @@ Scenario blackholedDiamond(uint64_t FirstSeed, unsigned MinUpdates) {
 }
 
 /// Runs the plain (portfolio-free) search over \p S with the given shard
-/// count and stealing mode; every shard gets its own incremental
-/// labeling checker. \p Tweak adjusts the options last (store seeding,
-/// early termination).
+/// count; every shard gets its own incremental labeling checker.
+/// \p Tweak adjusts the options last (store seeding, early termination).
 SynthResult
-runSearch(const Scenario &S, unsigned Shards, bool Steal,
-          uint64_t MaxCheckCalls = 0,
+runSearch(const Scenario &S, unsigned Shards, uint64_t MaxCheckCalls = 0,
           const std::function<void(SynthOptions &)> &Tweak = {}) {
   LabelingChecker Checker(LabelingChecker::Mode::Incremental);
   FormulaFactory FF;
   SynthOptions Opts;
   Opts.Shards = Shards;
-  Opts.WorkStealing = Steal;
   Opts.MaxCheckCalls = MaxCheckCalls;
   Opts.WaitRemoval = false; // Keep command sequences minimal and stable.
   if (Tweak)
@@ -100,27 +97,23 @@ runSearch(const Scenario &S, unsigned Shards, bool Steal,
 
 } // namespace
 
-// Feasible instances: every (shards, steal) cell of the matrix agrees
-// on the verdict, and every returned sequence is genuinely correct
-// (replay-checked) — stealing may change WHICH correct sequence wins,
-// never whether one is found.
+// Feasible instances: every shard count agrees on the verdict, and
+// every returned sequence is genuinely correct (replay-checked) —
+// stealing may change WHICH correct sequence wins, never whether one is
+// found.
 TEST(StealDeterminismTest, FeasibleMatrixAgreesOnVerdict) {
   Scenario S = diamondWithUpdates(100, 5);
   FormulaFactory FF;
   Formula Phi = S.buildProperty(FF);
   for (unsigned Shards : {1u, 2u, 4u, 8u}) {
-    for (bool Steal : {false, true}) {
-      SynthResult Res = runSearch(S, Shards, Steal);
-      ASSERT_EQ(Res.Status, SynthStatus::Success)
-          << Shards << " shards, steal=" << Steal;
-      EXPECT_TRUE(allIntermediateConfigsHold(S.Topo, S.Initial, S.classes(),
-                                             Phi, Res.Commands))
-          << Shards << " shards, steal=" << Steal
-          << ": unsafe sequence";
-      if (Shards == 1 || !Steal) {
-        EXPECT_EQ(Res.Stats.StolenTasks, 0u)
-            << "stealing must be inert when off or unsharded";
-      }
+    SynthResult Res = runSearch(S, Shards);
+    ASSERT_EQ(Res.Status, SynthStatus::Success) << Shards << " shards";
+    EXPECT_TRUE(allIntermediateConfigsHold(S.Topo, S.Initial, S.classes(),
+                                           Phi, Res.Commands))
+        << Shards << " shards: unsafe sequence";
+    if (Shards == 1) {
+      EXPECT_EQ(Res.Stats.StolenTasks, 0u)
+          << "stealing must be inert unsharded";
     }
   }
 }
@@ -131,21 +124,19 @@ TEST(StealDeterminismTest, FeasibleMatrixAgreesOnVerdict) {
 // — would surface here as a verdict flip across the matrix.
 TEST(StealDeterminismTest, ExhaustionProofSurvivesStealing) {
   Scenario S = blackholedDiamond(300, 4);
-  for (unsigned Shards : {1u, 2u, 4u, 8u})
-    for (bool Steal : {false, true}) {
-      SynthResult Res = runSearch(S, Shards, Steal);
-      EXPECT_EQ(Res.Status, SynthStatus::Impossible)
-          << Shards << " shards, steal=" << Steal
-          << ": exhaustion verdict changed";
-      EXPECT_TRUE(Res.Commands.empty());
-    }
+  for (unsigned Shards : {1u, 2u, 4u, 8u}) {
+    SynthResult Res = runSearch(S, Shards);
+    EXPECT_EQ(Res.Status, SynthStatus::Impossible)
+        << Shards << " shards: exhaustion verdict changed";
+    EXPECT_TRUE(Res.Commands.empty());
+  }
 }
 
 // Budget-bound cells: with MaxCheckCalls set the search runs in
 // deterministic budget mode, whose verdict AND command sequence are a
 // pure function of (job, budget) — byte-identical across every shard
-// count and steal setting, with zero tasks stolen (budget mode turns
-// stealing off internally; unit-local V/W/SAT state cannot migrate).
+// count, with zero tasks stolen (budget mode never steals; a unit scope
+// cannot migrate).
 TEST(StealDeterminismTest, BudgetedCellsAreByteIdentical) {
   for (uint64_t Budget : {25u, 60u}) {
     // Both regimes: a budget too small to finish (deterministic Abort)
@@ -153,28 +144,26 @@ TEST(StealDeterminismTest, BudgetedCellsAreByteIdentical) {
     for (bool Blackholed : {false, true}) {
       Scenario S = Blackholed ? blackholedDiamond(500, 4)
                               : diamondWithUpdates(400, 4);
-      SynthResult Ref = runSearch(S, 1, /*Steal=*/false, Budget);
+      SynthResult Ref = runSearch(S, 1, Budget);
       std::string RefCmds = commandSeqToString(S.Topo, Ref.Commands);
-      for (unsigned Shards : {1u, 2u, 4u, 8u})
-        for (bool Steal : {false, true}) {
-          SynthResult Res = runSearch(S, Shards, Steal, Budget);
-          EXPECT_EQ(Res.Status, Ref.Status)
-              << Shards << " shards, steal=" << Steal
-              << ", budget=" << Budget << ": verdict drifted";
-          EXPECT_EQ(commandSeqToString(S.Topo, Res.Commands), RefCmds)
-              << Shards << " shards, steal=" << Steal
-              << ", budget=" << Budget << ": sequence drifted";
-          EXPECT_EQ(Res.Stats.StolenTasks, 0u)
-              << "deterministic budget mode must never steal";
-          // Total spend is shard-independent only when every unit runs
-          // to its deterministic conclusion. A Success cancels sibling
-          // shards mid-unit, so their partial spends are scheduling-
-          // dependent (the verdict and sequence still are not).
-          if (Ref.Status != SynthStatus::Success) {
-            EXPECT_EQ(Res.Stats.BudgetSpent, Ref.Stats.BudgetSpent)
-                << "budget accounting must not depend on shard count";
-          }
+      for (unsigned Shards : {1u, 2u, 4u, 8u}) {
+        SynthResult Res = runSearch(S, Shards, Budget);
+        EXPECT_EQ(Res.Status, Ref.Status)
+            << Shards << " shards, budget=" << Budget << ": verdict drifted";
+        EXPECT_EQ(commandSeqToString(S.Topo, Res.Commands), RefCmds)
+            << Shards << " shards, budget=" << Budget
+            << ": sequence drifted";
+        EXPECT_EQ(Res.Stats.StolenTasks, 0u)
+            << "deterministic budget mode must never steal";
+        // Total spend is shard-independent only when every unit runs to
+        // its deterministic conclusion. A Success cancels sibling shards
+        // mid-unit, so their partial spends are scheduling-dependent
+        // (the verdict and sequence still are not).
+        if (Ref.Status != SynthStatus::Success) {
+          EXPECT_EQ(Res.Stats.BudgetSpent, Ref.Stats.BudgetSpent)
+              << "budget accounting must not depend on shard count";
         }
+      }
     }
   }
 }
@@ -182,7 +171,7 @@ TEST(StealDeterminismTest, BudgetedCellsAreByteIdentical) {
 // Sharded searchers probe the seed set and W before they claim, so a
 // refuted configuration settles without entering the shared claim
 // table. That must neither lose a proof nor buy extra checks: on a deep
-// exhaustion proof every shards x steal x store-seeding cell stays
+// exhaustion proof every shards x store-seeding cell stays
 // Impossible, and its checker queries (less the one bind each stolen
 // task costs) stay within 1% of the 1-shard search over the same store
 // content. The store is filled per cell by the same budgeted run, so
@@ -193,38 +182,34 @@ TEST(StealDeterminismTest, ShardedRefutationKeepsProofAndQueryCount) {
   ASSERT_FALSE(S.Flows.empty());
   for (bool Seeded : {false, true}) {
     uint64_t RefChecks = 0;
-    for (unsigned Shards : {1u, 2u, 4u})
-      for (bool Steal : {false, true}) {
-        if (Shards == 1 && Steal)
-          continue; // Stealing is inert unsharded.
-        std::shared_ptr<ConstraintStore> Store;
-        auto Tweak = [&](SynthOptions &O) {
-          O.EarlyTermination = false;
-          O.Learning = Store;
-        };
-        if (Seeded) {
-          Store = std::make_shared<ConstraintStore>();
-          runSearch(S, 1, /*Steal=*/false, /*MaxCheckCalls=*/200, Tweak);
-        }
-        SynthResult Res = runSearch(S, Shards, Steal, 0, Tweak);
-        std::string Cell = std::to_string(Shards) + " shards, steal=" +
-                           std::to_string(Steal) +
-                           ", seeded=" + std::to_string(Seeded);
-        ASSERT_EQ(Res.Status, SynthStatus::Impossible) << Cell;
-        if (Seeded) {
-          EXPECT_GT(Res.Stats.SeededPrunes, 0u) << Cell;
-        }
-        uint64_t Checks = Res.Stats.CheckCalls - Res.Stats.StolenTasks;
-        if (Shards == 1) {
-          RefChecks = Checks;
-          continue;
-        }
-        EXPECT_LE(std::llabs(static_cast<long long>(Checks) -
-                             static_cast<long long>(RefChecks)) *
-                      100,
-                  static_cast<long long>(RefChecks))
-            << Cell << ": " << Checks << " checks against " << RefChecks
-            << " at 1 shard";
+    for (unsigned Shards : {1u, 2u, 4u}) {
+      std::shared_ptr<ConstraintStore> Store;
+      auto Tweak = [&](SynthOptions &O) {
+        O.EarlyTermination = false;
+        O.Learning = Store;
+      };
+      if (Seeded) {
+        Store = std::make_shared<ConstraintStore>();
+        runSearch(S, 1, /*MaxCheckCalls=*/200, Tweak);
       }
+      SynthResult Res = runSearch(S, Shards, 0, Tweak);
+      std::string Cell = std::to_string(Shards) +
+                         " shards, seeded=" + std::to_string(Seeded);
+      ASSERT_EQ(Res.Status, SynthStatus::Impossible) << Cell;
+      if (Seeded) {
+        EXPECT_GT(Res.Stats.SeededPrunes, 0u) << Cell;
+      }
+      uint64_t Checks = Res.Stats.CheckCalls - Res.Stats.StolenTasks;
+      if (Shards == 1) {
+        RefChecks = Checks;
+        continue;
+      }
+      EXPECT_LE(std::llabs(static_cast<long long>(Checks) -
+                           static_cast<long long>(RefChecks)) *
+                    100,
+                static_cast<long long>(RefChecks))
+          << Cell << ": " << Checks << " checks against " << RefChecks
+          << " at 1 shard";
+    }
   }
 }

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/Repro.h"
 #include "mc/LabelingChecker.h"
 #include "synth/Baselines.h"
 #include "synth/EarlyTermination.h"
@@ -17,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <memory>
 
 using namespace netupd;
 using namespace netupd::testutil;
@@ -395,6 +398,23 @@ TEST(EarlyTerminationTest, EmptyNotUpdatedMeansImpossible) {
   EXPECT_TRUE(ET.impossible());
 }
 
+/// reset() forgets every constraint, a proven contradiction included,
+/// and the object learns afresh afterwards.
+TEST(EarlyTerminationTest, ResetForgetsEverything) {
+  EarlyTermination ET;
+  ET.addCexConstraint({0}, {1});
+  ET.addCexConstraint({1}, {0});
+  ET.addCexConstraint({3, 4}, {});
+  EXPECT_TRUE(ET.impossible());
+  ET.reset();
+  EXPECT_EQ(ET.numClauses(), 0u);
+  EXPECT_FALSE(ET.impossible());
+  ET.addCexConstraint({0}, {1});
+  EXPECT_FALSE(ET.impossible());
+  ET.addCexConstraint({1}, {0});
+  EXPECT_TRUE(ET.impossible());
+}
+
 // --- SynthStats::mergeFrom coverage guard -----------------------------------
 
 // PRs keep growing SynthStats by hand, and a field added without a
@@ -475,4 +495,349 @@ TEST(SynthStatsTest, MergeFromCoversEveryField) {
   EXPECT_DOUBLE_EQ(B.MutateSeconds, 2 * A.MutateSeconds);
   EXPECT_DOUBLE_EQ(B.PruneSeconds, 2 * A.PruneSeconds);
   EXPECT_DOUBLE_EQ(B.SatSeconds, 2 * A.SatSeconds);
+}
+
+// --- Search trace pins ------------------------------------------------------
+
+// Golden values for the search itself, not just its verdicts: the
+// returned sequence and the pruning counters of every deterministic
+// configuration are pinned per scenario, so a refactor of the search
+// core that changes which candidates are probed, claimed or learned
+// from fails here even when every verdict survives. The scenarios are
+// the tests/corpus repros plus seeded diamonds and double diamonds.
+
+namespace {
+
+struct PinScenario {
+  std::string Name;
+  Scenario S;
+};
+
+const std::vector<PinScenario> &pinScenarios() {
+  static const std::vector<PinScenario> Out = [] {
+    std::vector<PinScenario> V;
+    std::vector<std::filesystem::path> Files;
+    for (const auto &E : std::filesystem::directory_iterator(
+             std::string(NETUPD_SOURCE_DIR) + "/tests/corpus"))
+      if (E.path().extension() == ".repro")
+        Files.push_back(E.path());
+    std::sort(Files.begin(), Files.end());
+    for (const std::filesystem::path &P : Files)
+      if (std::optional<fuzz::Repro> R = fuzz::loadReproFile(P.string()))
+        V.push_back({P.stem().string(), std::move(R->S)});
+    const PropertyKind Kinds[] = {PropertyKind::Reachability,
+                                  PropertyKind::Waypoint,
+                                  PropertyKind::ServiceChain};
+    for (uint64_t Seed = 811; Seed != 814; ++Seed) {
+      Rng R(Seed);
+      Topology Base = buildSmallWorld(16, 4, 0.2, R);
+      if (std::optional<Scenario> S =
+              makeDiamondScenario(Base, R, Kinds[Seed - 811]))
+        V.push_back({"diamond-" + std::to_string(Seed), std::move(*S)});
+    }
+    for (uint64_t Seed = 821; Seed != 823; ++Seed) {
+      Rng R(Seed);
+      Topology Base = buildSmallWorld(16, 4, 0.2, R);
+      if (std::optional<Scenario> S = makeDoubleDiamondScenario(Base, R))
+        V.push_back({"double-" + std::to_string(Seed), std::move(*S)});
+    }
+    V.push_back({"deep-impossible", deepImpossible(1)});
+    return V;
+  }();
+  return Out;
+}
+
+const char *pinStatus(SynthStatus S) {
+  switch (S) {
+  case SynthStatus::Success:
+    return "Success";
+  case SynthStatus::Impossible:
+    return "Impossible";
+  case SynthStatus::InitialViolation:
+    return "InitialViolation";
+  case SynthStatus::Aborted:
+    return "Aborted";
+  }
+  return "?";
+}
+
+/// FNV-1a over every update's switch and full table, so rule-granularity
+/// sequences that differ only in which class slice moves still differ.
+uint64_t tablesHash(const CommandSeq &Seq) {
+  uint64_t H = 1469598103934665603ull;
+  auto Mix = [&](const std::string &S) {
+    for (unsigned char C : S)
+      H = (H ^ C) * 1099511628211ull;
+  };
+  for (const Command &C : Seq)
+    Mix(C.K == Command::Kind::Wait ? std::string("wait")
+                                   : std::to_string(C.Sw) + C.NewTable.str());
+  return H;
+}
+
+enum class PinCounters { None, Search, SearchAndBudget };
+
+/// One pinned cell: "<scenario> <granularity>: <status> | <sequence> |
+/// <tables hash>" plus the counters \p What asks for.
+std::string pinRow(const PinScenario &P, bool Rule, const SynthOptions &Base,
+                   PinCounters What) {
+  SynthOptions Opts = Base;
+  Opts.RuleGranularity = Rule;
+  if (Opts.Shards > 1)
+    Opts.ShardCheckerFactory = [] {
+      return std::make_unique<LabelingChecker>();
+    };
+  FormulaFactory FF;
+  LabelingChecker Checker;
+  SynthResult R = synthesizeUpdate(P.S, FF, Checker, Opts);
+  std::string Row = P.Name + (Rule ? " rule: " : " switch: ") +
+                    pinStatus(R.Status) + " | " +
+                    commandSeqToString(P.S.Topo, R.Commands) + " | " +
+                    std::to_string(tablesHash(R.Commands));
+  if (What != PinCounters::None)
+    Row += " | calls=" + std::to_string(R.Stats.CheckCalls) +
+           " visited=" + std::to_string(R.Stats.VisitedPrunes) +
+           " cex=" + std::to_string(R.Stats.CexPrunes) +
+           " sat=" + std::to_string(R.Stats.SatClauses);
+  if (What == PinCounters::SearchAndBudget)
+    Row += " spent=" + std::to_string(R.Stats.BudgetSpent);
+  return Row;
+}
+
+/// Runs every pinned scenario at both granularities and compares the
+/// rows against \p Expected, in order. A failure prints the actual row,
+/// ready to paste.
+void expectPins(const SynthOptions &Opts, PinCounters What,
+                const std::vector<std::string> &Expected) {
+  std::vector<std::string> Actual;
+  for (const PinScenario &P : pinScenarios())
+    for (bool Rule : {false, true})
+      Actual.push_back(pinRow(P, Rule, Opts, What));
+  ASSERT_EQ(pinScenarios().size(), 13u) << "a pinned scenario went missing";
+  for (size_t I = 0; I != Actual.size(); ++I)
+    EXPECT_EQ(I < Expected.size() ? Expected[I] : std::string(), Actual[I])
+        << "      \"" << Actual[I] << "\",";
+  EXPECT_EQ(Expected.size(), Actual.size());
+}
+
+} // namespace
+
+/// The sequential search without budgets: sequences and every pruning
+/// counter.
+TEST(SearchPinTest, SequentialUnlimited) {
+  expectPins(SynthOptions{}, PinCounters::Search, {
+      "churn-step switch: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894 | calls=8 visited=0 cex=0 sat=7",
+      "churn-step rule: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894 | calls=8 visited=0 cex=0 sat=7",
+      "double-diamond switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=65",
+      "double-diamond rule: Success | upd sw5; upd sw6; upd sw7; upd sw4; wait; upd sw6; upd sw8; wait; upd sw5; upd sw7 | 6907229058659628618 | calls=11 visited=0 cex=1 sat=8",
+      "fattree-blackhole switch: Impossible |  | 1469598103934665603 | calls=31 visited=21 cex=42 sat=0",
+      "fattree-blackhole rule: Impossible |  | 1469598103934665603 | calls=31 visited=21 cex=42 sat=0",
+      "liar-reachability-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "liar-reachability-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "liar-servicechain-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "liar-servicechain-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "liar-waypoint-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "liar-waypoint-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "wan-multiflow-waypoint switch: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319 | calls=15 visited=0 cex=0 sat=26",
+      "wan-multiflow-waypoint rule: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319 | calls=15 visited=0 cex=0 sat=26",
+      "diamond-811 switch: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=1",
+      "diamond-811 rule: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=1",
+      "diamond-812 switch: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0",
+      "diamond-812 rule: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0",
+      "diamond-813 switch: Success | upd sw3; upd sw5; upd sw7; upd sw2; wait; upd sw4; upd sw6 | 6097897775204880161 | calls=7 visited=0 cex=0 sat=0",
+      "diamond-813 rule: Success | upd sw3; upd sw5; upd sw7; upd sw2; wait; upd sw4; upd sw6 | 6097897775204880161 | calls=7 visited=0 cex=0 sat=0",
+      "double-821 switch: Impossible |  | 1469598103934665603 | calls=8 visited=0 cex=0 sat=217",
+      "double-821 rule: Success | upd sw0; upd sw1; upd sw2; upd sw4; upd sw7; upd sw5; wait; upd sw0; upd sw2; upd sw4; upd sw15; wait; upd sw1; upd sw7 | 16210707980843615605 | calls=18 visited=0 cex=3 sat=215",
+      "double-822 switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=65",
+      "double-822 rule: Success | upd sw3; upd sw4; upd sw5; upd sw2; wait; upd sw3; upd sw5; upd sw6; wait; upd sw4 | 13521125900654781792 | calls=10 visited=0 cex=1 sat=1",
+      "deep-impossible switch: Impossible |  | 1469598103934665603 | calls=22 visited=0 cex=0 sat=511",
+      "deep-impossible rule: Impossible |  | 1469598103934665603 | calls=22 visited=0 cex=0 sat=511",
+  });
+}
+
+/// The sequential search with the SAT layer off, so proofs run by
+/// exhaustion and the visited and wrong sets do the pruning.
+TEST(SearchPinTest, SequentialExhaustive) {
+  SynthOptions Opts;
+  Opts.EarlyTermination = false;
+  expectPins(Opts, PinCounters::Search, {
+      "churn-step switch: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894 | calls=8 visited=0 cex=0 sat=0",
+      "churn-step rule: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894 | calls=8 visited=0 cex=0 sat=0",
+      "double-diamond switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=0",
+      "double-diamond rule: Success | upd sw5; upd sw6; upd sw7; upd sw4; wait; upd sw6; upd sw8; wait; upd sw5; upd sw7 | 6907229058659628618 | calls=11 visited=0 cex=1 sat=0",
+      "fattree-blackhole switch: Impossible |  | 1469598103934665603 | calls=42 visited=49 cex=89 sat=0",
+      "fattree-blackhole rule: Impossible |  | 1469598103934665603 | calls=42 visited=49 cex=89 sat=0",
+      "liar-reachability-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "liar-reachability-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "liar-servicechain-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "liar-servicechain-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "liar-waypoint-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "liar-waypoint-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
+      "wan-multiflow-waypoint switch: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319 | calls=15 visited=0 cex=0 sat=0",
+      "wan-multiflow-waypoint rule: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319 | calls=15 visited=0 cex=0 sat=0",
+      "diamond-811 switch: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=0",
+      "diamond-811 rule: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=0",
+      "diamond-812 switch: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0",
+      "diamond-812 rule: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0",
+      "diamond-813 switch: Success | upd sw3; upd sw5; upd sw7; upd sw2; wait; upd sw4; upd sw6 | 6097897775204880161 | calls=7 visited=0 cex=0 sat=0",
+      "diamond-813 rule: Success | upd sw3; upd sw5; upd sw7; upd sw2; wait; upd sw4; upd sw6 | 6097897775204880161 | calls=7 visited=0 cex=0 sat=0",
+      "double-821 switch: Impossible |  | 1469598103934665603 | calls=8 visited=0 cex=0 sat=0",
+      "double-821 rule: Success | upd sw0; upd sw1; upd sw2; upd sw4; upd sw7; upd sw5; wait; upd sw0; upd sw2; upd sw4; upd sw15; wait; upd sw1; upd sw7 | 16210707980843615605 | calls=18 visited=0 cex=3 sat=0",
+      "double-822 switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=0",
+      "double-822 rule: Success | upd sw3; upd sw4; upd sw5; upd sw2; wait; upd sw3; upd sw5; upd sw6; wait; upd sw4 | 13521125900654781792 | calls=10 visited=0 cex=1 sat=0",
+      "deep-impossible switch: Impossible |  | 1469598103934665603 | calls=8203 visited=45057 cex=73717 sat=0",
+      "deep-impossible rule: Impossible |  | 1469598103934665603 | calls=8203 visited=45057 cex=73717 sat=0",
+  });
+}
+
+/// Deterministic budget mode on one shard: sequences, pruning counters
+/// and the charged calls.
+TEST(SearchPinTest, BudgetOneShard) {
+  SynthOptions Opts;
+  Opts.MaxCheckCalls = 30;
+  Opts.Shards = 1;
+  expectPins(Opts, PinCounters::SearchAndBudget, {
+      "churn-step switch: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=30 spent=18",
+      "churn-step rule: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=30 spent=18",
+      "double-diamond switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=11 spent=5",
+      "double-diamond rule: Aborted |  | 1469598103934665603 | calls=18 visited=0 cex=0 sat=11 spent=17",
+      "fattree-blackhole switch: Aborted |  | 1469598103934665603 | calls=24 visited=0 cex=0 sat=9 spent=23",
+      "fattree-blackhole rule: Aborted |  | 1469598103934665603 | calls=24 visited=0 cex=0 sat=9 spent=23",
+      "liar-reachability-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "liar-reachability-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "liar-servicechain-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "liar-servicechain-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "liar-waypoint-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "liar-waypoint-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "wan-multiflow-waypoint switch: Aborted |  | 1469598103934665603 | calls=25 visited=0 cex=0 sat=6 spent=24",
+      "wan-multiflow-waypoint rule: Aborted |  | 1469598103934665603 | calls=25 visited=0 cex=0 sat=6 spent=24",
+      "diamond-811 switch: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=1 spent=5",
+      "diamond-811 rule: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=1 spent=5",
+      "diamond-812 switch: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0 spent=5",
+      "diamond-812 rule: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0 spent=5",
+      "diamond-813 switch: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=9 spent=18",
+      "diamond-813 rule: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=9 spent=18",
+      "double-821 switch: Impossible |  | 1469598103934665603 | calls=8 visited=0 cex=0 sat=43 spent=7",
+      "double-821 rule: Aborted |  | 1469598103934665603 | calls=23 visited=0 cex=0 sat=43 spent=22",
+      "double-822 switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=11 spent=5",
+      "double-822 rule: Aborted |  | 1469598103934665603 | calls=18 visited=0 cex=0 sat=11 spent=17",
+      "deep-impossible switch: Aborted |  | 1469598103934665603 | calls=31 visited=0 cex=0 sat=1269 spent=30",
+      "deep-impossible rule: Aborted |  | 1469598103934665603 | calls=31 visited=0 cex=0 sat=1269 spent=30",
+  });
+}
+
+/// A per-unit budget large enough for units to prune, with the SAT layer
+/// off: the unit-local visited and wrong sets do the pruning.
+TEST(SearchPinTest, PerUnitBudgetOneShard) {
+  SynthOptions Opts;
+  Opts.UnitCheckCalls = 200;
+  Opts.EarlyTermination = false;
+  Opts.Shards = 1;
+  expectPins(Opts, PinCounters::SearchAndBudget, {
+      "churn-step switch: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894 | calls=8 visited=0 cex=0 sat=0 spent=7",
+      "churn-step rule: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894 | calls=8 visited=0 cex=0 sat=0 spent=7",
+      "double-diamond switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=0 spent=5",
+      "double-diamond rule: Success | upd sw5; upd sw6; upd sw7; upd sw4; wait; upd sw6; upd sw8; wait; upd sw5; upd sw7 | 6907229058659628618 | calls=11 visited=0 cex=1 sat=0 spent=10",
+      "fattree-blackhole switch: Impossible |  | 1469598103934665603 | calls=129 visited=85 cex=210 sat=0 spent=128",
+      "fattree-blackhole rule: Impossible |  | 1469598103934665603 | calls=129 visited=85 cex=210 sat=0 spent=128",
+      "liar-reachability-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "liar-reachability-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "liar-servicechain-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "liar-servicechain-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "liar-waypoint-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "liar-waypoint-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
+      "wan-multiflow-waypoint switch: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319 | calls=15 visited=0 cex=0 sat=0 spent=14",
+      "wan-multiflow-waypoint rule: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319 | calls=15 visited=0 cex=0 sat=0 spent=14",
+      "diamond-811 switch: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=0 spent=5",
+      "diamond-811 rule: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=0 spent=5",
+      "diamond-812 switch: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0 spent=5",
+      "diamond-812 rule: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0 spent=5",
+      "diamond-813 switch: Success | upd sw3; upd sw5; upd sw7; upd sw2; wait; upd sw4; upd sw6 | 6097897775204880161 | calls=7 visited=0 cex=0 sat=0 spent=6",
+      "diamond-813 rule: Success | upd sw3; upd sw5; upd sw7; upd sw2; wait; upd sw4; upd sw6 | 6097897775204880161 | calls=7 visited=0 cex=0 sat=0 spent=6",
+      "double-821 switch: Impossible |  | 1469598103934665603 | calls=8 visited=0 cex=0 sat=0 spent=7",
+      "double-821 rule: Success | upd sw0; upd sw1; upd sw2; upd sw4; upd sw7; upd sw5; wait; upd sw0; upd sw2; upd sw4; upd sw15; wait; upd sw1; upd sw7 | 16210707980843615605 | calls=18 visited=0 cex=3 sat=0 spent=17",
+      "double-822 switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=0 spent=5",
+      "double-822 rule: Success | upd sw3; upd sw4; upd sw5; upd sw2; wait; upd sw3; upd sw5; upd sw6; wait; upd sw4 | 13521125900654781792 | calls=10 visited=0 cex=1 sat=0 spent=9",
+      "deep-impossible switch: Aborted |  | 1469598103934665603 | calls=2610 visited=6198 cex=21189 sat=0 spent=2609",
+      "deep-impossible rule: Aborted |  | 1469598103934665603 | calls=2610 visited=6198 cex=21189 sat=0 spent=2609",
+  });
+}
+
+/// The same per-unit budget on four shards: verdicts and sequences. The
+/// learning store makes retiring units export their wrong sets from
+/// every shard at once; budget mode never imports, so the store cannot
+/// change an outcome.
+TEST(SearchPinTest, PerUnitBudgetFourShards) {
+  SynthOptions Opts;
+  Opts.UnitCheckCalls = 200;
+  Opts.EarlyTermination = false;
+  Opts.Shards = 4;
+  Opts.Learning = std::make_shared<ConstraintStore>();
+  expectPins(Opts, PinCounters::None, {
+      "churn-step switch: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894",
+      "churn-step rule: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894",
+      "double-diamond switch: Impossible |  | 1469598103934665603",
+      "double-diamond rule: Success | upd sw5; upd sw6; upd sw7; upd sw4; wait; upd sw6; upd sw8; wait; upd sw5; upd sw7 | 6907229058659628618",
+      "fattree-blackhole switch: Impossible |  | 1469598103934665603",
+      "fattree-blackhole rule: Impossible |  | 1469598103934665603",
+      "liar-reachability-min switch: Impossible |  | 1469598103934665603",
+      "liar-reachability-min rule: Impossible |  | 1469598103934665603",
+      "liar-servicechain-min switch: Impossible |  | 1469598103934665603",
+      "liar-servicechain-min rule: Impossible |  | 1469598103934665603",
+      "liar-waypoint-min switch: Impossible |  | 1469598103934665603",
+      "liar-waypoint-min rule: Impossible |  | 1469598103934665603",
+      "wan-multiflow-waypoint switch: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319",
+      "wan-multiflow-waypoint rule: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319",
+      "diamond-811 switch: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571",
+      "diamond-811 rule: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571",
+      "diamond-812 switch: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336",
+      "diamond-812 rule: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336",
+      "diamond-813 switch: Success | upd sw3; upd sw5; upd sw7; upd sw2; wait; upd sw4; upd sw6 | 6097897775204880161",
+      "diamond-813 rule: Success | upd sw3; upd sw5; upd sw7; upd sw2; wait; upd sw4; upd sw6 | 6097897775204880161",
+      "double-821 switch: Impossible |  | 1469598103934665603",
+      "double-821 rule: Success | upd sw0; upd sw1; upd sw2; upd sw4; upd sw7; upd sw5; wait; upd sw0; upd sw2; upd sw4; upd sw15; wait; upd sw1; upd sw7 | 16210707980843615605",
+      "double-822 switch: Impossible |  | 1469598103934665603",
+      "double-822 rule: Success | upd sw3; upd sw4; upd sw5; upd sw2; wait; upd sw3; upd sw5; upd sw6; wait; upd sw4 | 13521125900654781792",
+      "deep-impossible switch: Aborted |  | 1469598103934665603",
+      "deep-impossible rule: Aborted |  | 1469598103934665603",
+  });
+}
+
+/// Deterministic budget mode on four shards: verdicts and sequences are
+/// shard-count independent by contract, so they must equal the one-shard
+/// pins above; the counters may vary with scheduling and are not pinned.
+/// A learning store engages the export, as above.
+TEST(SearchPinTest, BudgetFourShards) {
+  SynthOptions Opts;
+  Opts.MaxCheckCalls = 30;
+  Opts.Shards = 4;
+  Opts.Learning = std::make_shared<ConstraintStore>();
+  expectPins(Opts, PinCounters::None, {
+      "churn-step switch: Aborted |  | 1469598103934665603",
+      "churn-step rule: Aborted |  | 1469598103934665603",
+      "double-diamond switch: Impossible |  | 1469598103934665603",
+      "double-diamond rule: Aborted |  | 1469598103934665603",
+      "fattree-blackhole switch: Aborted |  | 1469598103934665603",
+      "fattree-blackhole rule: Aborted |  | 1469598103934665603",
+      "liar-reachability-min switch: Impossible |  | 1469598103934665603",
+      "liar-reachability-min rule: Impossible |  | 1469598103934665603",
+      "liar-servicechain-min switch: Impossible |  | 1469598103934665603",
+      "liar-servicechain-min rule: Impossible |  | 1469598103934665603",
+      "liar-waypoint-min switch: Impossible |  | 1469598103934665603",
+      "liar-waypoint-min rule: Impossible |  | 1469598103934665603",
+      "wan-multiflow-waypoint switch: Aborted |  | 1469598103934665603",
+      "wan-multiflow-waypoint rule: Aborted |  | 1469598103934665603",
+      "diamond-811 switch: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571",
+      "diamond-811 rule: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571",
+      "diamond-812 switch: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336",
+      "diamond-812 rule: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336",
+      "diamond-813 switch: Aborted |  | 1469598103934665603",
+      "diamond-813 rule: Aborted |  | 1469598103934665603",
+      "double-821 switch: Impossible |  | 1469598103934665603",
+      "double-821 rule: Aborted |  | 1469598103934665603",
+      "double-822 switch: Impossible |  | 1469598103934665603",
+      "double-822 rule: Aborted |  | 1469598103934665603",
+      "deep-impossible switch: Aborted |  | 1469598103934665603",
+      "deep-impossible rule: Aborted |  | 1469598103934665603",
+  });
 }
