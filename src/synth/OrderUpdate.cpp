@@ -712,8 +712,9 @@ private:
       noteStop();
       return false;
     }
-    // The last two checks bite only under a budget: elsewhere a recorded
-    // winner has already fired Found, and the account is unlimited.
+    // The last two checks bite only under a budget: elsewhere the
+    // account is unlimited, and a recorded winner also fires Found, which
+    // ends the search anyway.
     // relaxed: advisory outranking bound (see recordWinner).
     if (Ctx.BestUnit.load(std::memory_order_relaxed) < CurrentUnit) {
       // Outranked mid-unit by a lower winner; every unit this shard
