@@ -7,8 +7,9 @@
 
 #include "fuzz/Repro.h"
 
+#include "support/Strings.h"
+
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -128,22 +129,6 @@ private:
   std::istringstream In;
   unsigned LineNo;
 };
-
-/// Decimal digits only. std::from_chars into an unsigned type takes no
-/// sign and no whitespace, and fails on overflow instead of wrapping.
-bool parseU64(const std::string &T, uint64_t &Out) {
-  const char *End = T.data() + T.size();
-  auto [Ptr, Ec] = std::from_chars(T.data(), End, Out);
-  return Ec == std::errc() && Ptr == End;
-}
-
-bool parseU32(const std::string &T, uint32_t &Out) {
-  uint64_t V = 0;
-  if (!parseU64(T, V) || V > 0xffffffffull)
-    return false;
-  Out = static_cast<uint32_t>(V);
-  return true;
-}
 
 bool parseOpt(const std::string &T, std::optional<uint32_t> &Out) {
   if (T == "-") {

@@ -34,7 +34,6 @@ enum class TokKind {
 struct Token {
   TokKind K = TokKind::End;
   std::string Text;
-  uint32_t Value = 0;
 };
 
 /// A recursive-descent parser over a simple hand-rolled lexer. Errors are
@@ -83,7 +82,6 @@ private:
         ++Pos;
       Cur.K = TokKind::Number;
       Cur.Text = Text.substr(Begin, Pos - Begin);
-      Cur.Value = static_cast<uint32_t>(strtoul(Cur.Text.c_str(), nullptr, 10));
       return;
     }
     switch (C) {
@@ -263,7 +261,10 @@ private:
     advance();
     if (Cur.K != TokKind::Number)
       return fail("expected a number in atom '" + Name + "'");
-    uint32_t Value = Cur.Value;
+    uint32_t Value = 0;
+    if (!parseU32(Cur.Text, Value))
+      return fail("number " + Cur.Text + " in atom '" + Name +
+                  "' does not fit in 32 bits");
     advance();
 
     Prop P;

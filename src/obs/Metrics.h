@@ -91,9 +91,9 @@ private:
 /// Percentile estimation walks the 64 buckets and returns the
 /// containing bucket's upper bound, so estimates are exact to within 2x —
 /// plenty to tell a 10us check from a 1ms one, which is what the daemon
-/// and the bench phase tables need. Exact bench percentiles (p50/p95/p99
-/// job latency in BENCH_engine.json) are computed from per-job seconds
-/// instead, not from this histogram.
+/// and the bench phase tables need. Exact bench percentiles (bench_suite's
+/// latency_p50_ms/p90/p99) are computed from per-job latencies instead,
+/// not from this histogram.
 class Histogram {
 public:
   static constexpr unsigned NumBuckets = 64;

@@ -7,6 +7,7 @@
 
 #include "support/Strings.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -21,6 +22,20 @@ std::string netupd::join(const std::vector<std::string> &Parts,
     Out += Parts[I];
   }
   return Out;
+}
+
+bool netupd::parseU64(const std::string &Text, uint64_t &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
+}
+
+bool netupd::parseU32(const std::string &Text, uint32_t &Out) {
+  uint64_t V = 0;
+  if (!parseU64(Text, V) || V > UINT32_MAX)
+    return false;
+  Out = static_cast<uint32_t>(V);
+  return true;
 }
 
 std::vector<std::string> netupd::split(const std::string &Text, char Sep) {

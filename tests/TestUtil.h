@@ -177,11 +177,10 @@ inline bool allIntermediateConfigsHold(const Topology &Topo,
   return true;
 }
 
-/// A deep exhaustive Impossible proof, the bench/engine_scaling.cpp
-/// "deep-proof" recipe at a test-sized diff cap: a long-path diamond
-/// whose final config blackholes the destination, so the search must
-/// refute the entire safe sub-lattice, thousands of refuted
-/// configurations. \p Skip selects among the instances the seed grows;
+/// A deep exhaustive Impossible proof at a test-sized diff cap: a
+/// long-path diamond whose final config blackholes the destination, so
+/// the search must refute the entire safe sub-lattice, thousands of
+/// refuted configurations. \p Skip selects among the instances the seed grows;
 /// Skip=1's proof takes a few thousand checker queries.
 inline Scenario deepImpossible(unsigned Skip = 0) {
   constexpr unsigned DiffCap = 22;

@@ -9,8 +9,9 @@
 /// Tests for the SynthEngine and BackendFactory: backend registry
 /// behaviour, query accounting across all backends, cross-backend
 /// agreement on identical instances, batch determinism across worker
-/// counts, portfolio-vs-single-config verdict agreement, and cooperative
-/// cancellation.
+/// counts, portfolio-vs-single-config verdict agreement, cooperative
+/// cancellation, and end-to-end synthesis on 500+-switch fabrics (2-flow
+/// diamonds, and a churn stream served by the result cache).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "mc/BackendFactory.h"
 #include "mc/MemoizingChecker.h"
 #include "mc/NaiveTraceChecker.h"
+#include "topo/Churn.h"
 #include "topo/Generators.h"
 
 #include "TestUtil.h"
@@ -472,6 +474,87 @@ TEST(SynthEngineTest, AsyncCancelQueuedAndRunningJobs) {
   JobHandle Retry = Engine.submit(Queued);
   EXPECT_EQ(Retry.wait().Result.Status, SynthStatus::Success);
   EXPECT_FALSE(Retry.wait().FromCache);
+}
+
+// --- Zoo scale --------------------------------------------------------------
+
+namespace {
+
+/// A 40-region WAN (16 PoPs per region on average): past 500 switches,
+/// like the k=24 fat-tree.
+Topology zooWan() {
+  WanParams WP;
+  WP.Regions = 40;
+  Rng R(4207);
+  return buildWan(WP, R);
+}
+
+} // namespace
+
+// The fuzzer's families stay small; this is where the same builders must
+// emit 500+-switch fabrics whose 2-flow diamond updates synthesize end to
+// end. A fabric below the floor, a diamond that cannot be grown, or a job
+// that does not succeed means a generator or the search regressed.
+TEST(ZooScaleTest, TwoFlowDiamondsSynthesizeOnLargeFabrics) {
+  DiamondOptions DO;
+  DO.NumFlows = 2;
+  for (const Topology &Topo : {buildFatTree(24), zooWan()}) {
+    ASSERT_GE(Topo.numSwitches(), 500u);
+    Rng R(4208);
+    std::vector<SynthJob> Jobs(4);
+    for (SynthJob &Job : Jobs) {
+      std::optional<Scenario> S = makeDiamondScenarioRetrying(
+          Topo, R, PropertyKind::Reachability, DO);
+      ASSERT_TRUE(S.has_value())
+          << "no 2-flow diamond on " << Topo.numSwitches() << " switches";
+      Job.S = std::move(*S);
+    }
+    EngineOptions EO;
+    EO.NumWorkers = 2;
+    EO.CacheResults = false;
+    EO.SharedLearning = false;
+    SynthEngine Engine(EO);
+    BatchReport Rep = Engine.run(Jobs);
+    EXPECT_EQ(Rep.numSucceeded(), Jobs.size())
+        << "on " << Topo.numSwitches() << " switches";
+  }
+}
+
+// Rolling maintenance at WAN scale: flows flip between two branches, so
+// step scenarios recur. Through one worker (two digest-identical jobs
+// running at once could both miss) every step must succeed, and every
+// repeat of an earlier digest must be a result-cache hit.
+TEST(ZooScaleTest, WanChurnStreamHitsTheResultCache) {
+  Topology Wan = zooWan();
+  ASSERT_GE(Wan.numSwitches(), 500u);
+  Rng R(4209);
+  ChurnOptions CO;
+  CO.NumFlows = 2;
+  CO.Steps = 8;
+  std::optional<ChurnTrace> Trace = makeChurnTrace(Wan, R, CO);
+  ASSERT_TRUE(Trace.has_value());
+
+  std::vector<SynthJob> Jobs;
+  std::vector<Digest> Distinct;
+  for (const Scenario &Step : Trace->Steps) {
+    Digest D = digestOf(Step);
+    if (std::find(Distinct.begin(), Distinct.end(), D) == Distinct.end())
+      Distinct.push_back(D);
+    SynthJob Job;
+    Job.S = Step;
+    Jobs.push_back(std::move(Job));
+  }
+  uint64_t Floor = Jobs.size() - Distinct.size();
+  ASSERT_GT(Floor, 0u) << "the trace repeats no step; the floor is vacuous";
+
+  EngineOptions EO;
+  EO.NumWorkers = 1;
+  EO.CacheResults = true;
+  EO.SharedLearning = false;
+  SynthEngine Engine(EO);
+  BatchReport Rep = Engine.run(Jobs);
+  EXPECT_EQ(Rep.numSucceeded(), Jobs.size());
+  EXPECT_GE(Rep.EngineCacheHits, Floor);
 }
 
 TEST(StopTokenTest, Basics) {

@@ -475,6 +475,55 @@ TEST(LearningEngineTest, KnobControlsTheStoreLifetime) {
   EXPECT_EQ(Shared.constraintStore(), ConstraintStore::processStore());
 }
 
+// An autotuning-style probe stream through one engine: every scenario is
+// probed under digest-distinct configurations (backend x SAT layer), so
+// the result cache could serve none of them; only the store links the
+// probes. Learning on must leave every verdict and rendered sequence as
+// it was with learning off, and must issue strictly fewer checker
+// queries. One worker keeps the import chain deterministic.
+TEST(LearningEngineTest, ProbeStreamSavesQueriesWithoutChangingResults) {
+  std::vector<SynthJob> Jobs;
+  auto AddProbe = [&](const Scenario &S, const char *Backend, bool Et) {
+    SynthJob Job;
+    Job.S = S;
+    Job.Portfolio.emplace_back();
+    Job.Portfolio[0].Backend = Backend;
+    Job.Portfolio[0].Opts.EarlyTermination = Et;
+    Jobs.push_back(std::move(Job));
+  };
+  for (uint64_t Seed : {9, 31, 47}) {
+    Scenario Inf = doubleDiamond(Seed);
+    for (const char *Backend : {"incremental", "batch"})
+      for (bool Et : {false, true})
+        AddProbe(Inf, Backend, Et);
+  }
+  // A feasible family rides along: reuse must hold where a sequence has
+  // to be found too.
+  for (uint64_t Seed : {3300, 3400}) {
+    Scenario Feas = diamondWithUpdates(Seed, 3);
+    for (const char *Backend : {"incremental", "batch"})
+      AddProbe(Feas, Backend, true);
+  }
+
+  std::vector<std::pair<SynthStatus, std::string>> Results[2];
+  uint64_t Queries[2] = {0, 0};
+  for (bool Learning : {false, true}) {
+    EngineOptions EO;
+    EO.NumWorkers = 1;
+    EO.CacheResults = false;
+    EO.SharedLearning = Learning;
+    SynthEngine Engine(EO);
+    BatchReport Rep = Engine.run(Jobs);
+    for (size_t I = 0; I != Rep.Reports.size(); ++I)
+      Results[Learning].push_back(
+          {Rep.Reports[I].Result.Status,
+           commandSeqToString(Jobs[I].S.Topo, Rep.Reports[I].Result.Commands)});
+    Queries[Learning] = Rep.TotalQueries;
+  }
+  EXPECT_EQ(Results[1], Results[0]) << "learning changed a verdict or sequence";
+  EXPECT_LT(Queries[1], Queries[0]) << "learning saved no checker query";
+}
+
 // --- setStopToken mid-flight (regression) -----------------------------------
 
 // setStopToken used to be an unguarded write with a "call before any

@@ -106,6 +106,25 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(parseLtl(FF, "port ^ 1").ok());
 }
 
+// A numeral that does not fit in 32 bits is an error naming its atom,
+// never a value wrapped (or clamped) onto some other switch or port.
+TEST(ParserTest, OutOfRangeNumeralsAreErrors) {
+  FormulaFactory FF;
+  for (const char *Text : {"G (sw = 4294967297)",
+                           "G (sw = 99999999999999999999999)",
+                           "G (port != 4294967296)"}) {
+    ParseResult P = parseLtl(FF, Text);
+    EXPECT_FALSE(P.ok()) << Text << " parsed as " << printFormula(P.F);
+    std::string Atom = std::string(Text).find("port") != std::string::npos
+                           ? "'port'"
+                           : "'sw'";
+    EXPECT_NE(P.Error.find(Atom), std::string::npos) << P.Error;
+  }
+  ParseResult Max = parseLtl(FF, "G (sw = 4294967295)");
+  ASSERT_TRUE(Max.ok()) << Max.Error;
+  EXPECT_EQ(Max.F, FF.globally(FF.atom(Prop::onSwitch(4294967295u))));
+}
+
 namespace {
 
 /// The three ways the grammar recurses, nested \p N levels deep: leading

@@ -26,9 +26,8 @@
 #include "fuzz/Minimize.h"
 #include "mc/BackendFactory.h"
 #include "mc/LabelingChecker.h"
+#include "support/Strings.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
@@ -149,14 +148,12 @@ int main(int argc, char **argv) {
     };
     if (A == "--seed") {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseU64(V, O.Seed))
         return usage(argv[0]);
-      O.Seed = std::strtoull(V, nullptr, 10);
     } else if (A == "--iters") {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseU32(V, O.Iters))
         return usage(argv[0]);
-      O.Iters = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
     } else if (A == "--out") {
       const char *V = Next();
       if (!V)
@@ -164,9 +161,8 @@ int main(int argc, char **argv) {
       O.OutDir = V;
     } else if (A == "--churn-every") {
       const char *V = Next();
-      if (!V)
+      if (!V || !parseU32(V, O.ChurnEvery))
         return usage(argv[0]);
-      O.ChurnEvery = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
     } else if (A == "--backends") {
       const char *V = Next();
       if (!V)
