@@ -67,7 +67,8 @@ double replay(const Scenario &S, Formula Phi, CheckerBackend &Checker,
           K.applySwitchUpdate(Q.Sw, S.Final.table(Q.Sw), Changed));
       UpdateInfo Info;
       Info.Sw = Q.Sw;
-      Info.OldTable = &Undos.back().OldTable;
+      Info.OldTable = &Undos.back().Old->table();
+      Info.NewTable = &Undos.back().New->table();
       Info.ChangedStates = &Changed;
       Checker.recheckAfterUpdate(Info);
     } else {

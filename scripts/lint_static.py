@@ -20,11 +20,12 @@ determinism contract: verdict and command sequence are a pure function of
                 line in between, max 10 lines up).
 
   mutate-undo   Every `X.applySwitchUpdate(...)` / `X->applySwitchUpdate`
-                call must be paired with rollback in the same scope:
-                an `undo(` call within the following window, an undo
-                record stored into an owning container/frame
-                (`Undos.push_back(...)` / an `F.Undo` argument), or a
-                `// lint: mutate-ok` tag.
+                call, and every handle-based `X.applyHandle(...)` /
+                `X->applyHandle` call, must be paired with rollback in
+                the same scope: an `undo(` call within the following
+                window, an undo record stored into an owning
+                container/frame (`Undos.push_back(...)` / an `F.Undo`
+                argument), or a `// lint: mutate-ok` tag.
 
   thread-hygiene  No detached threads (`.detach()`) and no naked `new`
                 in src/ (use make_unique / containers); deliberate
@@ -99,7 +100,8 @@ WALLCLOCK_RE = re.compile(
     r"|\b(?:time|clock_gettime|gettimeofday|localtime|gmtime|rand|srand)\s*\("
 )
 RELAXED_RE = re.compile(r"memory_order_relaxed")
-MUTATE_RE = re.compile(r"[\w\)\]](?:\.|->)applySwitchUpdate\s*\(")
+MUTATE_RE = re.compile(
+    r"[\w\)\]](?:\.|->)(?:applySwitchUpdate|applyHandle)\s*\(")
 UNDO_RE = re.compile(r"(?:\.|->)undo\s*\(|Undos\.push_back|\bF\.Undo\b")
 DETACH_RE = re.compile(r"(?:\.|->)detach\s*\(\s*\)")
 NAKED_NEW_RE = re.compile(r"\bnew\s+(?:\(|[A-Za-z_])")
@@ -168,9 +170,9 @@ def lint_file(relpath, raw_lines, findings):
                 if not any(UNDO_RE.search(l) for l in window):
                     findings.append(
                         (relpath, lineno, "mutate-undo",
-                         "applySwitchUpdate without an undo()/owned undo "
-                         "record within the same scope (or `// lint: "
-                         "mutate-ok`)"))
+                         "applySwitchUpdate/applyHandle without an undo()/"
+                         "owned undo record within the same scope (or "
+                         "`// lint: mutate-ok`)"))
 
         if DETACH_RE.search(code):
             findings.append(

@@ -25,8 +25,8 @@ CheckResult HsaChecker::bindImpl(KripkeStructure &Structure, Formula) {
 CheckResult HsaChecker::recheckImpl(const UpdateInfo &Update) {
   assert(K && Engine && "recheck before bind");
   assert(Update.OldTable && "need the pre-update table for rollback");
-  UndoStack.emplace_back(Update.Sw, *Update.OldTable);
-  Engine->updateSwitch(Update.Sw, K->config().table(Update.Sw));
+  UndoStack.emplace_back(Update.Sw, Update.OldTable);
+  Engine->updateSwitch(Update.Sw, K->table(Update.Sw));
   ++Queries;
   CheckResult R;
   R.Holds = Engine->allProbesPass();
@@ -35,9 +35,9 @@ CheckResult HsaChecker::recheckImpl(const UpdateInfo &Update) {
 
 void HsaChecker::notifyRollback() {
   assert(!UndoStack.empty() && "rollback without a matching recheck");
-  auto [Sw, OldTable] = std::move(UndoStack.back());
+  auto [Sw, OldTable] = UndoStack.back();
   UndoStack.pop_back();
-  Engine->updateSwitch(Sw, OldTable);
+  Engine->updateSwitch(Sw, *OldTable);
 }
 
 std::vector<ProbeSpec>

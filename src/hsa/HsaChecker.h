@@ -57,8 +57,9 @@ private:
   std::vector<ProbeSpec> Probes;
   std::unique_ptr<Plumber> Engine;
   KripkeStructure *K = nullptr;
-  /// (switch, pre-update table) stack for rollbacks.
-  std::vector<std::pair<SwitchId, Table>> UndoStack;
+  /// (switch, pre-update table) stack for rollbacks. The tables are the
+  /// structure's interned ones, which outlive every update on it.
+  std::vector<std::pair<SwitchId, const Table *>> UndoStack;
 };
 
 } // namespace netupd

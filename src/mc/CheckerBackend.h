@@ -66,7 +66,8 @@ struct CheckResult {
 /// Everything a backend may want to know about one applied update.
 struct UpdateInfo {
   SwitchId Sw = 0;
-  /// Table before / after the update (valid only during the call).
+  /// Table before / after the update: the structure's interned tables,
+  /// valid as long as the structure is.
   const Table *OldTable = nullptr;
   const Table *NewTable = nullptr;
   /// States whose outgoing Kripke edges changed.

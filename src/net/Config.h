@@ -70,8 +70,9 @@ private:
 /// Zobrist-style slot digest: the contribution of (switch \p Sw holding a
 /// table with digest \p TableDigest) to a configuration digest. A Config
 /// digest is the XOR of its slot digests (plus the switch count), so
-/// replacing one table is an O(|table|) digest update — the incremental
-/// maintenance KripkeStructure performs under mutate/rollback.
+/// replacing one table whose slot digest is known is an O(1) digest
+/// update — the incremental maintenance KripkeStructure performs under
+/// mutate/rollback, with slot digests precomputed by its table pool.
 Digest configSlotDigest(SwitchId Sw, const Digest &TableDigest);
 
 /// Canonical digest of a whole configuration, computed from scratch.

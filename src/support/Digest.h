@@ -17,8 +17,9 @@
 /// Digests support XOR composition, which the incremental maintenance in
 /// KripkeStructure exploits Zobrist-style: a configuration's digest is
 /// the XOR over switches of mix(switch, table digest), so replacing one
-/// table updates the digest in O(|table|) and rolls back exactly —
-/// apply/undo pairs restore the digest bit-for-bit without rehashing,
+/// table whose slot digest is precomputed updates the digest in O(1) and
+/// rolls back exactly — apply/undo pairs restore the digest bit-for-bit
+/// without rehashing,
 /// which is what lets every recheckAfterUpdate site read a current
 /// structure digest for free.
 ///

@@ -8,17 +8,19 @@
 // The search is factored into two layers, and one code path serves
 // every configuration of it:
 //
-//  - SearchContext: everything shared across shards — the op table, the
-//    shared pruning scope, global budgets, the top-level work-unit
-//    counter, and the winner slot. All of it is either immutable after
-//    setup or monotone (V claims, W entries, SAT clauses, stop flags only
-//    ever accumulate), which is why sharing is sound: a prune learned
-//    anywhere holds everywhere.
+//  - SearchContext: everything shared across shards — the op table and
+//    the table pool its ops install from, the shared pruning scope,
+//    global budgets, the top-level work-unit counter, and the winner
+//    slot. All of it is either immutable after setup or monotone (V
+//    claims, W entries, SAT clauses, stop flags only ever accumulate),
+//    which is why sharing is sound: a prune learned anywhere holds
+//    everywhere.
 //
 //  - ShardSearcher: everything one shard owns — a private KripkeStructure
-//    it mutates and rolls back, a private CheckerBackend following that
-//    structure, the Applied bitset/sequence, and local statistics. The
-//    LIFO mutate/recheck/rollback discipline the backends (and the
+//    over the shared pool, which it mutates and rolls back, a private
+//    CheckerBackend following that structure, the Applied
+//    bitset/sequence, and local statistics. The LIFO
+//    mutate/recheck/rollback discipline the backends (and the
 //    MemoizingChecker sync-depth machine) assume is therefore preserved
 //    per shard by construction.
 //
@@ -109,8 +111,8 @@ using namespace netupd;
 
 namespace {
 
-/// Per-call mutate/rollback latency (applySwitchUpdate and undo both
-/// feed it), alive only under the obs detail tier.
+/// Per-call mutate/rollback latency (applyHandle and undo both feed
+/// it), alive only under the obs detail tier.
 obs::Histogram &mutateLatency() {
   static obs::Histogram &H =
       obs::MetricsRegistry::instance().histogram("synth.mutate_ns");
@@ -175,6 +177,10 @@ private:
 struct MicroOp {
   SwitchId Sw = 0;
   int ClassIdx = -1;
+  /// Switch granularity: the final table, interned in the search's pool.
+  TableHandle Final = nullptr;
+  /// This op's index in SearchContext::SwitchOps[Sw].
+  unsigned Slot = 0;
 };
 
 /// True if \p R can apply to packets of class \p Hdr (every constrained
@@ -321,6 +327,12 @@ struct SearchContext {
   const SynthOptions &Opts;
 
   // Immutable after buildOps(); shards read freely.
+  /// The search's table pool: every switch's initial table and every
+  /// diff switch's final table, with their rows and slot digests. Shared
+  /// read-only by the shards' structures, which intern rule-granularity
+  /// mixes into private overlays.
+  std::shared_ptr<const TablePool> Pool;
+  std::vector<TableHandle> InitialTables; // Switch -> handle in Pool.
   std::vector<MicroOp> Ops;
   std::vector<unsigned> OpOrder; // DFS candidate order (adds first).
   std::vector<std::vector<unsigned>> SwitchOps; // Switch -> op indices.
@@ -447,11 +459,22 @@ struct SearchContext {
 };
 
 void SearchContext::buildOps() {
+  // The pool references the caller's tables, which outlive the search.
+  auto P = std::make_shared<TablePool>(Topo, Classes);
+  InitialTables.resize(Topo.numSwitches());
+  for (SwitchId Sw = 0; Sw != Topo.numSwitches(); ++Sw)
+    InitialTables[Sw] = P->internRef(Sw, Initial.table(Sw));
+  auto AddOp = [&](SwitchId Sw, int ClassIdx, TableHandle FinalT) {
+    SwitchOps[Sw].push_back(static_cast<unsigned>(Ops.size()));
+    Ops.push_back(MicroOp{Sw, ClassIdx, FinalT,
+                          static_cast<unsigned>(SwitchOps[Sw].size() - 1)});
+  };
+
   SwitchOps.assign(Topo.numSwitches(), {});
   for (SwitchId Sw : diffSwitches(Initial, Final)) {
+    TableHandle FinalT = P->internRef(Sw, Final.table(Sw));
     if (!Opts.RuleGranularity) {
-      SwitchOps[Sw].push_back(static_cast<unsigned>(Ops.size()));
-      Ops.push_back(MicroOp{Sw, -1});
+      AddOp(Sw, -1, FinalT);
       continue;
     }
     // Rule granularity: one op per traffic class whose slice changes.
@@ -471,18 +494,17 @@ void SearchContext::buildOps() {
       Residue |= !InSomeClass;
     }
     if (Residue) {
-      SwitchOps[Sw].push_back(static_cast<unsigned>(Ops.size()));
-      Ops.push_back(MicroOp{Sw, -1});
+      AddOp(Sw, -1, FinalT);
       continue;
     }
     for (unsigned C = 0; C != Classes.size(); ++C) {
       if (classSlice(Initial.table(Sw), Classes[C].Hdr) ==
           classSlice(Final.table(Sw), Classes[C].Hdr))
         continue;
-      SwitchOps[Sw].push_back(static_cast<unsigned>(Ops.size()));
-      Ops.push_back(MicroOp{Sw, static_cast<int>(C)});
+      AddOp(Sw, static_cast<int>(C), nullptr);
     }
   }
+  Pool = std::move(P);
 
   // Candidate order heuristic: try purely-additive ops first (installing
   // rules on switches that carry none for the affected scope) — those are
@@ -732,34 +754,17 @@ private:
       return false;
     }
 
-    const MicroOp &Op = Ctx.Ops[I];
-    const Header *ClassHdr =
-        Op.ClassIdx < 0
-            ? nullptr
-            : &Ctx.Classes[static_cast<size_t>(Op.ClassIdx)].Hdr;
     Clock.switchTo(PhaseMutateNs);
-    // Switch-granularity ops install the final table verbatim: point at
-    // it instead of copying. Rule granularity composes a fresh slice
-    // into the frame's table (whose buffers the assignment reuses).
-    const Table *NewT;
-    if (ClassHdr) {
-      F.NewTable = opResultTable(K.config().table(Op.Sw),
-                                 Ctx.Final.table(Op.Sw), ClassHdr);
-      NewT = &F.NewTable;
-    } else {
-      NewT = &Ctx.Final.table(Op.Sw);
-    }
-    F.Changed.clear();
-    K.applySwitchUpdate(Op.Sw, *NewT, F.Changed, F.Undo);
+    K.applyHandle(opTarget(I), F.Undo);
     uint64_t ApplyNs = Clock.switchTo(PhaseCheckNs);
     if (Prof)
       mutateLatency().record(ApplyNs);
 
     UpdateInfo Info;
-    Info.Sw = Op.Sw;
-    Info.OldTable = &F.Undo.OldTable;
-    Info.NewTable = NewT;
-    Info.ChangedStates = &F.Changed;
+    Info.Sw = F.Undo.New->sw();
+    Info.OldTable = &F.Undo.Old->table();
+    Info.NewTable = &F.Undo.New->table();
+    Info.ChangedStates = &F.Undo.Changed;
 
     // The checker charges the unit account here (mc/CheckerBackend.h).
     CheckResult Res = Checker.recheckAfterUpdate(Info);
@@ -791,7 +796,7 @@ private:
 
     Clock.switchTo(PhaseMutateNs);
     Checker.notifyRollback();
-    K.undo(std::move(F.Undo)); // Donates the buffers back for reuse.
+    K.undo(F.Undo);
     uint64_t UndoNs = Clock.switchTo(PhaseSatNs);
     if (Prof)
       mutateLatency().record(UndoNs);
@@ -810,6 +815,30 @@ private:
       }
     }
     return false;
+  }
+
+  /// The table op \p I installs from the current configuration. A
+  /// switch-granularity op installs its final table whatever the switch
+  /// holds; a rule-granularity op's result depends on the switch's
+  /// current table, so it is composed, interned and memoized on the
+  /// first (table, op) transition this shard takes, and looked up after.
+  TableHandle opTarget(unsigned I) {
+    const MicroOp &Op = Ctx.Ops[I];
+    if (Op.ClassIdx < 0)
+      return Op.Final;
+    TableHandle Cur = K.handle(Op.Sw);
+    if (Cur->id() >= Transitions.size())
+      Transitions.resize(Cur->id() + 1);
+    std::vector<TableHandle> &Row = Transitions[Cur->id()];
+    if (Row.empty())
+      Row.assign(Ctx.SwitchOps[Op.Sw].size(), nullptr);
+    TableHandle &Next = Row[Op.Slot];
+    if (!Next)
+      Next = K.intern(
+          Op.Sw,
+          opResultTable(Cur->table(), Ctx.Final.table(Op.Sw),
+                        &Ctx.Classes[static_cast<size_t>(Op.ClassIdx)].Hdr));
+    return Next;
   }
 
   /// Publishes candidate \p I (explored from the current applied
@@ -855,18 +884,10 @@ private:
   bool runStolen(const StealTask &T) {
     assert(AppliedSeq.empty() && "stolen task on a dirty shard");
     CurrentUnit = T.Unit; // Nested offers charge the right unit.
-    std::vector<KripkeStructure::UndoRecord> Undos;
-    Undos.reserve(T.Path.size());
+    // Each replayed op records into its depth's frame, the one the DFS
+    // would have used there; the candidate's own edge uses the next.
     for (unsigned OpIdx : T.Path) {
-      const MicroOp &Op = Ctx.Ops[OpIdx];
-      const Header *ClassHdr =
-          Op.ClassIdx < 0
-              ? nullptr
-              : &Ctx.Classes[static_cast<size_t>(Op.ClassIdx)].Hdr;
-      Table NewTable = opResultTable(K.config().table(Op.Sw),
-                                     Ctx.Final.table(Op.Sw), ClassHdr);
-      std::vector<StateId> Changed;
-      Undos.push_back(K.applySwitchUpdate(Op.Sw, NewTable, Changed));
+      K.applyHandle(opTarget(OpIdx), Frames[AppliedSeq.size()].Undo);
       Applied.set(OpIdx);
       AppliedSeq.push_back(OpIdx);
     }
@@ -888,8 +909,8 @@ private:
     // Unwind the replay (tryCandidate already restored the replayed
     // configuration). The checker is stale after these raw undos, but
     // the next consumer — another runStolen — re-binds regardless.
-    for (size_t S = Undos.size(); S-- > 0;) {
-      K.undo(std::move(Undos[S]));
+    for (size_t S = T.Path.size(); S-- > 0;) {
+      K.undo(Frames[S].Undo);
       Applied.reset(T.Path[S]);
     }
     AppliedSeq.clear();
@@ -1015,12 +1036,10 @@ private:
   bool AbortFlag = false;
 
   /// Per-depth scratch for one DFS edge, reused across every candidate
-  /// tried at that depth — the steady-state search allocates nothing.
-  /// The undo record's buffers cycle through the structure itself
-  /// (undo(&&) donates them back; see kripke/Kripke.h).
+  /// tried at that depth: once its buffers have grown, the steady-state
+  /// edge allocates nothing. The undo record also carries the changed
+  /// states the recheck reads.
   struct DfsFrame {
-    std::vector<StateId> Changed;
-    Table NewTable;
     KripkeStructure::UndoRecord Undo;
     Bitset Next;
   };
@@ -1028,6 +1047,10 @@ private:
   /// never resized — tryCandidate holds references into it across
   /// recursion.
   std::vector<DfsFrame> Frames;
+  /// Memoized rule-granularity transitions, by the switch's current
+  /// table: Transitions[id][slot] is the table op SwitchOps[sw][slot]
+  /// installs from the table with that id (null until first taken).
+  std::vector<std::vector<TableHandle>> Transitions;
   /// Phase-breakdown accumulators (ns); zero unless the obs detail tier
   /// was on. finalizeStats() converts them into the SynthStats seconds.
   uint64_t PhaseCheckNs = 0;
@@ -1155,7 +1178,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     }
   }
 
-  KripkeStructure K(Topo, Initial, Classes);
+  KripkeStructure K(Ctx.Pool, Ctx.InitialTables);
   ShardSearcher Primary(Ctx, K, Checker);
   CheckResult InitRes = Primary.bindInitial();
 
@@ -1245,7 +1268,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
             Opts.ShardCheckerFactory();
         if (!ShardChecker)
           return; // Fewer shards; the rest still cover every unit.
-        KripkeStructure ShardK(Topo, Initial, Classes);
+        KripkeStructure ShardK(Ctx.Pool, Ctx.InitialTables);
         ShardSearcher Shard(Ctx, ShardK, *ShardChecker, T + 1);
         CheckResult BindRes = Shard.bindInitial();
         // The primary bind verified the initial configuration; a shard

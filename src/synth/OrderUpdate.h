@@ -227,7 +227,7 @@ struct SynthStats {
   /// exceed SynthSeconds). All zero unless the obs detail tier
   /// (obs::detailEnabled()) was on during the run: the per-candidate
   /// clock reads live behind that switch. CheckSeconds is time inside
-  /// checker bind/recheck calls, MutateSeconds covers applySwitchUpdate
+  /// checker bind/recheck calls, MutateSeconds covers applyHandle
   /// plus undo/rollback, PruneSeconds the V/W/seed probes and claims,
   /// SatSeconds the EarlyTermination learning and impossibility calls.
   double CheckSeconds = 0.0;

@@ -167,9 +167,9 @@ TEST(DigestTest, ScenarioAndJobDigests) {
 }
 
 // The tentpole invariant: the digest a KripkeStructure maintains
-// incrementally under applySwitchUpdate/undo always equals the digest of
-// a structure built fresh from the current configuration, and rollback
-// restores the original digest exactly.
+// incrementally under apply/undo always equals the digest of a structure
+// built fresh from the current configuration, and rollback restores the
+// original digest exactly.
 TEST(DigestTest, KripkeDigestSurvivesMutateRollbackRoundTrips) {
   Scenario S = diamond(6);
   KripkeStructure K(S.Topo, S.Initial, S.classes());
@@ -213,6 +213,22 @@ TEST(DigestTest, KripkeDigestSurvivesMutateRollbackRoundTrips) {
     Undos.pop_back();
   }
   EXPECT_EQ(K.digest(), Original);
+
+  // The digest is computed on first use, not at construction: a
+  // structure first asked after several applies must still agree with a
+  // fresh build, and keep agreeing through the rollbacks that follow.
+  KripkeStructure Late(S.Topo, S.Initial, S.classes());
+  for (SwitchId Sw : Diff) {
+    std::vector<StateId> Changed;
+    Undos.push_back(Late.applySwitchUpdate(Sw, S.Final.table(Sw), Changed));
+  }
+  KripkeStructure FreshFinal(S.Topo, Late.config(), S.classes());
+  EXPECT_EQ(Late.digest(), FreshFinal.digest());
+  while (!Undos.empty()) {
+    Late.undo(Undos.back());
+    Undos.pop_back();
+  }
+  EXPECT_EQ(Late.digest(), Original);
 }
 
 // Structures over different configurations get different digests (no

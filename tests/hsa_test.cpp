@@ -169,7 +169,7 @@ TEST(HsaCheckerTest, RollbackRestoresVerdicts) {
   auto Undo = K.applySwitchUpdate(N.A[0], N.Green.table(N.A[0]), Changed);
   UpdateInfo Info;
   Info.Sw = N.A[0];
-  Info.OldTable = &Undo.OldTable;
+  Info.OldTable = &Undo.Old->table();
   Info.ChangedStates = &Changed;
   EXPECT_FALSE(Checker.recheckAfterUpdate(Info).Holds);
   Checker.notifyRollback();
@@ -180,7 +180,7 @@ TEST(HsaCheckerTest, RollbackRestoresVerdicts) {
   auto Undo2 = K.applySwitchUpdate(N.C2, N.Green.table(N.C2), Changed2);
   UpdateInfo Info2;
   Info2.Sw = N.C2;
-  Info2.OldTable = &Undo2.OldTable;
+  Info2.OldTable = &Undo2.Old->table();
   Info2.ChangedStates = &Changed2;
   EXPECT_TRUE(Checker.recheckAfterUpdate(Info2).Holds);
 }

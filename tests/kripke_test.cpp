@@ -5,14 +5,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/Fuzz.h"
 #include "kripke/Kripke.h"
 #include "topo/Fig1.h"
 
+#include "AllocCounter.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 using namespace netupd;
 using namespace netupd::testutil;
@@ -28,6 +31,88 @@ std::vector<SwitchId> switchPath(const KripkeStructure &K,
     if (Out.empty() || Out.back() != K.stateSwitch(S))
       Out.push_back(K.stateSwitch(S));
   return Out;
+}
+
+/// \p Current with class \p Hdr's rules replaced by \p FinalT's: the table
+/// one rule-granularity op installs (synth/OrderUpdate.cpp composes it
+/// the same way).
+Table withClassSlice(const Table &Current, const Table &FinalT,
+                     const Header &Hdr) {
+  auto InClass = [&](const Rule &R) {
+    for (unsigned I = 0; I != NumFields; ++I)
+      if (R.Pat.Values[I] && *R.Pat.Values[I] != Hdr.Values[I])
+        return false;
+    return true;
+  };
+  std::vector<Rule> Rules;
+  for (const Rule &R : Current.rules())
+    if (!InClass(R))
+      Rules.push_back(R);
+  for (const Rule &R : FinalT.rules())
+    if (InClass(R))
+      Rules.push_back(R);
+  return Table(std::move(Rules));
+}
+
+/// Every successor and predecessor list of \p K, in order.
+struct EdgeSnapshot {
+  std::vector<std::vector<StateId>> Succs, Preds;
+};
+
+EdgeSnapshot snapshot(const KripkeStructure &K) {
+  EdgeSnapshot E;
+  for (StateId S = 0; S != K.numStates(); ++S) {
+    E.Succs.emplace_back(K.succs(S).begin(), K.succs(S).end());
+    E.Preds.emplace_back(K.preds(S).begin(), K.preds(S).end());
+  }
+  return E;
+}
+
+/// A fuzz instance with several traffic classes and a diff switch whose
+/// class slices differ: the shape rule-granularity ops need.
+std::optional<Scenario> multiClassInstance(SwitchId &Sw, unsigned &Class) {
+  Rng R(11);
+  for (unsigned Try = 0; Try != 200; ++Try) {
+    Scenario S = fuzz::generateInstance(R);
+    std::vector<TrafficClass> Cs = S.classes();
+    if (Cs.size() < 2)
+      continue;
+    KripkeStructure K(S.Topo, S.Initial, Cs);
+    for (SwitchId D : diffSwitches(S.Initial, S.Final))
+      for (unsigned C = 0; C != Cs.size(); ++C) {
+        std::vector<StateId> Changed;
+        K.undo(K.applySwitchUpdate(
+            D, withClassSlice(S.Initial.table(D), S.Final.table(D), Cs[C].Hdr),
+            Changed));
+        if (!Changed.empty()) {
+          Sw = D;
+          Class = C;
+          return S;
+        }
+      }
+  }
+  return std::nullopt;
+}
+
+/// Applies \p Ops in stack order, one record per depth, and undoes them;
+/// the first round warms the records' buffers up, and every later round
+/// must allocate nothing.
+void expectApplyUndoAllocFree(KripkeStructure &K,
+                              const std::vector<TableHandle> &Ops) {
+  std::vector<KripkeStructure::UndoRecord> Frames(Ops.size());
+  for (int Round = 0; Round != 3; ++Round) {
+    uint64_t Before = NumAllocs.load(std::memory_order_relaxed);
+    for (size_t I = 0; I != Ops.size(); ++I)
+      K.applyHandle(Ops[I], Frames[I]);
+    size_t Changed = Frames[0].Changed.size();
+    for (size_t I = Ops.size(); I-- != 0;)
+      K.undo(Frames[I]);
+    uint64_t Allocs = NumAllocs.load(std::memory_order_relaxed) - Before;
+    EXPECT_NE(Changed, 0u) << "the op must relink something";
+    if (Round != 0) {
+      EXPECT_EQ(Allocs, 0u) << "round " << Round;
+    }
+  }
 }
 
 } // namespace
@@ -129,7 +214,7 @@ TEST(KripkeTest, SwitchUpdateChangesEdgesAndUndoRestores) {
   // Snapshot all successor lists.
   std::vector<std::vector<StateId>> Before;
   for (StateId S = 0; S != K.numStates(); ++S)
-    Before.push_back(K.succs(S));
+    Before.emplace_back(K.succs(S).begin(), K.succs(S).end());
 
   // Update A1 to the green table (forward to C2 instead of C1).
   std::vector<StateId> Changed;
@@ -138,40 +223,41 @@ TEST(KripkeTest, SwitchUpdateChangesEdgesAndUndoRestores) {
   EXPECT_FALSE(Changed.empty());
   for (StateId S : Changed)
     EXPECT_EQ(K.stateSwitch(S), N.A[0]);
-  EXPECT_EQ(K.config().table(N.A[0]), N.Green.table(N.A[0]));
+  EXPECT_EQ(K.table(N.A[0]), N.Green.table(N.A[0]));
 
   K.undo(Undo);
-  EXPECT_EQ(K.config().table(N.A[0]), N.Red.table(N.A[0]));
+  EXPECT_EQ(K.table(N.A[0]), N.Red.table(N.A[0]));
   for (StateId S = 0; S != K.numStates(); ++S)
     EXPECT_EQ(K.succs(S), Before[S]) << K.stateName(S);
 }
 
-// The buffer-reusing overload pair the DFS hot path runs on: apply into
-// a caller-owned UndoRecord, undo(&&) donates the buffers back, and the
-// next apply at the same depth reuses them — with results identical to
-// the returning overload at every step.
+// The handle path the DFS runs on: intern a table once, then apply it
+// into one caller-owned UndoRecord round after round — the same changed
+// states as the table-taking wrapper, and an exact restore every time.
 TEST(KripkeTest, ReusedUndoRecordMatchesReturningOverload) {
   Fig1Network N = buildFig1();
   KripkeStructure K(N.Topo, N.Red, {N.FlowH1H3});
 
   std::vector<std::vector<StateId>> Before;
   for (StateId S = 0; S != K.numStates(); ++S)
-    Before.push_back(K.succs(S));
+    Before.emplace_back(K.succs(S).begin(), K.succs(S).end());
 
+  std::vector<StateId> WrapperChanged;
+  K.undo(K.applySwitchUpdate(N.A[0], N.Green.table(N.A[0]), WrapperChanged));
+  ASSERT_FALSE(WrapperChanged.empty());
+
+  TableHandle Green = K.intern(N.A[0], N.Green.table(N.A[0]));
+  EXPECT_EQ(K.intern(N.A[0], N.Green.table(N.A[0])), Green)
+      << "interning is idempotent";
   KripkeStructure::UndoRecord Undo;
-  std::vector<StateId> Changed;
   for (int Round = 0; Round != 3; ++Round) {
-    // The reuse overload APPENDS to Changed (recomputeSwitch's
-    // contract); the caller clears between edges, as the DFS does.
-    Changed.clear();
-    K.applySwitchUpdate(N.A[0], N.Green.table(N.A[0]), Changed, Undo);
-    EXPECT_FALSE(Changed.empty());
-    for (StateId S : Changed)
-      EXPECT_EQ(K.stateSwitch(S), N.A[0]);
-    EXPECT_EQ(K.config().table(N.A[0]), N.Green.table(N.A[0]));
+    K.applyHandle(Green, Undo);
+    EXPECT_EQ(Undo.Changed, WrapperChanged) << "round " << Round;
+    EXPECT_EQ(K.handle(N.A[0]), Green);
+    EXPECT_EQ(K.table(N.A[0]), N.Green.table(N.A[0]));
 
-    K.undo(std::move(Undo));
-    EXPECT_EQ(K.config().table(N.A[0]), N.Red.table(N.A[0]));
+    K.undo(Undo);
+    EXPECT_EQ(K.table(N.A[0]), N.Red.table(N.A[0]));
     for (StateId S = 0; S != K.numStates(); ++S)
       EXPECT_EQ(K.succs(S), Before[S])
           << "round " << Round << ": " << K.stateName(S);
@@ -206,4 +292,81 @@ TEST(KripkeTest, RandomConfigsNeverLoseCompleteness) {
     for (StateId S = 0; S != K.numStates(); ++S)
       EXPECT_FALSE(K.succs(S).empty());
   }
+}
+
+// The DFS hot path: once the per-depth undo records have grown, applying
+// and undoing an interned table allocates nothing — for a whole-switch
+// (switch-granularity) table and for a class-slice mix
+// (rule-granularity) interned into the structure's private overlay.
+TEST(KripkeTest, ApplyUndoAllocateNothingAfterWarmup) {
+  Fig1Network N = buildFig1();
+  KripkeStructure K(N.Topo, N.Red, {N.FlowH1H3});
+  expectApplyUndoAllocFree(K, {K.intern(N.A[0], N.Green.table(N.A[0])),
+                               K.intern(N.C2, N.Green.table(N.C2))});
+
+  SwitchId Sw = 0;
+  unsigned Class = 0;
+  std::optional<Scenario> S = multiClassInstance(Sw, Class);
+  ASSERT_TRUE(S.has_value()) << "no multi-class fuzz instance";
+  std::vector<TrafficClass> Cs = S->classes();
+  KripkeStructure KR(S->Topo, S->Initial, Cs);
+  TableHandle Mix = KR.intern(
+      Sw, withClassSlice(KR.table(Sw), S->Final.table(Sw), Cs[Class].Hdr));
+  expectApplyUndoAllocFree(KR, {Mix});
+}
+
+// Random apply/undo walks on fuzz instances, at both granularities: every
+// undo restores each successor and predecessor list exactly, order
+// included, and after any prefix the successors equal those of a fresh
+// structure over the same configuration (predecessors as multisets — a
+// fresh build lists them in state order, a relink appends).
+TEST(KripkeTest, RandomApplyUndoRoundTripsPinEdgeOrder) {
+  Rng R(5);
+  unsigned Walks = 0;
+  for (unsigned Inst = 0; Inst != 10; ++Inst) {
+    Scenario S = fuzz::generateInstance(R);
+    std::vector<TrafficClass> Cs = S.classes();
+    std::vector<SwitchId> Diff = diffSwitches(S.Initial, S.Final);
+    if (Diff.empty())
+      continue;
+    for (bool RuleGran : {false, true}) {
+      ++Walks;
+      KripkeStructure K(S.Topo, S.Initial, Cs);
+      std::vector<KripkeStructure::UndoRecord> Undos;
+      std::vector<EdgeSnapshot> Before;
+      for (unsigned Step = 0; Step != 40; ++Step) {
+        if (Undos.empty() || R.next() % 3 != 0) {
+          SwitchId Sw = Diff[R.next() % Diff.size()];
+          const Table &Target =
+              R.next() % 4 == 0 ? S.Initial.table(Sw) : S.Final.table(Sw);
+          Table NewT = RuleGran ? withClassSlice(K.table(Sw), Target,
+                                                 Cs[R.next() % Cs.size()].Hdr)
+                                : Target;
+          Before.push_back(snapshot(K));
+          Undos.emplace_back();
+          K.applyHandle(K.intern(Sw, std::move(NewT)), Undos.back());
+        } else {
+          K.undo(Undos.back());
+          Undos.pop_back();
+          EdgeSnapshot After = snapshot(K);
+          ASSERT_EQ(After.Succs, Before.back().Succs) << "step " << Step;
+          ASSERT_EQ(After.Preds, Before.back().Preds) << "step " << Step;
+          Before.pop_back();
+        }
+        KripkeStructure Fresh(S.Topo, K.config(), Cs);
+        ASSERT_EQ(Fresh.numStates(), K.numStates());
+        for (StateId St = 0; St != K.numStates(); ++St) {
+          ASSERT_EQ(K.succs(St), Fresh.succs(St))
+              << "step " << Step << ": " << K.stateName(St);
+          std::vector<StateId> P(K.preds(St).begin(), K.preds(St).end());
+          std::vector<StateId> Q(Fresh.preds(St).begin(),
+                                 Fresh.preds(St).end());
+          std::sort(P.begin(), P.end());
+          std::sort(Q.begin(), Q.end());
+          ASSERT_EQ(P, Q) << "step " << Step << ": " << K.stateName(St);
+        }
+      }
+    }
+  }
+  EXPECT_GE(Walks, 12u) << "too few fuzz instances had a diff";
 }

@@ -11,38 +11,15 @@
 #include "mc/NaiveTraceChecker.h"
 #include "topo/Fig1.h"
 
+#include "AllocCounter.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 using namespace netupd;
 using namespace netupd::testutil;
-
-namespace {
-/// Every allocation made through the global operator new in this binary.
-std::atomic<uint64_t> NumAllocs{0};
-} // namespace
-
-// Counting replacements for the global allocation functions; the array
-// forms forward here by default. Kept out of line so the compiler does
-// not see malloc paired with a delete-expression and warn about it.
-__attribute__((noinline)) void *operator new(std::size_t Size) {
-  NumAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-__attribute__((noinline)) void operator delete(void *P) noexcept {
-  std::free(P);
-}
-__attribute__((noinline)) void operator delete(void *P, std::size_t) noexcept {
-  std::free(P);
-}
 
 TEST(LabelingCheckerTest, Fig1RedSatisfiesReachability) {
   Fig1Network N = buildFig1();
@@ -222,7 +199,7 @@ bool isLoopThrough(const KripkeStructure &K, const std::vector<StateId> &Cycle,
   bool ThroughChanged = false;
   for (size_t I = 0; I != Cycle.size(); ++I) {
     StateId From = Cycle[I], To = Cycle[(I + 1) % Cycle.size()];
-    const std::vector<StateId> &Succs = K.succs(From);
+    StateSpan Succs = K.succs(From);
     if (From == To || std::find(Succs.begin(), Succs.end(), To) == Succs.end())
       return false;
     ThroughChanged |=
