@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Shared plumbing for the figure-reproduction binaries: a scale knob
-/// (NETUPD_BENCH_SCALE environment variable or --scale=N argument, default
-/// 1) that grows/shrinks problem sizes, simple aligned table printing, and
-/// geometric-mean aggregation for the speedup summaries the paper reports.
+/// (NETUPD_BENCH_SCALE environment variable or --scale=N / --scale N
+/// argument, default 1, parsed strictly) that grows/shrinks problem
+/// sizes, simple aligned table printing, and geometric-mean aggregation
+/// for the speedup summaries the paper reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,8 @@
 
 #include "support/Strings.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,17 +30,51 @@
 namespace netupd {
 namespace benchutil {
 
-/// Parses the scale factor from argv/environment; 1 = default sizes.
+/// Parses a scale factor: a plain positive decimal ("0.25", "2", ".5"),
+/// nothing before or after it. False on anything else.
+inline bool parseScaleValue(const std::string &Text, double &Out) {
+  if (Text.empty() ||
+      !(std::isdigit(static_cast<unsigned char>(Text[0])) || Text[0] == '.'))
+    return false;
+  char *End = nullptr;
+  errno = 0;
+  double V = std::strtod(Text.c_str(), &End);
+  if (End != Text.c_str() + Text.size() || errno != 0 || !std::isfinite(V) ||
+      V <= 0)
+    return false;
+  Out = V;
+  return true;
+}
+
+/// Parses the scale factor (1 = default sizes) from NETUPD_BENCH_SCALE,
+/// then from the command line, which wins: --scale=N or --scale N. A
+/// malformed or non-positive value, or any other argument, is a usage
+/// error: the program exits 2.
 inline double parseScale(int Argc, char **Argv) {
   double Scale = 1.0;
+  auto Fail = [&](const std::string &What) {
+    std::fprintf(stderr,
+                 "%s: bad %s\nusage: %s [--scale=N | --scale N] (N > 0; "
+                 "NETUPD_BENCH_SCALE=N also works)\n",
+                 Argv[0], What.c_str(), Argv[0]);
+    std::exit(2);
+  };
   if (const char *Env = std::getenv("NETUPD_BENCH_SCALE"))
-    Scale = std::atof(Env);
+    if (!parseScaleValue(Env, Scale))
+      Fail("NETUPD_BENCH_SCALE value '" + std::string(Env) + "'");
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    std::string Value;
     if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::atof(Arg.c_str() + 8);
+      Value = Arg.substr(8);
+    else if (Arg == "--scale" && I + 1 < Argc)
+      Value = Argv[++I];
+    else
+      Fail("argument '" + Arg + "'");
+    if (!parseScaleValue(Value, Scale))
+      Fail("scale '" + Value + "'");
   }
-  return Scale > 0 ? Scale : 1.0;
+  return Scale;
 }
 
 /// Prints a header banner naming the reproduced figure.

@@ -7,6 +7,7 @@
 
 #include "engine/Engine.h"
 
+#include "kripke/Kripke.h"
 #include "mc/BackendFactory.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -61,6 +62,7 @@ MemberOutcome runMember(const Scenario &Shared, const Digest &ScenarioDigest,
       BackendFactory::instance().create(M.Backend, Local);
   if (!Checker) {
     Out.Error = "unknown backend '" + M.Backend + "'";
+    Out.Result.Status = SynthStatus::Aborted;
     return Out;
   }
 
@@ -436,6 +438,26 @@ SynthReport SynthEngine::runOneJob(const SynthJob &Job, size_t Index,
   Rep.JobName = Job.Name;
 
   std::vector<PortfolioMember> Members = normalizedPortfolio(Job);
+
+  // Every checker and wait removal keep a packet in its class (§3.3). A
+  // job whose tables rewrite a tracked header would be checked as a
+  // different network, so each member reports an error and none runs.
+  const std::vector<TrafficClass> Classes = Job.S.classes();
+  std::string Rewrite = classHeaderRewrite(Job.S.Initial, Classes);
+  if (Rewrite.empty())
+    Rewrite = classHeaderRewrite(Job.S.Final, Classes);
+  if (!Rewrite.empty()) {
+    for (const PortfolioMember &M : Members) {
+      MemberOutcome O;
+      O.Name = memberDisplayName(M);
+      O.Error = Rewrite;
+      Rep.Members.push_back(std::move(O));
+    }
+    Rep.Winner = Rep.Members[0].Name;
+    Rep.Result.Status = SynthStatus::Aborted;
+    Rep.Seconds = JobClock.seconds();
+    return Rep;
+  }
 
   // One scenario digest serves every member's learning key; skip the
   // walk entirely when learning is off.

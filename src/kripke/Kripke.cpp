@@ -432,3 +432,27 @@ KripkeStructure::enumerateTraces(size_t MaxTraces) const {
     Walk(S);
   return Traces;
 }
+
+std::string
+netupd::classHeaderRewrite(const Config &Cfg,
+                           const std::vector<TrafficClass> &Classes) {
+  for (SwitchId Sw = 0; Sw != Cfg.numSwitches(); ++Sw) {
+    for (const Rule &R : Cfg.table(Sw).rules()) {
+      for (const TrafficClass &C : Classes) {
+        // Port constraints are ignored; the action walk is buildRows'.
+        if (!R.Pat.matchesHeader(C.Hdr))
+          continue;
+        Header Cur = C.Hdr;
+        for (const Action &Act : R.Actions) {
+          if (Act.K == Action::Kind::SetField)
+            Cur.set(Act.F, Act.Value);
+          else if (!(Cur == C.Hdr))
+            return format("switch %u rule %s rewrites the header of class "
+                          "'%s'; header rewriting is not supported",
+                          Sw, R.str().c_str(), C.Name.c_str());
+        }
+      }
+    }
+  }
+  return std::string();
+}

@@ -360,6 +360,16 @@ private:
   mutable Digest CfgXor;
 };
 
+/// Describes the first rule of \p Cfg that would forward a packet of one
+/// of \p Classes with a rewritten header, or returns an empty string. The
+/// encoding keeps classes disjoint (§3.3: packet modification is future
+/// work), and so does wait removal's per-class graph: such a packet would
+/// stay in its old class and a different network would be checked. Every
+/// rule whose pattern admits the class counts, shadowed or not, since a
+/// rule-granularity mix may unshadow it.
+std::string classHeaderRewrite(const Config &Cfg,
+                               const std::vector<TrafficClass> &Classes);
+
 } // namespace netupd
 
 #endif // NETUPD_KRIPKE_KRIPKE_H

@@ -94,6 +94,14 @@ struct Pattern {
   bool matches(const Header &Hdr, PortId Port) const {
     if (InPort && *InPort != Port)
       return false;
+    return matchesHeader(Hdr);
+  }
+
+  /// Returns true when \p Hdr satisfies every present field component,
+  /// i.e. the pattern admits the header on some port. A rule belongs to a
+  /// traffic class's slice exactly when its pattern admits the class
+  /// header.
+  bool matchesHeader(const Header &Hdr) const {
     for (size_t I = 0; I != NumFields; ++I)
       if (Values[I] && *Values[I] != Hdr.Values[I])
         return false;

@@ -183,22 +183,11 @@ struct MicroOp {
   unsigned Slot = 0;
 };
 
-/// True if \p R can apply to packets of class \p Hdr (every constrained
-/// field agrees).
-bool ruleBelongsToClass(const Rule &R, const Header &Hdr) {
-  for (unsigned I = 0; I != NumFields; ++I) {
-    const std::optional<uint32_t> &V = R.Pat.Values[I];
-    if (V && *V != Hdr.Values[I])
-      return false;
-  }
-  return true;
-}
-
 /// The rules of \p T restricted to class \p Hdr.
 std::vector<Rule> classSlice(const Table &T, const Header &Hdr) {
   std::vector<Rule> Out;
   for (const Rule &R : T.rules())
-    if (ruleBelongsToClass(R, Hdr))
+    if (R.Pat.matchesHeader(Hdr))
       Out.push_back(R);
   return Out;
 }
@@ -212,10 +201,10 @@ Table opResultTable(const Table &Current, const Table &FinalT,
     return FinalT;
   std::vector<Rule> Rules;
   for (const Rule &R : Current.rules())
-    if (!ruleBelongsToClass(R, *ClassHdr))
+    if (!R.Pat.matchesHeader(*ClassHdr))
       Rules.push_back(R);
   for (const Rule &R : FinalT.rules())
-    if (ruleBelongsToClass(R, *ClassHdr))
+    if (R.Pat.matchesHeader(*ClassHdr))
       Rules.push_back(R);
   return Table(std::move(Rules));
 }
@@ -484,13 +473,13 @@ void SearchContext::buildOps() {
     for (const Rule &R : Initial.table(Sw).rules()) {
       bool InSomeClass = false;
       for (const TrafficClass &C : Classes)
-        InSomeClass |= ruleBelongsToClass(R, C.Hdr);
+        InSomeClass |= R.Pat.matchesHeader(C.Hdr);
       Residue |= !InSomeClass;
     }
     for (const Rule &R : Final.table(Sw).rules()) {
       bool InSomeClass = false;
       for (const TrafficClass &C : Classes)
-        InSomeClass |= ruleBelongsToClass(R, C.Hdr);
+        InSomeClass |= R.Pat.matchesHeader(C.Hdr);
       Residue |= !InSomeClass;
     }
     if (Residue) {
@@ -1095,19 +1084,25 @@ private:
 CommandSeq buildCommands(const SearchContext &Ctx,
                          const std::vector<unsigned> &Seq) {
   CommandSeq Out;
-  Config Cur = Ctx.Initial;
+  if (Seq.empty())
+    return Out;
+  // Each switch's current table: the initial one, or the last table
+  // installed in Out, which is reserved to size and never reallocates.
+  Out.reserve(2 * Seq.size() - 1);
+  std::vector<const Table *> Cur(Ctx.Initial.numSwitches());
+  for (SwitchId S = 0; S != Cur.size(); ++S)
+    Cur[S] = &Ctx.Initial.table(S);
   for (size_t Step = 0; Step != Seq.size(); ++Step) {
     const MicroOp &Op = Ctx.Ops[Seq[Step]];
     const Header *ClassHdr =
         Op.ClassIdx < 0
             ? nullptr
             : &Ctx.Classes[static_cast<size_t>(Op.ClassIdx)].Hdr;
-    Table NewTable =
-        opResultTable(Cur.table(Op.Sw), Ctx.Final.table(Op.Sw), ClassHdr);
-    Cur.setTable(Op.Sw, NewTable);
     if (Step != 0)
       Out.push_back(Command::wait());
-    Out.push_back(Command::update(Op.Sw, std::move(NewTable)));
+    Out.push_back(Command::update(
+        Op.Sw, opResultTable(*Cur[Op.Sw], Ctx.Final.table(Op.Sw), ClassHdr)));
+    Cur[Op.Sw] = &Out.back().NewTable;
   }
   return Out;
 }
@@ -1313,7 +1308,8 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   if (Opts.WaitRemoval) {
     obs::TraceSpan Span("synth.wait_removal");
     Timer WaitClock;
-    Result.Commands = removeWaits(Topo, Initial, Classes, Result.Commands);
+    Result.Commands = removeWaits(Topo, Initial, Classes,
+                                  std::move(Result.Commands));
     Total.WaitRemovalSeconds = WaitClock.seconds();
     Total.WaitsAfterRemoval = countWaits(Result.Commands);
   }

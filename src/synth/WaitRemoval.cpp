@@ -7,171 +7,188 @@
 
 #include "synth/WaitRemoval.h"
 
-#include <queue>
+#include <cstdint>
 #include <vector>
 
 using namespace netupd;
 
 namespace {
 
-/// True if \p R can apply to packets of class \p Hdr.
-bool ruleMatchesClass(const Rule &R, const Header &Hdr) {
-  for (unsigned I = 0; I != NumFields; ++I) {
-    const std::optional<uint32_t> &V = R.Pat.Values[I];
-    if (V && *V != Hdr.Values[I])
-      return false;
-  }
-  return true;
-}
+/// One class's union forwarding graph since the last retained wait, and
+/// the two closures over it the pass queries: the switches reachable from
+/// an ingress, and those reachable from a dirty switch (both inclusive).
+/// Edges and seeds are only ever added, so each closure is extended in
+/// place.
+class ClassReach {
+public:
+  ClassReach(const Topology &Topo, const Header &Hdr)
+      : Topo(&Topo), Hdr(Hdr) {}
 
-/// The switch-level forwarding edges one table contributes for one class:
-/// Sw -> Sw' whenever a class-matching rule forwards out a port linked to
-/// Sw'. Port constraints are ignored (conservative: only adds edges).
-std::vector<SwitchId> tableEdgesForClass(const Topology &Topo, SwitchId Sw,
-                                         const Table &T, const Header &Hdr) {
-  std::vector<SwitchId> Out;
-  for (const Rule &R : T.rules()) {
-    if (!ruleMatchesClass(R, Hdr))
-      continue;
-    for (const Action &A : R.Actions) {
-      if (A.K != Action::Kind::Forward)
-        continue;
-      const Location *Dst = Topo.linkFrom(Sw, A.OutPort);
-      if (Dst && !Dst->isHost())
-        Out.push_back(Dst->Switch);
+  /// Rebuilds the graph from \p Cur (one table per switch), the ingress
+  /// closure from \p Ingresses, and empties the dirty closure.
+  void reset(const std::vector<const Table *> &Cur,
+             const std::vector<SwitchId> &Ingresses) {
+    const size_t N = Cur.size();
+    Head.assign(N, NoEdge);
+    Next.clear();
+    Dst.clear();
+    FromIngress.assign(N, 0);
+    FromDirty.assign(N, 0);
+    for (SwitchId S = 0; S != N; ++S)
+      addTableEdges(S, *Cur[S]);
+    for (SwitchId S : Ingresses)
+      grow(FromIngress, S);
+  }
+
+  /// True if the class slices of \p Old and \p New differ: a two-pointer
+  /// walk over the rules each side's slice keeps, in order.
+  bool sliceChanged(const Table &Old, const Table &New) const {
+    const std::vector<Rule> &A = Old.rules(), &B = New.rules();
+    size_t I = 0, J = 0;
+    for (;;) {
+      while (I != A.size() && !A[I].Pat.matchesHeader(Hdr))
+        ++I;
+      while (J != B.size() && !B[J].Pat.matchesHeader(Hdr))
+        ++J;
+      if (I == A.size() || J == B.size())
+        return (I == A.size()) != (J == B.size());
+      if (!(A[I] == B[J]))
+        return true;
+      ++I;
+      ++J;
     }
   }
-  return Out;
-}
 
-/// Union forwarding graph for one class, accumulated since the last
-/// retained wait.
-class UnionGraph {
-public:
-  explicit UnionGraph(unsigned NumSwitches) : Adj(NumSwitches) {}
-
-  void addEdges(SwitchId From, const std::vector<SwitchId> &To) {
-    for (SwitchId S : To)
-      Adj[From].push_back(S);
-  }
-
-  void resetFrom(const Topology &Topo, const Config &Cfg,
-                 const Header &Hdr) {
-    for (auto &Edges : Adj)
-      Edges.clear();
-    for (SwitchId S = 0; S != Cfg.numSwitches(); ++S)
-      addEdges(S, tableEdgesForClass(Topo, S, Cfg.table(S), Hdr));
-  }
-
-  /// True if any switch in \p Sources reaches \p Target.
-  bool reaches(const std::vector<SwitchId> &Sources,
-               SwitchId Target) const {
-    std::vector<uint8_t> Seen(Adj.size(), 0);
-    std::queue<SwitchId> Queue;
-    for (SwitchId S : Sources) {
-      if (S == Target)
-        return true;
-      if (!Seen[S]) {
-        Seen[S] = 1;
-        Queue.push(S);
+  /// Adds the edges \p T contributes at \p Sw: Sw -> Sw' whenever a rule
+  /// of the class slice forwards out a port linked to Sw'. Port
+  /// constraints are ignored (conservative: only adds edges).
+  void addTableEdges(SwitchId Sw, const Table &T) {
+    for (const Rule &R : T.rules()) {
+      if (!R.Pat.matchesHeader(Hdr))
+        continue;
+      for (const Action &A : R.Actions) {
+        if (A.K != Action::Kind::Forward)
+          continue;
+        const Location *To = Topo->linkFrom(Sw, A.OutPort);
+        if (To && !To->isHost())
+          addEdge(Sw, To->Switch);
       }
     }
-    while (!Queue.empty()) {
-      SwitchId Cur = Queue.front();
-      Queue.pop();
-      for (SwitchId Next : Adj[Cur]) {
-        if (Next == Target)
-          return true;
-        if (!Seen[Next]) {
-          Seen[Next] = 1;
-          Queue.push(Next);
+  }
+
+  /// A switch reachable from an ingress may have processed a packet.
+  bool live(SwitchId S) const { return FromIngress[S] != 0; }
+
+  /// A switch reachable from a dirty one may receive an in-flight packet.
+  bool endangered(SwitchId S) const { return FromDirty[S] != 0; }
+
+  void markDirty(SwitchId S) { grow(FromDirty, S); }
+
+private:
+  static constexpr uint32_t NoEdge = UINT32_MAX;
+
+  void addEdge(SwitchId From, SwitchId To) {
+    Next.push_back(Head[From]);
+    Dst.push_back(To);
+    Head[From] = static_cast<uint32_t>(Dst.size() - 1);
+    if (FromIngress[From])
+      grow(FromIngress, To);
+    if (FromDirty[From])
+      grow(FromDirty, To);
+  }
+
+  /// Adds everything reachable from \p Seed to the closure \p Reached. A
+  /// switch already in it is a closed frontier: its successors are too.
+  void grow(std::vector<uint8_t> &Reached, SwitchId Seed) {
+    if (Reached[Seed])
+      return;
+    Reached[Seed] = 1;
+    Stack.push_back(Seed);
+    while (!Stack.empty()) {
+      SwitchId S = Stack.back();
+      Stack.pop_back();
+      for (uint32_t E = Head[S]; E != NoEdge; E = Next[E]) {
+        if (!Reached[Dst[E]]) {
+          Reached[Dst[E]] = 1;
+          Stack.push_back(Dst[E]);
         }
       }
     }
-    return false;
   }
 
-  /// True if \p Target is reachable from any of \p Seeds (inclusive).
-  bool reachableFrom(const std::vector<SwitchId> &Seeds,
-                     SwitchId Target) const {
-    return reaches(Seeds, Target);
-  }
-
-private:
-  std::vector<std::vector<SwitchId>> Adj;
+  const Topology *Topo;
+  Header Hdr;
+  /// Adjacency as per-switch linked lists in two flat arrays: edge E goes
+  /// to Dst[E], and the switch's next edge is Next[E].
+  std::vector<uint32_t> Head, Next;
+  std::vector<SwitchId> Dst;
+  std::vector<uint8_t> FromIngress, FromDirty;
+  std::vector<SwitchId> Stack; ///< grow's DFS scratch.
 };
-
-/// The classes whose rule slice differs between two tables; a rule that
-/// matches no tracked class conservatively affects every class.
-std::vector<unsigned> affectedClasses(const Table &Old, const Table &New,
-                                      const std::vector<TrafficClass> &Cs) {
-  std::vector<unsigned> Out;
-  for (unsigned C = 0; C != Cs.size(); ++C) {
-    auto Slice = [&](const Table &T) {
-      std::vector<Rule> S;
-      for (const Rule &R : T.rules())
-        if (ruleMatchesClass(R, Cs[C].Hdr))
-          S.push_back(R);
-      return S;
-    };
-    if (!(Slice(Old) == Slice(New)))
-      Out.push_back(C);
-  }
-  return Out;
-}
 
 } // namespace
 
 CommandSeq netupd::removeWaits(const Topology &Topo, const Config &Initial,
                                const std::vector<TrafficClass> &Classes,
-                               const CommandSeq &Cmds) {
-  Config Current = Initial;
+                               CommandSeq Cmds) {
+  // Each switch's current table: Initial's, or the last update's table in
+  // Out. Out never reallocates (reserved for one wait per update), so the
+  // pointers into it stay valid.
+  std::vector<const Table *> Cur(Initial.numSwitches());
+  for (SwitchId S = 0; S != Cur.size(); ++S)
+    Cur[S] = &Initial.table(S);
+  size_t Updates = 0;
+  for (const Command &Cmd : Cmds)
+    Updates += Cmd.K == Command::Kind::Update;
+  CommandSeq Out;
+  Out.reserve(2 * Updates);
 
   std::vector<SwitchId> Ingresses;
   for (const Location &In : Topo.ingressLocations())
     Ingresses.push_back(In.Switch);
 
-  // One union graph and one dirty set per class.
-  std::vector<UnionGraph> Unions(Classes.size(),
-                                 UnionGraph(Initial.numSwitches()));
-  for (unsigned C = 0; C != Classes.size(); ++C)
-    Unions[C].resetFrom(Topo, Current, Classes[C].Hdr);
-  std::vector<std::vector<SwitchId>> Dirty(Classes.size());
+  std::vector<ClassReach> Reach;
+  Reach.reserve(Classes.size());
+  for (const TrafficClass &C : Classes)
+    Reach.emplace_back(Topo, C.Hdr);
+  auto Rebuild = [&] {
+    for (ClassReach &R : Reach)
+      R.reset(Cur, Ingresses);
+  };
+  Rebuild();
 
-  CommandSeq Out;
-  for (const Command &Cmd : Cmds) {
+  std::vector<ClassReach *> Affected;
+  for (Command &Cmd : Cmds) {
     if (Cmd.K == Command::Kind::Wait)
       continue; // Regenerated below only where needed.
+    const SwitchId Sw = Cmd.Sw;
 
-    std::vector<unsigned> Affected = affectedClasses(
-        Current.table(Cmd.Sw), Cmd.NewTable, Classes);
+    Affected.clear();
+    for (ClassReach &R : Reach)
+      if (R.sliceChanged(*Cur[Sw], Cmd.NewTable))
+        Affected.push_back(&R);
 
     // A wait is required if an in-flight packet of some affected class
     // (forwarded by a dirty switch) can still arrive here.
     bool NeedWait = false;
-    for (unsigned C : Affected)
-      NeedWait |= Unions[C].reaches(Dirty[C], Cmd.Sw);
+    for (const ClassReach *R : Affected)
+      NeedWait |= R->endangered(Sw);
     if (NeedWait) {
       Out.push_back(Command::wait());
-      for (unsigned C = 0; C != Classes.size(); ++C) {
-        Dirty[C].clear();
-        Unions[C].resetFrom(Topo, Current, Classes[C].Hdr);
-      }
+      Rebuild();
     }
 
-    Out.push_back(Cmd);
-    // The switch becomes dirty for each class whose rules change —
-    // provided it was live (reachable from an ingress) for that class,
-    // otherwise no packet of the class can have crossed it.
-    for (unsigned C : Affected)
-      if (Unions[C].reachableFrom(Ingresses, Cmd.Sw))
-        Dirty[C].push_back(Cmd.Sw);
-
-    Current.setTable(Cmd.Sw, Cmd.NewTable);
-    for (unsigned C = 0; C != Classes.size(); ++C)
-      Unions[C].addEdges(Cmd.Sw, tableEdgesForClass(Topo, Cmd.Sw,
-                                                    Cmd.NewTable,
-                                                    Classes[C].Hdr));
+    Out.push_back(std::move(Cmd));
+    const Table &New = Out.back().NewTable;
+    for (ClassReach *R : Affected) {
+      // The switch becomes dirty for the class provided it was live
+      // (before its new edges), otherwise no packet of the class can
+      // have crossed it.
+      if (R->live(Sw))
+        R->markDirty(Sw);
+      R->addTableEdges(Sw, New);
+    }
+    Cur[Sw] = &New;
   }
   return Out;
 }

@@ -29,6 +29,18 @@
 /// correctness; together they remove the overwhelming majority of waits
 /// (~99.9% in the paper's experiments).
 ///
+/// The pass is incremental. Between two retained waits the class-c union
+/// graph only gains edges, and the set of dirty switches (updated while
+/// live) only gains members, so two closures per class only grow: the
+/// switches reachable from an ingress, and the switches reachable from a
+/// dirty switch. Both are kept as flag arrays and extended by a DFS from
+/// each new edge whose source they already hold and from each newly dirty
+/// switch; every query is one lookup. A retained wait rebuilds each
+/// class's graph and ingress closure from the current tables once, and
+/// empties its dirty closure. Only the classes an update changes gain
+/// edges: for any other class the new table's slice equals the old one,
+/// whose edges the graph already holds.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NETUPD_SYNTH_WAITREMOVAL_H
@@ -40,13 +52,15 @@
 
 namespace netupd {
 
-/// Returns \p Cmds with unnecessary waits removed. \p Initial is the
-/// configuration the sequence starts from; \p Classes the traffic classes
-/// whose packets the analysis tracks (rules matching none of them are
-/// treated as matching all, conservatively).
+/// Returns \p Cmds with unnecessary waits removed; the update commands
+/// are moved, in order, into the result. \p Initial is the configuration
+/// the sequence starts from; \p Classes the traffic classes whose packets
+/// the analysis tracks. A rule that matches none of them belongs to no
+/// class's slice: no tracked packet can match it, so changing it neither
+/// needs a wait nor adds an edge.
 CommandSeq removeWaits(const Topology &Topo, const Config &Initial,
                        const std::vector<TrafficClass> &Classes,
-                       const CommandSeq &Cmds);
+                       CommandSeq Cmds);
 
 } // namespace netupd
 

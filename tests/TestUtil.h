@@ -177,6 +177,21 @@ inline bool allIntermediateConfigsHold(const Topology &Topo,
   return true;
 }
 
+/// The topology of one coverage family variant: a fat tree, a zoo-like
+/// WAN or a small world, by \p Variant mod 3, growing with \p Variant.
+inline Topology familyTopology(unsigned Variant) {
+  switch (Variant % 3) {
+  case 0:
+    return buildFatTree(4 + 2 * (Variant / 3));
+  case 1:
+    return buildZooLike(40 + 13 * Variant);
+  default: {
+    Rng R(2400 + Variant);
+    return buildSmallWorld(20 + 10 * Variant, 4, 0.25, R);
+  }
+  }
+}
+
 /// A deep exhaustive Impossible proof at a test-sized diff cap: a
 /// long-path diamond whose final config blackholes the destination, so
 /// the search must refute the entire safe sub-lattice, thousands of

@@ -80,19 +80,6 @@ struct FamilyParam {
   PropertyKind Kind;
 };
 
-Topology buildFamily(const FamilyParam &P) {
-  switch (P.Variant % 3) {
-  case 0:
-    return buildFatTree(4 + 2 * (P.Variant / 3));
-  case 1:
-    return buildZooLike(40 + 13 * P.Variant);
-  default: {
-    Rng R(2400 + P.Variant);
-    return buildSmallWorld(20 + 10 * P.Variant, 4, 0.25, R);
-  }
-  }
-}
-
 class FamilySynthesisTest : public ::testing::TestWithParam<FamilyParam> {};
 
 } // namespace
@@ -101,7 +88,7 @@ class FamilySynthesisTest : public ::testing::TestWithParam<FamilyParam> {};
 /// family the paper evaluates.
 TEST_P(FamilySynthesisTest, SoundAcrossFamilies) {
   FamilyParam P = GetParam();
-  Topology Topo = buildFamily(P);
+  Topology Topo = familyTopology(P.Variant);
   Rng R(2500 + P.Variant);
   std::optional<Scenario> S = makeDiamondScenario(Topo, R, P.Kind);
   if (!S)

@@ -321,6 +321,57 @@ TEST(SynthEngineTest, DuplicateScenariosServedFromResultCache) {
   EXPECT_GT(WarmEngine.resultCache()->stats().Hits, 0u);
 }
 
+// The checkers assume no rule rewrites a tracked class's header (§3.3).
+// A job that breaks the assumption is refused before any member runs: in
+// an NDEBUG build the Kripke encoding would otherwise check a different
+// network, and in a Debug build its assertion would fire.
+TEST(SynthEngineTest, HeaderRewritingJobIsAnError) {
+  Scenario S = smallDiamond(70);
+  const TrafficClass &C = S.Flows[0].Class;
+  SwitchId Sw = S.Flows[0].FinalPath[1];
+  const Table Original = S.Final.table(Sw);
+  std::vector<Rule> Rules = Original.rules();
+  ASSERT_FALSE(Rules.empty());
+  Rules[0].Actions.insert(
+      Rules[0].Actions.begin(),
+      Action::setField(Field::Typ, C.Hdr.get(Field::Typ) + 1));
+  S.Final.setTable(Sw, Table(Rules));
+
+  SynthJob Job;
+  Job.S = S;
+  Job.Portfolio = defaultPortfolio(SynthOptions());
+  SynthEngine Engine(EngineOptions{});
+  for (unsigned Round = 0; Round != 2; ++Round) {
+    BatchReport Rep = Engine.run({Job});
+    const SynthReport &R = Rep.Reports[0];
+    EXPECT_EQ(R.Result.Status, SynthStatus::Aborted);
+    EXPECT_TRUE(R.Result.Commands.empty());
+    EXPECT_FALSE(R.FromCache) << "an error verdict was replayed";
+    EXPECT_EQ(Rep.TotalQueries, 0u);
+    ASSERT_EQ(R.Members.size(), 3u);
+    for (const MemberOutcome &O : R.Members)
+      EXPECT_NE(O.Error.find("rewrites the header"), std::string::npos)
+          << O.Name << ": '" << O.Error << "'";
+  }
+
+  // Restoring the table makes the same job an ordinary success.
+  Job.S.Final.setTable(Sw, Original);
+  EXPECT_EQ(Engine.run({Job}).Reports[0].Result.Status, SynthStatus::Success);
+}
+
+// An unknown backend is an error, not a verdict.
+TEST(SynthEngineTest, UnknownBackendIsAnError) {
+  SynthJob Job;
+  Job.S = smallDiamond(71);
+  PortfolioMember M;
+  M.Backend = "no-such-backend";
+  Job.Portfolio.push_back(std::move(M));
+  SynthEngine Engine(EngineOptions{});
+  BatchReport Rep = Engine.run({Job});
+  EXPECT_EQ(Rep.Reports[0].Result.Status, SynthStatus::Aborted);
+  EXPECT_FALSE(Rep.Reports[0].Members[0].Error.empty());
+}
+
 // memo:<backend> must agree with <backend> on the verdict for every
 // backend in the registry when raced by the engine.
 TEST(SynthEngineTest, MemoBackendsAgreeWithPlainOnes) {

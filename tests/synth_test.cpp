@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/Fuzz.h"
 #include "fuzz/Repro.h"
 #include "mc/LabelingChecker.h"
 #include "synth/Baselines.h"
@@ -14,6 +15,7 @@
 #include "topo/Fig1.h"
 
 #include "TestUtil.h"
+#include "WaitRemovalOracle.h"
 
 #include <gtest/gtest.h>
 
@@ -32,6 +34,88 @@ std::vector<size_t> updatePositions(const CommandSeq &Seq, SwitchId Sw) {
   for (size_t I = 0; I != Seq.size(); ++I)
     if (Seq[I].K == Command::Kind::Update && Seq[I].Sw == Sw)
       Out.push_back(I);
+  return Out;
+}
+
+/// True if \p A and \p B are the same commands: kinds, switches and
+/// every rule of every table.
+bool sameCommands(const CommandSeq &A, const CommandSeq &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I != A.size(); ++I) {
+    if (A[I].K != B[I].K)
+      return false;
+    if (A[I].K == Command::Kind::Update &&
+        (A[I].Sw != B[I].Sw || A[I].NewTable != B[I].NewTable))
+      return false;
+  }
+  return true;
+}
+
+/// \p Seq without its waits.
+CommandSeq updatesOf(const CommandSeq &Seq) {
+  CommandSeq Out;
+  for (const Command &C : Seq)
+    if (C.K == Command::Kind::Update)
+      Out.push_back(C);
+  return Out;
+}
+
+/// Random update sequences over the diff of \p S. Each diff switch steps
+/// from its initial to its final table at once (switch granularity) or
+/// one rule at a time: each new rule appended, then each dropped rule
+/// removed (rule granularity). The switches' steps are interleaved at
+/// random. Each interleaving comes with no waits, a wait between every
+/// two updates, and a wait in each gap with probability 1/2.
+std::vector<CommandSeq> randomDiffSequences(const Scenario &S, Rng &R) {
+  std::vector<CommandSeq> Out;
+  const std::vector<SwitchId> Diff = diffSwitches(S.Initial, S.Final);
+  for (bool PerRule : {false, true}) {
+    for (unsigned Draw = 0; Draw != 2; ++Draw) {
+      // Each switch's chain of tables, and a shuffled multiset of switch
+      // indices saying whose next table comes next.
+      std::vector<std::vector<Table>> Chains(Diff.size());
+      std::vector<size_t> Order;
+      for (size_t I = 0; I != Diff.size(); ++I) {
+        const Table &Old = S.Initial.table(Diff[I]);
+        const Table &New = S.Final.table(Diff[I]);
+        if (PerRule) {
+          std::vector<Rule> Rules = Old.rules();
+          for (const Rule &NR : New.rules())
+            if (std::find(Rules.begin(), Rules.end(), NR) == Rules.end()) {
+              Rules.push_back(NR);
+              Chains[I].emplace_back(Rules);
+            }
+          for (const Rule &OR : Old.rules()) {
+            if (std::find(New.rules().begin(), New.rules().end(), OR) !=
+                New.rules().end())
+              continue;
+            Rules.erase(std::find(Rules.begin(), Rules.end(), OR));
+            Chains[I].emplace_back(Rules);
+          }
+        }
+        if (Chains[I].empty() || Chains[I].back() != New)
+          Chains[I].push_back(New);
+        Order.insert(Order.end(), Chains[I].size(), I);
+      }
+      R.shuffle(Order);
+      std::vector<size_t> Step(Diff.size(), 0);
+      CommandSeq Bare, Careful, Sprinkled;
+      for (size_t I : Order) {
+        Command C = Command::update(Diff[I], Chains[I][Step[I]++]);
+        if (!Careful.empty())
+          Careful.push_back(Command::wait());
+        if (R.nextBool())
+          Sprinkled.push_back(Command::wait());
+        Bare.push_back(C);
+        Careful.push_back(C);
+        Sprinkled.push_back(std::move(C));
+      }
+      Out.push_back(std::move(Bare));
+      Out.push_back(std::move(Careful));
+      Out.push_back(std::move(Sprinkled));
+    }
+  }
   return Out;
 }
 
@@ -316,15 +400,32 @@ TEST(WaitRemovalTest, RemovesMostWaitsAndKeepsCorrectness) {
   ASSERT_TRUE(S.has_value());
 
   FormulaFactory FF;
-  LabelingChecker Checker;
-  SynthOptions Opts;
-  Opts.WaitRemoval = true;
-  SynthResult Res = synthesizeUpdate(*S, FF, Checker, Opts);
+  SynthOptions Careful;
+  Careful.WaitRemoval = false;
+  LabelingChecker C1, C2;
+  SynthResult In = synthesizeUpdate(*S, FF, C1, Careful);
+  SynthResult Res = synthesizeUpdate(*S, FF, C2);
+  ASSERT_EQ(In.Status, SynthStatus::Success);
   ASSERT_EQ(Res.Status, SynthStatus::Success);
   EXPECT_LE(Res.Stats.WaitsAfterRemoval, Res.Stats.WaitsBeforeRemoval);
   // Diamond updates leave at most a couple of genuine waits (§6 reports
   // about 2 per instance).
   EXPECT_LE(Res.Stats.WaitsAfterRemoval, 3u);
+
+  // Only waits go: the updates are the careful sequence's, in order.
+  EXPECT_TRUE(sameCommands(updatesOf(Res.Commands), updatesOf(In.Commands)))
+      << commandSeqToString(S->Topo, Res.Commands) << " vs "
+      << commandSeqToString(S->Topo, In.Commands);
+  Config End = S->Initial;
+  applyCommands(End, Res.Commands);
+  EXPECT_EQ(End, S->Final);
+  // A wait is only ever kept in front of an update.
+  ASSERT_FALSE(Res.Commands.empty());
+  EXPECT_EQ(Res.Commands.front().K, Command::Kind::Update);
+  for (size_t I = 1; I != Res.Commands.size(); ++I)
+    EXPECT_FALSE(Res.Commands[I].K == Command::Kind::Wait &&
+                 Res.Commands[I - 1].K == Command::Kind::Wait)
+        << "two waits in a row at " << I;
 }
 
 TEST(WaitRemovalTest, KeepsWaitWhenInFlightPacketsMatter) {
@@ -338,6 +439,64 @@ TEST(WaitRemovalTest, KeepsWaitWhenInFlightPacketsMatter) {
   CommandSeq Out = removeWaits(N.Topo, N.Red, {N.FlowH1H3}, Seq);
   // T1 feeds C1 through A1/A2, so the wait must survive.
   EXPECT_EQ(countWaits(Out), 1u);
+}
+
+/// The incremental pass against the non-incremental oracle: byte-identical
+/// sequences on the first 40 fuzz instances, the corpus repros and the
+/// coverage families, for the synthesized careful sequences and for
+/// random interleavings of each diff at switch and rule granularity, with
+/// and without waits.
+TEST(WaitRemovalTest, MatchesReferenceOracle) {
+  std::vector<std::pair<std::string, Scenario>> Cases;
+  Rng FuzzR(1);
+  for (unsigned I = 0; I != 40; ++I)
+    Cases.emplace_back("fuzz-" + std::to_string(I),
+                       fuzz::generateInstance(FuzzR));
+  std::vector<std::filesystem::path> Corpus;
+  for (const auto &E : std::filesystem::directory_iterator(
+           std::string(NETUPD_SOURCE_DIR) + "/tests/corpus"))
+    if (E.path().extension() == ".repro")
+      Corpus.push_back(E.path());
+  std::sort(Corpus.begin(), Corpus.end()); // The draws below follow it.
+  for (const std::filesystem::path &P : Corpus)
+    if (std::optional<fuzz::Repro> R = fuzz::loadReproFile(P.string()))
+      Cases.emplace_back(P.stem().string(), std::move(R->S));
+  for (unsigned V = 0; V != 9; ++V) {
+    Rng R(2500 + V);
+    if (std::optional<Scenario> S = makeDiamondScenario(
+            familyTopology(V), R, static_cast<PropertyKind>(V / 3)))
+      Cases.emplace_back("family-" + std::to_string(V), std::move(*S));
+  }
+  ASSERT_GE(Cases.size(), 50u);
+
+  unsigned MultiClass = 0, Compared = 0;
+  Rng R(2026);
+  for (const auto &[Name, S] : Cases) {
+    const std::vector<TrafficClass> Classes = S.classes();
+    MultiClass += Classes.size() > 1;
+    std::vector<CommandSeq> Inputs = randomDiffSequences(S, R);
+    for (bool PerRule : {false, true}) {
+      FormulaFactory FF;
+      LabelingChecker Checker;
+      SynthOptions Opts;
+      Opts.WaitRemoval = false;
+      Opts.RuleGranularity = PerRule;
+      SynthResult Res = synthesizeUpdate(S, FF, Checker, Opts);
+      if (Res.ok())
+        Inputs.push_back(std::move(Res.Commands));
+    }
+    for (const CommandSeq &In : Inputs) {
+      CommandSeq Want = oracle::removeWaits(S.Topo, S.Initial, Classes, In);
+      CommandSeq Got = removeWaits(S.Topo, S.Initial, Classes, In);
+      ++Compared;
+      ASSERT_TRUE(sameCommands(Got, Want))
+          << Name << ": input " << commandSeqToString(S.Topo, In)
+          << "\n  oracle " << commandSeqToString(S.Topo, Want)
+          << "\n  got    " << commandSeqToString(S.Topo, Got);
+    }
+  }
+  EXPECT_GE(MultiClass, 10u);
+  EXPECT_GE(Compared, 500u);
 }
 
 TEST(BaselinesTest, NaiveSequenceCoversDiff) {
