@@ -14,6 +14,10 @@
 ///  - SAT-based early termination on/off, measured on infeasible double
 ///    diamonds where exhaustive search is the alternative.
 ///
+/// An ablation may change the cost, never the answer: the run exits 1 if
+/// the full and ablated searches disagree on a verdict in either section,
+/// or if an infeasible instance is not proved Impossible.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -30,6 +34,14 @@ using namespace netupd::benchutil;
 int main(int Argc, char **Argv) {
   double Scale = parseScale(Argc, Argv);
   banner("Ablation: counterexample pruning and early termination (§4.2)");
+
+  bool Failed = false;
+  auto Expect = [&Failed](bool Ok, const std::string &What) {
+    if (!Ok) {
+      std::printf("ERROR: %s\n", What.c_str());
+      Failed = true;
+    }
+  };
 
   std::printf("\n-- counterexample pruning, rule-granular double "
               "diamonds --\n");
@@ -68,6 +80,9 @@ int main(int Argc, char **Argv) {
          format("%llu", (unsigned long long)RNo.Stats.CheckCalls),
          format("%.3fs", FullSecs), format("%.3fs", NoSecs)},
         {10, 6, 13, 17, 11, 15});
+    Expect(RFull.Status == RNo.Status,
+           format("n=%u: pruning changed the verdict (%s vs %s)", Size,
+                  statusName(RFull.Status), statusName(RNo.Status)));
   }
 
   std::printf("\n-- early termination on infeasible double diamonds --\n");
@@ -98,11 +113,16 @@ int main(int Argc, char **Argv) {
     double NoSecs = T2.seconds();
 
     row({format("%u", Size), format("%u", numUpdatingSwitches(*S)),
-         REt.Status == SynthStatus::Impossible ? "impossible" : "??",
+         statusName(REt.Status),
          format("%.3fs", EtSecs), format("%.3fs", NoSecs),
          format("%llu", (unsigned long long)REt.Stats.CheckCalls),
          format("%llu", (unsigned long long)RNo.Stats.CheckCalls)},
         {10, 10, 12, 10, 12, 11, 13});
+    Expect(REt.Status == RNo.Status,
+           format("n=%u: early termination changed the verdict (%s vs %s)",
+                  Size, statusName(REt.Status), statusName(RNo.Status)));
+    Expect(REt.Status == SynthStatus::Impossible,
+           format("n=%u: infeasible instance not proved impossible", Size));
   }
   std::printf("\nexpected: pruning cuts checker calls when the search "
               "backtracks (rule-granular double diamonds). On these "
@@ -110,5 +130,5 @@ int main(int Argc, char **Argv) {
               "fails, so exhaustion is immediate and early termination "
               "adds insurance rather than speed; it pays off on inputs "
               "whose failures only appear deeper in the search.\n");
-  return 0;
+  return Failed ? 1 : 0;
 }

@@ -28,20 +28,6 @@ using namespace netupd::fuzz;
 
 namespace {
 
-const char *statusName(SynthStatus S) {
-  switch (S) {
-  case SynthStatus::Success:
-    return "Success";
-  case SynthStatus::Impossible:
-    return "Impossible";
-  case SynthStatus::InitialViolation:
-    return "InitialViolation";
-  case SynthStatus::Aborted:
-    return "Aborted";
-  }
-  return "?";
-}
-
 std::string cellName(const std::string &Backend, bool RuleGran,
                      bool Budgeted, unsigned Shards, bool Learn) {
   std::string N = Backend;

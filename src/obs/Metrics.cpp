@@ -173,10 +173,26 @@ std::string MetricsRegistry::snapshotJson() const {
     std::snprintf(Buf, sizeof(Buf), "%llu",
                   static_cast<unsigned long long>(H.second->count()));
     Out += Buf;
-    Out += ",\"sum_ms\":" + formatMs(H.second->sumNs());
-    Out += ",\"p50_ms\":" + formatMs(H.second->percentileNs(0.50));
-    Out += ",\"p95_ms\":" + formatMs(H.second->percentileNs(0.95));
-    Out += ",\"p99_ms\":" + formatMs(H.second->percentileNs(0.99));
+    // Latencies ("_ns" names) print in ms; any other histogram counts
+    // something and prints its samples as they were recorded.
+    const std::string &Name = H.first;
+    bool Latency = Name.size() >= 3 &&
+                   Name.compare(Name.size() - 3, 3, "_ns") == 0;
+    auto Field = [&](const char *Key, uint64_t V) {
+      Out += ",\"";
+      Out += Key;
+      if (Latency) {
+        Out += "_ms\":" + formatMs(V);
+        return;
+      }
+      std::snprintf(Buf, sizeof(Buf), "\":%llu",
+                    static_cast<unsigned long long>(V));
+      Out += Buf;
+    };
+    Field("sum", H.second->sumNs());
+    Field("p50", H.second->percentileNs(0.50));
+    Field("p95", H.second->percentileNs(0.95));
+    Field("p99", H.second->percentileNs(0.99));
     Out += '}';
   }
   Out += "},\"caches\":{";

@@ -281,7 +281,10 @@ public:
   /// "gauges":{...}, "histograms":{name:{"count","sum_ms","p50_ms",
   /// "p95_ms","p99_ms"},...}, "caches":{name:{"hits","misses",
   /// "evictions","entries"},...}} — the payload of the future daemon's
-  /// `stats` endpoint. Names are emitted sorted.
+  /// `stats` endpoint. Names are emitted sorted. A histogram whose name
+  /// does not end in "_ns" counts something other than time (e.g.
+  /// synth.sat_theory_rounds); it prints "sum", "p50", "p95" and "p99"
+  /// as the raw recorded values instead of milliseconds.
   std::string snapshotJson() const;
 
   /// Zeroes every counter, gauge, and histogram (providers are kept) —

@@ -129,9 +129,11 @@ private:
   std::vector<int> TrailLim;
   size_t PropHead = 0;
   /// First possibly-unassigned variable in branching order; makes a
-  /// conflict-light solve O(V) instead of O(V^2) (the early-termination
-  /// workload creates hundreds of thousands of ordering variables and is
-  /// satisfiable almost every call).
+  /// conflict-light solve O(V) instead of O(V^2). The early-termination
+  /// layer, satisfiable almost every call, solves over one variable per
+  /// mentioned operation pair: measured on the benchmark (bench_suite,
+  /// seed 21, 4 hardware threads), 113 at the median and 300 at most per
+  /// solve on scale-update, 18 and 89 on probe-stream.
   int BranchCursor = 0;
   double VarInc = 1.0;
   uint64_t Conflicts = 0;

@@ -14,6 +14,42 @@
 
 using namespace netupd;
 
+namespace {
+/// Home slot of a pair key in a table of \p Mask + 1 slots (Fibonacci
+/// hashing; the high product bits are folded down so both halves of the
+/// key reach the slot index).
+size_t homeSlot(uint64_t Key, size_t Mask) {
+  uint64_t H = Key * 0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(H ^ (H >> 32)) & Mask;
+}
+
+enum : uint8_t { White, Grey, Black }; // DFS colors.
+
+/// Wait-time histogram for the EarlyTermination mutex — held across SAT
+/// solves, so it is the prime suspect for shard stalls under learning.
+obs::Histogram &satLockWait() {
+  static obs::Histogram &H =
+      obs::MetricsRegistry::instance().histogram("synth.sat_lock_ns");
+  return H;
+}
+
+/// Solve / cycle-check rounds per completed impossible() check: the
+/// loop terminates, but nothing bounds it polynomially, so it is watched.
+obs::Histogram &satTheoryRounds() {
+  static obs::Histogram &H =
+      obs::MetricsRegistry::instance().histogram("synth.sat_theory_rounds");
+  return H;
+}
+
+/// Luby restarts performed inside SAT solves, summed over every
+/// EarlyTermination instance in the process.
+obs::Counter &satRestarts() {
+  static obs::Counter &C =
+      obs::MetricsRegistry::instance().counter("synth.sat_restarts");
+  return C;
+}
+} // namespace
+
 sat::Lit EarlyTermination::before(unsigned A, unsigned B) {
   assert(A != B && "no ordering variable for an operation with itself");
   // One variable per unordered pair; the literal's sign encodes direction
@@ -22,53 +58,106 @@ sat::Lit EarlyTermination::before(unsigned A, unsigned B) {
   bool Swapped = A > B;
   if (Swapped)
     std::swap(A, B);
-  auto [It, Inserted] = PairVars.try_emplace({A, B}, 0);
-  if (Inserted)
-    It->second = Solver.newVar();
-  return sat::Lit(It->second, /*Negated=*/Swapped);
+  uint64_t Key = uint64_t(A) << 32 | B;
+  if (2 * (Pairs.size() + 1) > Table.size())
+    growTable();
+  size_t Mask = Table.size() - 1;
+  for (size_t I = homeSlot(Key, Mask);; I = (I + 1) & Mask) {
+    if (uint32_t Slot = Table[I]) {
+      if (Pairs[Slot - 1].Key == Key)
+        return sat::Lit(static_cast<sat::Var>(Slot - 1), Swapped);
+      continue;
+    }
+    sat::Var V = Solver.newVar();
+    assert(static_cast<size_t>(V) == Pairs.size() &&
+           "every solver variable is a pair variable");
+    Pairs.push_back({Key, node(A), node(B)});
+    Table[I] = static_cast<uint32_t>(V) + 1;
+    return sat::Lit(V, Swapped);
+  }
 }
 
-void EarlyTermination::mention(unsigned Op) {
-  if (std::find(Mentioned.begin(), Mentioned.end(), Op) != Mentioned.end())
-    return;
-  // Encode transitivity against already-mentioned operations while small:
-  // before(a,b) & before(b,c) -> before(a,c) for every ordered triple
-  // containing Op.
-  if (Mentioned.size() < TransitivityCap) {
-    for (size_t I = 0; I != Mentioned.size(); ++I) {
-      for (size_t J = 0; J != Mentioned.size(); ++J) {
-        if (I == J)
-          continue;
-        unsigned A = Mentioned[I], B = Mentioned[J];
-        // Triples (A,B,Op), (A,Op,B), (Op,A,B).
-        Solver.addClause({~before(A, B), ~before(B, Op), before(A, Op)});
-        Solver.addClause({~before(A, Op), ~before(Op, B), before(A, B)});
-        Solver.addClause({~before(Op, A), ~before(A, B), before(Op, B)});
-        Clauses += 3;
+uint32_t EarlyTermination::node(unsigned Op) {
+  if (Op >= NodeOf.size())
+    NodeOf.resize(size_t(Op) + 1, 0);
+  if (!NodeOf[Op]) {
+    NodeOps.push_back(Op);
+    NodeOf[Op] = static_cast<uint32_t>(NodeOps.size());
+  }
+  return NodeOf[Op] - 1;
+}
+
+void EarlyTermination::growTable() {
+  Table.assign(std::max<size_t>(64, 2 * Table.size()), 0);
+  size_t Mask = Table.size() - 1;
+  for (size_t V = 0; V != Pairs.size(); ++V) {
+    size_t I = homeSlot(Pairs[V].Key, Mask);
+    while (Table[I])
+      I = (I + 1) & Mask;
+    Table[I] = static_cast<uint32_t>(V) + 1;
+  }
+}
+
+bool EarlyTermination::refuteCycle() {
+  // The model's orientation of every pair variable, as compressed
+  // adjacency lists filled in pair-creation order.
+  const size_t N = NodeOps.size();
+  AdjStart.assign(N + 1, 0);
+  for (size_t V = 0; V != Pairs.size(); ++V) {
+    const Pair &P = Pairs[V];
+    ++AdjStart[(Solver.modelValue(static_cast<sat::Var>(V)) ? P.A : P.B) +
+               1];
+  }
+  for (size_t I = 0; I != N; ++I)
+    AdjStart[I + 1] += AdjStart[I];
+  Adj.resize(Pairs.size());
+  NextEdge.assign(AdjStart.begin(), AdjStart.end() - 1);
+  for (size_t V = 0; V != Pairs.size(); ++V) {
+    const Pair &P = Pairs[V];
+    bool LoFirst = Solver.modelValue(static_cast<sat::Var>(V));
+    Adj[NextEdge[LoFirst ? P.A : P.B]++] = {LoFirst ? P.B : P.A,
+                                            static_cast<sat::Var>(V)};
+  }
+
+  // Iterative DFS; an edge into a grey node closes a cycle made of that
+  // edge and the tree edges entering the stack above its target.
+  NextEdge.assign(AdjStart.begin(), AdjStart.end() - 1);
+  Color.assign(N, White);
+  EnteredBy.resize(N);
+  // The literal of edge V that the model makes false: "not this edge".
+  const sat::Solver &Model = Solver;
+  auto NotEdge = [&Model](sat::Var V) {
+    return sat::Lit(V, /*Negated=*/Model.modelValue(V));
+  };
+  for (uint32_t Root = 0; Root != N; ++Root) {
+    if (Color[Root] != White)
+      continue;
+    Color[Root] = Grey;
+    Stack.assign(1, Root);
+    while (!Stack.empty()) {
+      uint32_t U = Stack.back();
+      if (NextEdge[U] == AdjStart[U + 1]) {
+        Color[U] = Black;
+        Stack.pop_back();
+        continue;
+      }
+      Edge E = Adj[NextEdge[U]++];
+      if (Color[E.To] == White) {
+        Color[E.To] = Grey;
+        EnteredBy[E.To] = E.V;
+        Stack.push_back(E.To);
+      } else if (Color[E.To] == Grey) {
+        std::vector<sat::Lit> Clause{NotEdge(E.V)};
+        for (size_t I = Stack.size() - 1; Stack[I] != E.To; --I)
+          Clause.push_back(NotEdge(EnteredBy[Stack[I]]));
+        Solver.addClause(std::move(Clause));
+        ++Clauses;
+        return true;
       }
     }
   }
-  Mentioned.push_back(Op);
+  return false;
 }
-
-namespace {
-/// Wait-time histogram for the EarlyTermination mutex — held across SAT
-/// solves, so it is the prime suspect for shard stalls under learning.
-netupd::obs::Histogram &satLockWait() {
-  static netupd::obs::Histogram &H =
-      netupd::obs::MetricsRegistry::instance().histogram(
-          "synth.sat_lock_ns");
-  return H;
-}
-
-/// Luby restarts performed inside SAT solves, summed over every
-/// EarlyTermination instance in the process.
-netupd::obs::Counter &satRestarts() {
-  static netupd::obs::Counter &C =
-      netupd::obs::MetricsRegistry::instance().counter("synth.sat_restarts");
-  return C;
-}
-} // namespace
 
 void EarlyTermination::addCexConstraint(
     const std::vector<unsigned> &Updated,
@@ -77,10 +166,15 @@ void EarlyTermination::addCexConstraint(
   MutexLock Lock(M, std::adopt_lock);
   if (KnownImpossible)
     return;
-  // A cancelled search learns nothing: skip the (cubic) transitivity
-  // encoding and leave the clause set as-is — soundness is unaffected
-  // because constraints only ever shrink the set of admitted orders.
+  // A cancelled search learns nothing: leave the clause set as-is —
+  // soundness is unaffected because constraints only ever shrink the set
+  // of admitted orders.
   if (Stop.stopRequested())
+    return;
+  // No updated operation: the violation would hold in the initial
+  // configuration too, so the constraint is unsound (see header). Its
+  // clause would be empty, i.e. a wrong Impossible.
+  if (Updated.empty())
     return;
   if (NotUpdated.empty()) {
     // The all-updated combination is bad: the final configuration itself
@@ -88,18 +182,10 @@ void EarlyTermination::addCexConstraint(
     KnownImpossible = true;
     return;
   }
-  assert(!Updated.empty() &&
-         "a counterexample with no updated switch would already hold in "
-         "the initial configuration");
 
   // Oversized constraints are dropped (sound relaxation; see header).
   if (Updated.size() * NotUpdated.size() > MaxClauseLits)
     return;
-
-  for (unsigned Op : Updated)
-    mention(Op);
-  for (unsigned Op : NotUpdated)
-    mention(Op);
 
   std::vector<sat::Lit> Clause;
   Clause.reserve(Updated.size() * NotUpdated.size());
@@ -126,8 +212,20 @@ void EarlyTermination::addMaskValueConstraint(const Bitset &Mask,
 void EarlyTermination::reset() {
   MutexLock Lock(M);
   Solver = sat::Solver();
-  PairVars.clear();
-  Mentioned.clear();
+  // Empty only the slots and nodes this run touched. The scan for a
+  // pair's slot looks for its own variable and steps over slots emptied
+  // before it, so clearing in any order finds every one.
+  size_t Mask = Table.size() - 1;
+  for (size_t V = 0; V != Pairs.size(); ++V) {
+    size_t I = homeSlot(Pairs[V].Key, Mask);
+    while (Table[I] != V + 1)
+      I = (I + 1) & Mask;
+    Table[I] = 0;
+  }
+  Pairs.clear();
+  for (unsigned Op : NodeOps)
+    NodeOf[Op] = 0;
+  NodeOps.clear();
   Clauses = 0;
   KnownImpossible = false;
   Dirty = false;
@@ -141,12 +239,21 @@ bool EarlyTermination::impossible() {
     return true;
   if (!Dirty)
     return !LastSat;
-  if (Stop.stopRequested())
-    return !LastSat; // Stay Dirty: a resumed caller re-solves.
-  Dirty = false;
-  uint64_t RestartsBefore = Solver.numRestarts();
-  LastSat = Solver.solve();
+  uint64_t RestartsBefore = Solver.numRestarts(), Rounds = 0;
+  bool Done = false;
+  while (!Done && !Stop.stopRequested()) {
+    ++Rounds;
+    bool Sat = Solver.solve();
+    Done = !Sat || !refuteCycle();
+    if (Done)
+      LastSat = Sat;
+  }
   if (uint64_t Delta = Solver.numRestarts() - RestartsBefore)
     satRestarts().add(Delta);
+  if (!Done)
+    return !LastSat; // Stopped: stay Dirty, so a resumed caller finishes.
+  Dirty = false;
+  if (obs::detailEnabled())
+    satTheoryRounds().record(Rounds);
   return !LastSat;
 }

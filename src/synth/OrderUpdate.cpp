@@ -1319,6 +1319,20 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
 
 } // namespace
 
+const char *netupd::statusName(SynthStatus S) {
+  switch (S) {
+  case SynthStatus::Success:
+    return "Success";
+  case SynthStatus::Impossible:
+    return "Impossible";
+  case SynthStatus::InitialViolation:
+    return "InitialViolation";
+  case SynthStatus::Aborted:
+    return "Aborted";
+  }
+  return "?";
+}
+
 SynthResult netupd::synthesizeUpdate(const Topology &Topo,
                                      const Config &Initial,
                                      const Config &Final,

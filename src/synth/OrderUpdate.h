@@ -161,6 +161,10 @@ struct SynthStats {
   uint64_t CheckCalls = 0;
   uint64_t VisitedPrunes = 0;
   uint64_t CexPrunes = 0;
+  /// Clauses the early-termination layer handed its solver, summed over
+  /// every scope of the run: one per kept counterexample constraint plus
+  /// one per ordering cycle its theory check refuted
+  /// (synth/EarlyTermination.h). Zero with EarlyTermination off.
   uint64_t SatClauses = 0;
   /// Checker-memoization counters (CheckerBackend::cacheHits/Misses),
   /// captured when the run finishes and summed over every shard's
@@ -292,6 +296,9 @@ enum class SynthStatus {
   /// observed — the Interrupted flag) are never cached.
   Aborted
 };
+
+/// The enumerator's name ("Success", "Impossible", ...), for reports.
+const char *statusName(SynthStatus S);
 
 /// A synthesis result: on Success, Commands is the careful sequence
 /// (updates separated by waits, minus those the wait-removal pass proved

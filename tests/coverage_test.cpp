@@ -187,7 +187,7 @@ TEST(EarlyTerminationCornersTest, OversizedClausesAreDroppedSoundly) {
   // MaxClauseLits = 4: a 3x2 constraint is dropped, so the relaxation
   // stays satisfiable even though the full constraint set would conflict
   // with the follow-ups.
-  EarlyTermination ET(/*TransitivityCap=*/16, /*MaxClauseLits=*/4);
+  EarlyTermination ET(/*MaxClauseLits=*/4);
   ET.addCexConstraint({0, 1, 2}, {3, 4}); // 6 literals > 4: dropped.
   ET.addCexConstraint({3}, {0});          // 0 < 3.
   ET.addCexConstraint({4}, {1});          // 1 < 4.

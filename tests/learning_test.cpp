@@ -40,6 +40,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -548,6 +549,71 @@ TEST(EarlyTerminationStopTest, MidFlightInstallIsHonored) {
   ET.setStopToken(StopToken()); // An empty token never stops.
   ET.addCexConstraint({1}, {0}); // 0 before 1: now circular.
   EXPECT_TRUE(ET.impossible());
+}
+
+/// A stop that lands inside the solve / cycle-check loop ends it with
+/// the cached verdict of the last completed check and leaves the check
+/// pending, so installing an empty token and asking again reaches the
+/// true verdict. The instance is a chain a_0 < ... < a_K-1 plus "a_K-1
+/// precedes one of a_0 .. a_K-2": impossible, but each model orients one
+/// disjunct against the chain, so the proof takes about K rounds of
+/// solve and cycle clause. The stop fires from another thread part-way
+/// through; an attempt whose stop lands before the first round or after
+/// the last is retried with a new delay.
+TEST(EarlyTerminationStopTest, StopInTheoryLoopKeepsCachedVerdict) {
+  constexpr unsigned K = 1000;
+  auto AddChain = [](EarlyTermination &ET) {
+    for (unsigned I = 0; I + 1 != K; ++I)
+      ET.addCexConstraint({I + 1}, {I});
+  };
+  auto AddClosing = [](EarlyTermination &ET) {
+    std::vector<unsigned> Earlier;
+    for (unsigned I = 0; I + 1 != K; ++I)
+      Earlier.push_back(I);
+    ET.addCexConstraint(Earlier, {K - 1});
+  };
+  using Clock = std::chrono::steady_clock;
+
+  // Calibrate the delay on an unstopped twin.
+  EarlyTermination Twin;
+  AddChain(Twin);
+  AddClosing(Twin);
+  Clock::time_point T0 = Clock::now();
+  ASSERT_TRUE(Twin.impossible());
+  Clock::duration Delay = (Clock::now() - T0) / 2;
+
+  bool StoppedInLoop = false;
+  for (int Attempt = 0; Attempt != 30 && !StoppedInLoop; ++Attempt) {
+    EarlyTermination ET;
+    AddChain(ET);
+    ASSERT_FALSE(ET.impossible()); // The cached verdict: possible.
+    AddClosing(ET);
+    StopSource Src;
+    ET.setStopToken(Src.token());
+    std::atomic<bool> Started{false};
+    std::thread Stopper([&] {
+      while (!Started.load())
+        std::this_thread::yield();
+      std::this_thread::sleep_for(Delay);
+      Src.requestStop();
+    });
+    Started.store(true);
+    bool Verdict = ET.impossible();
+    Stopper.join();
+    if (Verdict) { // The loop finished first: stop sooner.
+      Delay /= 2;
+      continue;
+    }
+    if (ET.numClauses() == K) { // Stopped before any cycle clause.
+      Delay *= 2;
+      continue;
+    }
+    StoppedInLoop = true;
+    EXPECT_FALSE(ET.impossible()) << "a fired token must not resume";
+    ET.setStopToken({});
+    EXPECT_TRUE(ET.impossible()) << "the stopped check must stay pending";
+  }
+  EXPECT_TRUE(StoppedInLoop) << "no attempt stopped inside the loop";
 }
 
 TEST(EarlyTerminationStopTest, ConcurrentInstallAndLearnIsRaceFree) {

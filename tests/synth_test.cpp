@@ -8,6 +8,7 @@
 #include "fuzz/Fuzz.h"
 #include "fuzz/Repro.h"
 #include "mc/LabelingChecker.h"
+#include "obs/Metrics.h"
 #include "synth/Baselines.h"
 #include "synth/EarlyTermination.h"
 #include "synth/OrderUpdate.h"
@@ -574,6 +575,150 @@ TEST(EarlyTerminationTest, ResetForgetsEverything) {
   EXPECT_TRUE(ET.impossible());
 }
 
+/// A counterexample with no updated operation would hold in the initial
+/// configuration; learning its empty clause would be a wrong Impossible.
+/// It must teach nothing in Debug and Release alike.
+TEST(EarlyTerminationTest, EmptyUpdatedTeachesNothing) {
+  EarlyTermination ET;
+  ET.addCexConstraint({}, {0});
+  ET.addCexConstraint({}, {});
+  Bitset Mask(4);
+  Mask.set(1);
+  Mask.set(2);
+  ET.addMaskValueConstraint(Mask, Bitset(4)); // Nothing updated.
+  EXPECT_EQ(ET.numClauses(), 0u);
+  EXPECT_FALSE(ET.impossible());
+  ET.addCexConstraint({0}, {1});
+  EXPECT_FALSE(ET.impossible());
+}
+
+/// A cycle of singleton precedences longer than any small bound: the
+/// lazy theory finds it however many operations it spans, and the same
+/// chain without its closing edge stays possible.
+TEST(EarlyTerminationTest, LongPrecedenceCycleIsImpossible) {
+  EarlyTermination Chain, Cycle;
+  for (unsigned I = 0; I + 1 != 20; ++I) {
+    Chain.addCexConstraint({I + 1}, {I}); // a_I before a_I+1.
+    Cycle.addCexConstraint({I + 1}, {I});
+  }
+  Cycle.addCexConstraint({0}, {19}); // a_19 before a_0 closes it.
+  EXPECT_FALSE(Chain.impossible());
+  EXPECT_TRUE(Cycle.impossible());
+}
+
+namespace {
+/// One disjunctive precedence constraint over operation indices: some
+/// operation of NotUpdated precedes some operation of Updated.
+struct Precedence {
+  std::vector<unsigned> Updated, NotUpdated;
+};
+
+/// Every order of \p N operations, each as a position per operation.
+std::vector<std::vector<unsigned>> allOrders(unsigned N) {
+  std::vector<unsigned> Perm(N);
+  for (unsigned I = 0; I != N; ++I)
+    Perm[I] = I;
+  std::vector<std::vector<unsigned>> Out;
+  do {
+    std::vector<unsigned> Pos(N);
+    for (unsigned I = 0; I != N; ++I)
+      Pos[Perm[I]] = I;
+    Out.push_back(std::move(Pos));
+  } while (std::next_permutation(Perm.begin(), Perm.end()));
+  return Out;
+}
+
+bool admits(const std::vector<unsigned> &Pos, const Precedence &C) {
+  for (unsigned D : C.NotUpdated)
+    for (unsigned U : C.Updated)
+      if (Pos[D] < Pos[U])
+        return true;
+  return false;
+}
+} // namespace
+
+/// impossible() is exact: it holds precisely when no order of the
+/// operations satisfies every constraint learned since the last reset(),
+/// which a brute force over all (at most 7!) orders decides. Constraints
+/// and checks interleave, and one instance serves every trial, with a
+/// reset() partway through some, so retained buffers are exercised too.
+TEST(EarlyTerminationTest, AgreesWithBruteForceOracle) {
+  Rng R(2121);
+  EarlyTermination ET;
+  unsigned Possible = 0, Impossible = 0;
+  for (unsigned Trial = 0;
+       Trial != 5000 && (Possible < 200 || Impossible < 200); ++Trial) {
+    ET.reset();
+    unsigned N = 3 + static_cast<unsigned>(R.nextBelow(5)); // 3..7 ops.
+    // Sparse operation ids, so the pair index sees more than 0..N-1.
+    std::vector<unsigned> Id(N);
+    for (unsigned I = 0; I != N; ++I)
+      Id[I] = I * 7 + static_cast<unsigned>(R.nextBelow(7));
+    std::vector<std::vector<unsigned>> Orders = allOrders(N);
+    unsigned Steps = 1 + static_cast<unsigned>(R.nextBelow(3 * N));
+    unsigned ResetAt = static_cast<unsigned>(R.nextBelow(2 * Steps));
+    for (unsigned Step = 0; Step != Steps; ++Step) {
+      if (Step == ResetAt) {
+        ET.reset();
+        Orders = allOrders(N);
+      }
+      std::vector<unsigned> Shuffled(N);
+      for (unsigned I = 0; I != N; ++I)
+        Shuffled[I] = I;
+      for (unsigned I = N; I > 1; --I)
+        std::swap(Shuffled[I - 1], Shuffled[R.nextBelow(I)]);
+      unsigned NumU = 1 + static_cast<unsigned>(R.nextBelow(2));
+      unsigned NumD = 1 + static_cast<unsigned>(R.nextBelow(N - NumU < 3
+                                                                ? N - NumU
+                                                                : 3));
+      Precedence C;
+      std::vector<unsigned> UpdatedIds, NotUpdatedIds;
+      for (unsigned I = 0; I != NumU + NumD; ++I) {
+        (I < NumU ? C.Updated : C.NotUpdated).push_back(Shuffled[I]);
+        (I < NumU ? UpdatedIds : NotUpdatedIds).push_back(Id[Shuffled[I]]);
+      }
+      ET.addCexConstraint(UpdatedIds, NotUpdatedIds);
+      Orders.erase(std::remove_if(Orders.begin(), Orders.end(),
+                                  [&C](const std::vector<unsigned> &Pos) {
+                                    return !admits(Pos, C);
+                                  }),
+                   Orders.end());
+      if (R.nextBelow(3) != 0 && Step + 1 != Steps)
+        continue;
+      bool Expected = Orders.empty();
+      ASSERT_EQ(ET.impossible(), Expected)
+          << "trial " << Trial << ", step " << Step << ", " << N << " ops";
+      ++(Expected ? Impossible : Possible);
+    }
+  }
+  EXPECT_GE(Possible, 200u);
+  EXPECT_GE(Impossible, 200u);
+}
+
+/// Each completed check reports its solve / cycle-check rounds in the
+/// per-call metrics tier. A 3-cycle of singleton precedences takes two:
+/// a model containing the cycle, then UNSAT once its clause is added.
+TEST(EarlyTerminationTest, ReportsTheoryRounds) {
+  bool OldDetail = obs::detailEnabled();
+  obs::setDetail(true);
+  obs::MetricsRegistry &MR = obs::MetricsRegistry::instance();
+  obs::Histogram &Rounds = MR.histogram("synth.sat_theory_rounds");
+  uint64_t Count = Rounds.count(), Sum = Rounds.sumNs();
+  EarlyTermination ET;
+  ET.addCexConstraint({1}, {0});
+  ET.addCexConstraint({2}, {1});
+  ET.addCexConstraint({0}, {2});
+  EXPECT_TRUE(ET.impossible());
+  EXPECT_EQ(ET.numClauses(), 4u) << "three constraints and one cycle";
+  EXPECT_EQ(Rounds.count(), Count + 1);
+  EXPECT_EQ(Rounds.sumNs(), Sum + 2);
+  std::string Json = MR.snapshotJson();
+  EXPECT_NE(Json.find("\"synth.sat_theory_rounds\":{\"count\":"),
+            std::string::npos)
+      << Json;
+  obs::setDetail(OldDetail);
+}
+
 // --- SynthStats::mergeFrom coverage guard -----------------------------------
 
 // PRs keep growing SynthStats by hand, and a field added without a
@@ -706,20 +851,6 @@ const std::vector<PinScenario> &pinScenarios() {
   return Out;
 }
 
-const char *pinStatus(SynthStatus S) {
-  switch (S) {
-  case SynthStatus::Success:
-    return "Success";
-  case SynthStatus::Impossible:
-    return "Impossible";
-  case SynthStatus::InitialViolation:
-    return "InitialViolation";
-  case SynthStatus::Aborted:
-    return "Aborted";
-  }
-  return "?";
-}
-
 /// FNV-1a over every update's switch and full table, so rule-granularity
 /// sequences that differ only in which class slice moves still differ.
 uint64_t tablesHash(const CommandSeq &Seq) {
@@ -750,7 +881,7 @@ std::string pinRow(const PinScenario &P, bool Rule, const SynthOptions &Base,
   LabelingChecker Checker;
   SynthResult R = synthesizeUpdate(P.S, FF, Checker, Opts);
   std::string Row = P.Name + (Rule ? " rule: " : " switch: ") +
-                    pinStatus(R.Status) + " | " +
+                    statusName(R.Status) + " | " +
                     commandSeqToString(P.S.Topo, R.Commands) + " | " +
                     std::to_string(tablesHash(R.Commands));
   if (What != PinCounters::None)
@@ -785,10 +916,10 @@ void expectPins(const SynthOptions &Opts, PinCounters What,
 /// counter.
 TEST(SearchPinTest, SequentialUnlimited) {
   expectPins(SynthOptions{}, PinCounters::Search, {
-      "churn-step switch: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894 | calls=8 visited=0 cex=0 sat=7",
-      "churn-step rule: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894 | calls=8 visited=0 cex=0 sat=7",
-      "double-diamond switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=65",
-      "double-diamond rule: Success | upd sw5; upd sw6; upd sw7; upd sw4; wait; upd sw6; upd sw8; wait; upd sw5; upd sw7 | 6907229058659628618 | calls=11 visited=0 cex=1 sat=8",
+      "churn-step switch: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894 | calls=8 visited=0 cex=0 sat=1",
+      "churn-step rule: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894 | calls=8 visited=0 cex=0 sat=1",
+      "double-diamond switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=5",
+      "double-diamond rule: Success | upd sw5; upd sw6; upd sw7; upd sw4; wait; upd sw6; upd sw8; wait; upd sw5; upd sw7 | 6907229058659628618 | calls=11 visited=0 cex=1 sat=2",
       "fattree-blackhole switch: Impossible |  | 1469598103934665603 | calls=31 visited=21 cex=42 sat=0",
       "fattree-blackhole rule: Impossible |  | 1469598103934665603 | calls=31 visited=21 cex=42 sat=0",
       "liar-reachability-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
@@ -797,20 +928,20 @@ TEST(SearchPinTest, SequentialUnlimited) {
       "liar-servicechain-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
       "liar-waypoint-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
       "liar-waypoint-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0",
-      "wan-multiflow-waypoint switch: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319 | calls=15 visited=0 cex=0 sat=26",
-      "wan-multiflow-waypoint rule: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319 | calls=15 visited=0 cex=0 sat=26",
+      "wan-multiflow-waypoint switch: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319 | calls=15 visited=0 cex=0 sat=2",
+      "wan-multiflow-waypoint rule: Success | upd r0_pop11; upd r0_pop12; upd r0_pop13; upd r0_pop14; upd r1_pop2; upd r1_pop13; upd r0_pop5; wait; upd r0_pop1; upd r1_pop3; wait; upd r1_pop0; upd r1_pop10; wait; upd r1_pop11 | 6341639753985368319 | calls=15 visited=0 cex=0 sat=2",
       "diamond-811 switch: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=1",
       "diamond-811 rule: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=1",
       "diamond-812 switch: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0",
       "diamond-812 rule: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0",
       "diamond-813 switch: Success | upd sw3; upd sw5; upd sw7; upd sw2; wait; upd sw4; upd sw6 | 6097897775204880161 | calls=7 visited=0 cex=0 sat=0",
       "diamond-813 rule: Success | upd sw3; upd sw5; upd sw7; upd sw2; wait; upd sw4; upd sw6 | 6097897775204880161 | calls=7 visited=0 cex=0 sat=0",
-      "double-821 switch: Impossible |  | 1469598103934665603 | calls=8 visited=0 cex=0 sat=217",
-      "double-821 rule: Success | upd sw0; upd sw1; upd sw2; upd sw4; upd sw7; upd sw5; wait; upd sw0; upd sw2; upd sw4; upd sw15; wait; upd sw1; upd sw7 | 16210707980843615605 | calls=18 visited=0 cex=3 sat=215",
-      "double-822 switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=65",
+      "double-821 switch: Impossible |  | 1469598103934665603 | calls=8 visited=0 cex=0 sat=7",
+      "double-821 rule: Success | upd sw0; upd sw1; upd sw2; upd sw4; upd sw7; upd sw5; wait; upd sw0; upd sw2; upd sw4; upd sw15; wait; upd sw1; upd sw7 | 16210707980843615605 | calls=18 visited=0 cex=3 sat=5",
+      "double-822 switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=5",
       "double-822 rule: Success | upd sw3; upd sw4; upd sw5; upd sw2; wait; upd sw3; upd sw5; upd sw6; wait; upd sw4 | 13521125900654781792 | calls=10 visited=0 cex=1 sat=1",
-      "deep-impossible switch: Impossible |  | 1469598103934665603 | calls=22 visited=0 cex=0 sat=511",
-      "deep-impossible rule: Impossible |  | 1469598103934665603 | calls=22 visited=0 cex=0 sat=511",
+      "deep-impossible switch: Impossible |  | 1469598103934665603 | calls=22 visited=0 cex=0 sat=7",
+      "deep-impossible rule: Impossible |  | 1469598103934665603 | calls=22 visited=0 cex=0 sat=7",
   });
 }
 
@@ -856,12 +987,12 @@ TEST(SearchPinTest, BudgetOneShard) {
   Opts.MaxCheckCalls = 30;
   Opts.Shards = 1;
   expectPins(Opts, PinCounters::SearchAndBudget, {
-      "churn-step switch: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=30 spent=18",
-      "churn-step rule: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=30 spent=18",
-      "double-diamond switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=11 spent=5",
-      "double-diamond rule: Aborted |  | 1469598103934665603 | calls=18 visited=0 cex=0 sat=11 spent=17",
-      "fattree-blackhole switch: Aborted |  | 1469598103934665603 | calls=24 visited=0 cex=0 sat=9 spent=23",
-      "fattree-blackhole rule: Aborted |  | 1469598103934665603 | calls=24 visited=0 cex=0 sat=9 spent=23",
+      "churn-step switch: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=6 spent=18",
+      "churn-step rule: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=6 spent=18",
+      "double-diamond switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=5 spent=5",
+      "double-diamond rule: Aborted |  | 1469598103934665603 | calls=18 visited=0 cex=0 sat=5 spent=17",
+      "fattree-blackhole switch: Aborted |  | 1469598103934665603 | calls=24 visited=0 cex=0 sat=3 spent=23",
+      "fattree-blackhole rule: Aborted |  | 1469598103934665603 | calls=24 visited=0 cex=0 sat=3 spent=23",
       "liar-reachability-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
       "liar-reachability-min rule: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
       "liar-servicechain-min switch: Impossible |  | 1469598103934665603 | calls=2 visited=0 cex=0 sat=0 spent=1",
@@ -874,14 +1005,14 @@ TEST(SearchPinTest, BudgetOneShard) {
       "diamond-811 rule: Success | upd sw1; upd sw15; upd sw2; wait; upd sw0 | 7760706676265626571 | calls=6 visited=0 cex=0 sat=1 spent=5",
       "diamond-812 switch: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0 spent=5",
       "diamond-812 rule: Success | upd sw12; upd sw14; upd sw15; upd sw1; wait; upd sw9 | 9245922362877536336 | calls=6 visited=0 cex=0 sat=0 spent=5",
-      "diamond-813 switch: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=9 spent=18",
-      "diamond-813 rule: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=9 spent=18",
-      "double-821 switch: Impossible |  | 1469598103934665603 | calls=8 visited=0 cex=0 sat=43 spent=7",
-      "double-821 rule: Aborted |  | 1469598103934665603 | calls=23 visited=0 cex=0 sat=43 spent=22",
-      "double-822 switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=11 spent=5",
-      "double-822 rule: Aborted |  | 1469598103934665603 | calls=18 visited=0 cex=0 sat=11 spent=17",
-      "deep-impossible switch: Aborted |  | 1469598103934665603 | calls=31 visited=0 cex=0 sat=1269 spent=30",
-      "deep-impossible rule: Aborted |  | 1469598103934665603 | calls=31 visited=0 cex=0 sat=1269 spent=30",
+      "diamond-813 switch: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=3 spent=18",
+      "diamond-813 rule: Aborted |  | 1469598103934665603 | calls=19 visited=0 cex=0 sat=3 spent=18",
+      "double-821 switch: Impossible |  | 1469598103934665603 | calls=8 visited=0 cex=0 sat=7 spent=7",
+      "double-821 rule: Aborted |  | 1469598103934665603 | calls=23 visited=0 cex=0 sat=7 spent=22",
+      "double-822 switch: Impossible |  | 1469598103934665603 | calls=6 visited=0 cex=0 sat=5 spent=5",
+      "double-822 rule: Aborted |  | 1469598103934665603 | calls=18 visited=0 cex=0 sat=5 spent=17",
+      "deep-impossible switch: Aborted |  | 1469598103934665603 | calls=31 visited=0 cex=0 sat=9 spent=30",
+      "deep-impossible rule: Aborted |  | 1469598103934665603 | calls=31 visited=0 cex=0 sat=9 spent=30",
   });
 }
 
