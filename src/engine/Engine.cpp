@@ -39,8 +39,9 @@ std::vector<PortfolioMember> normalizedPortfolio(const SynthJob &Job) {
 }
 
 /// Runs one configuration to completion (or cancellation) with a private
-/// scenario clone, checker, and formula factory. \p Stop is everything
-/// that may cancel the run (race + batch + per-job cancellation + the
+/// checker and formula factory over the job's scenario, which it only
+/// reads (see the Engine.h isolation note). \p Stop is everything that
+/// may cancel the run (race + batch + per-job cancellation + the
 /// member's own token); \p RaceStop is only the job-level race, so a
 /// member aborted by an external cancellation or its own budget is not
 /// mislabelled as a race loser. \p DefaultShards fills in
@@ -57,9 +58,8 @@ MemberOutcome runMember(const Scenario &Shared, const Digest &ScenarioDigest,
   Out.Name = memberDisplayName(M);
   obs::TraceSpan Span("engine.member");
 
-  Scenario Local = Shared; // Private clone; see Engine.h isolation note.
   std::unique_ptr<CheckerBackend> Checker =
-      BackendFactory::instance().create(M.Backend, Local);
+      BackendFactory::instance().create(M.Backend, Shared);
   if (!Checker) {
     Out.Error = "unknown backend '" + M.Backend + "'";
     Out.Result.Status = SynthStatus::Aborted;
@@ -75,18 +75,18 @@ MemberOutcome runMember(const Scenario &Shared, const Digest &ScenarioDigest,
   if (Opts.Shards == 0 && DefaultShards > 1)
     Opts.Shards = DefaultShards;
   if (Opts.Shards > 1 && !Opts.ShardCheckerFactory) {
-    // Each DFS shard needs a private backend over the same clone; the
-    // factory call is thread-safe and Local outlives the run.
-    const Scenario *Clone = &Local;
+    // Each DFS shard needs a private backend over the same scenario; the
+    // factory call is thread-safe and the job's scenario outlives the run.
+    const Scenario *Scen = &Shared;
     std::string Spec = M.Backend;
-    Opts.ShardCheckerFactory = [Clone, Spec] {
-      return BackendFactory::instance().create(Spec, *Clone);
+    Opts.ShardCheckerFactory = [Scen, Spec] {
+      return BackendFactory::instance().create(Spec, *Scen);
     };
   }
 
   FormulaFactory FF;
   Timer Clock;
-  SynthResult Res = synthesizeUpdate(Local, FF, *Checker, Opts);
+  SynthResult Res = synthesizeUpdate(Shared, FF, *Checker, Opts);
   Out.Seconds = Clock.seconds();
   Out.Status = Res.Status;
   Out.Stats = Res.Stats;

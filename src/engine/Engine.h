@@ -51,11 +51,14 @@
 /// identical with it on or off; deterministic budget runs never import)
 /// and is therefore excluded from digestOf(SynthJob).
 ///
-/// Isolation: every job owns its Scenario by value and every portfolio
-/// member clones it again before building its private KripkeStructure
-/// and checker, so concurrent runs never share mutable state; the only
-/// cross-thread channels are the StopTokens, the sharded caches, and the
-/// per-job report slots, each completed under the job's own mutex.
+/// Isolation: every job owns its Scenario by value. Its members and
+/// their shards read it in place, without a clone: a Scenario (its
+/// Topology, Configs and flows) holds no mutable or lazily cached state,
+/// so concurrent readers are safe. Each member builds its private
+/// KripkeStructure and checker, so concurrent runs never share mutable
+/// state; the only cross-thread channels are the StopTokens, the sharded
+/// caches, and the per-job report slots, each completed under the job's
+/// own mutex.
 ///
 /// Portfolio mode: a job with several members runs them on dedicated
 /// threads racing for the first Success; the winner fires a shared
@@ -73,17 +76,24 @@
 /// didn't choose). The engine's contribution is the per-shard checker
 /// factory: each shard needs a private backend instance, so runMember
 /// wires SynthOptions::ShardCheckerFactory to the member's
-/// BackendFactory spec over the job's scenario clone.
+/// BackendFactory spec over the job's scenario.
 ///
-/// Nested work and the pool: shard threads (like portfolio threads) are
-/// dedicated threads owned by the job that spawned them — they are NOT
-/// submitted back to the engine's job queue. Re-submitting would
+/// Nested work and the pool: portfolio threads and shard threads are
+/// NOT submitted back to the engine's job queue. Re-submitting would
 /// deadlock a saturated pool: every worker could be blocked inside a
 /// job waiting for shard sub-tasks that no free worker exists to run.
-/// Dedicated threads keep the pool's invariant simple — workers only
-/// ever block on checker work, never on other queue entries — at the
-/// cost of briefly oversubscribing the machine, which the OS scheduler
-/// handles gracefully for these CPU-bound, cancellation-polling loops.
+/// Portfolio members run on dedicated threads owned by their job. DFS
+/// shards run on the shard crew of the thread that runs the search
+/// (synth/OrderUpdate.cpp): threads that live as long as that owner
+/// thread and park between searches, so a search creates no threads.
+/// A crew cannot deadlock: it serves only its owner, the owner waits
+/// only for its own search's shards, and crew threads never touch the
+/// job queue. The peak thread count is what a per-search spawn would
+/// reach — one crew thread per extra shard of the widest search its
+/// owner ran — so workers still only ever block on checker work, never
+/// on other queue entries, at the cost of briefly oversubscribing the
+/// machine, which the OS scheduler handles gracefully for these
+/// CPU-bound, cancellation-polling loops.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -48,8 +48,8 @@ struct PortfolioMember {
 struct SynthJob {
   /// Display name for reports and benchmark tables.
   std::string Name;
-  /// The problem instance. Owned by value: workers and portfolio threads
-  /// clone from here and never share mutable state.
+  /// The problem instance. Owned by value: members and shards read it in
+  /// place and none writes it (see the isolation note in Engine.h).
   Scenario S;
   /// The configurations to run. Empty means one default member
   /// (incremental backend, default options); a single entry runs inline

@@ -17,8 +17,8 @@ CheckerBackend::~CheckerBackend() = default;
 CheckResult LabelingChecker::bindImpl(KripkeStructure &Structure, Formula Phi) {
   K = &Structure;
   Cl = std::make_unique<Closure>(Phi);
-  UndoStack.clear();
-  UndoDepth = 0;
+  Saved.clear();
+  Frames.clear();
 
   unsigned N = K->numStates();
   AtomBits.clear();
@@ -30,33 +30,54 @@ CheckResult LabelingChecker::bindImpl(KripkeStructure &Structure, Formula Phi) {
     SinkLabels.push_back(Cl->sinkLabel(AtomBits.back()));
   }
 
-  Labels.assign(N, LabelSet());
+  // Every label holds at least one set, so N slots is the arena's floor.
+  Spans.assign(N, Span());
+  ArenaEnd = 0;
+  reserveTail(N);
   GrayStamp.assign(N, 0);
   DoneStamp.assign(N, 0);
   AncestorStamp.assign(N, 0);
   DirtyStamp.assign(N, 0);
   Stamp = 0;
   PostOrder.reserve(N);
+  DfsStack.reserve(N);
   return fullCheck();
 }
 
-void LabelingChecker::computeLabel(StateId S, LabelSet &Out) {
-  ++LabelOps;
-  Out.clear();
-  if (K->isSink(S)) {
-    Out.push_back(SinkLabels[S]);
+void LabelingChecker::reserveTail(size_t N) {
+  if (ArenaEnd + N <= Arena.size())
     return;
+  // Grow geometrically; the new slots are default (empty) sets that
+  // extend and the sink copy size on first use.
+  Arena.resize(std::max(ArenaEnd + N, 2 * Arena.size()));
+}
+
+LabelingChecker::Span LabelingChecker::computeLabel(StateId S) {
+  ++LabelOps;
+  size_t Begin = ArenaEnd;
+  if (K->isSink(S)) {
+    reserveTail(1);
+    Arena[ArenaEnd++] = SinkLabels[S];
+    return Span{static_cast<uint32_t>(Begin), 1};
   }
 
+  // The successors' labels live in this arena too: size the tail first,
+  // then index into it, so no growth happens while a set is being read.
+  size_t Need = 0;
+  for (StateId Next : K->succs(S))
+    Need += Spans[Next].Count;
+  reserveTail(Need);
   for (StateId Next : K->succs(S)) {
     assert(Next != S && "self-loop on a non-sink state");
-    for (const Bitset &SuccM : Labels[Next]) {
-      Out.emplace_back();
-      Cl->extend(SuccM, AtomBits[S], Out.back());
-    }
+    Span Sp = Spans[Next];
+    for (uint32_t I = Sp.Begin, E = Sp.Begin + Sp.Count; I != E; ++I)
+      Cl->extend(Arena[I], AtomBits[S], Arena[ArenaEnd++]);
   }
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  auto First = Arena.begin() + Begin;
+  std::sort(First, Arena.begin() + ArenaEnd);
+  ArenaEnd = std::unique(First, Arena.begin() + ArenaEnd) - Arena.begin();
+  return Span{static_cast<uint32_t>(Begin),
+              static_cast<uint32_t>(ArenaEnd - Begin)};
 }
 
 CheckResult LabelingChecker::fullCheck() {
@@ -72,10 +93,10 @@ CheckResult LabelingChecker::fullCheck() {
     return R;
   }
 
-  // A state's label is computed in place: it reads only its successors'
-  // labels, and its own buffer is reused, growing only when outgrown.
+  // Children first, so each label reads only spans already appended.
+  ArenaEnd = 0;
   for (StateId S : PostOrder)
-    computeLabel(S, Labels[S]);
+    Spans[S] = computeLabel(S);
   return checkInitStates();
 }
 
@@ -128,15 +149,13 @@ LabelingChecker::findLoopFrom(const std::vector<StateId> *Roots,
 CheckResult
 LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
   ++Queries;
-  if (UndoDepth == UndoStack.size())
-    UndoStack.emplace_back();
-  UndoFrame &Frame = UndoStack[UndoDepth++];
-  assert(Frame.Used == 0 && "undo frame reused before its rollback");
+  Frames.push_back(Frame{ArenaEnd, Saved.size()});
 
   if (auto Loop = findLoopFrom(&Changed, nullptr)) {
     // Labels are left untouched: the caller must roll this update back
     // (the search cannot proceed through a rejected configuration), and
-    // rollback restores the edges the current labels describe.
+    // rollback restores the edges the current labels describe. The frame
+    // stays open, empty, for that rollback to close.
     CheckResult R;
     R.Holds = false;
     R.Cex = std::move(*Loop);
@@ -214,17 +233,18 @@ LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
     if (DirtyStamp[S] != Stamp)
       continue;
     --Pending;
-    computeLabel(S, ScratchLabel);
-    if (ScratchLabel == Labels[S])
-      continue; // Unchanged: ancestors keep their labels.
-    // The frame entry swaps its spare buffer for the old label, and the
-    // new label is copied into that spare.
-    if (Frame.Used == Frame.Saved.size())
-      Frame.Saved.emplace_back();
-    auto &[Saved, OldLabel] = Frame.Saved[Frame.Used++];
-    Saved = S;
-    OldLabel.swap(Labels[S]);
-    Labels[S] = ScratchLabel;
+    Span Old = Spans[S];
+    Span New = computeLabel(S);
+    if (std::equal(spanBegin(New), spanEnd(New), spanBegin(Old),
+                   spanEnd(Old))) {
+      // Unchanged: give the tail back; ancestors keep their labels.
+      ArenaEnd = New.Begin;
+      continue;
+    }
+    // The old label's sets stay where they are; the trail remembers the
+    // span so rollback can point S back at them.
+    Saved.emplace_back(S, Old);
+    Spans[S] = New;
     for (StateId P : K->preds(S)) {
       if (P == S || DirtyStamp[P] == Stamp)
         continue;
@@ -248,24 +268,27 @@ LabelingChecker::recheckImpl(const UpdateInfo &Update) {
 void LabelingChecker::notifyRollback() {
   if (M == Mode::Batch)
     return; // Batch never reuses labels; nothing to restore.
-  assert(UndoDepth != 0 && "rollback without a matching recheck");
-  UndoFrame &Frame = UndoStack[--UndoDepth];
-  // Restore in reverse order of saving; each entry keeps the label it
-  // swapped out as a spare buffer.
-  for (size_t I = Frame.Used; I-- != 0;)
-    Labels[Frame.Saved[I].first].swap(Frame.Saved[I].second);
-  Frame.Used = 0;
+  assert(!Frames.empty() && "rollback without a matching recheck");
+  Frame F = Frames.back();
+  Frames.pop_back();
+  // Restore in reverse order of saving, then cut the trail and the arena
+  // back to the frame's marks: every set this frame appended is dead.
+  for (size_t I = Saved.size(); I-- != F.SavedMark;)
+    Spans[Saved[I].first] = Saved[I].second;
+  Saved.resize(F.SavedMark);
+  ArenaEnd = F.ArenaMark;
 }
 
 CheckResult LabelingChecker::checkInitStates() {
   unsigned RootIdx = Cl->rootIndex();
   for (StateId Init : K->initialStates()) {
-    for (const Bitset &M : Labels[Init]) {
-      if (M.test(RootIdx))
+    for (const Bitset *M = spanBegin(Spans[Init]), *E = spanEnd(Spans[Init]);
+         M != E; ++M) {
+      if (M->test(RootIdx))
         continue;
       CheckResult R;
       R.Holds = false;
-      R.Cex = extractCex(Init, M);
+      R.Cex = extractCex(Init, *M);
       return R;
     }
   }
@@ -286,7 +309,10 @@ std::vector<StateId> LabelingChecker::extractCex(StateId Init,
     bool Found = false;
     for (StateId Next : K->succs(Cur)) {
       assert(Next != Cur && "self-loop on a non-sink state");
-      for (const Bitset &SuccM : Labels[Next]) {
+      for (const Bitset *It = spanBegin(Spans[Next]),
+                        *E = spanEnd(Spans[Next]);
+           It != E; ++It) {
+        const Bitset &SuccM = *It;
         Cl->extend(SuccM, AtomBits[Cur], Extended);
         if (Extended != CurM)
           continue;

@@ -22,12 +22,27 @@
 /// The complexity is O(|ancestors(U)| * 2^|phi|) versus O(|K| * 2^|phi|)
 /// for the monolithic relabeling (Corollary 1 discussion).
 ///
+/// Labels live in one append-only arena: each state names its label by a
+/// span {Begin, Count} of it, and a label is computed by appending the
+/// extended successor sets at the tail, then sorting and deduplicating
+/// that tail in place. The monolithic pass clears the arena and appends
+/// every label in children-first order. The incremental pass opens a
+/// frame that marks the arena's size and the size of a flat stack of
+/// saved spans; a relabeled state whose new label equals its old one
+/// gives the tail back, and one whose label changed pushes its old span
+/// onto the saved stack and points at the new one. The old label's words
+/// are never overwritten, so rollback is the trail truncation of a CDCL
+/// solver's backtrack: restore the saved spans in reverse order, then cut
+/// both stacks back to the frame's marks. Frames are strictly LIFO (every
+/// recheck is matched by one rollback, innermost first), which is what
+/// makes the cut sound. Rollback copies no label.
+///
 /// The steady state does no hashing and no allocation. The closure is a
 /// compiled table (ltl/Closure.h); each state's sink label is computed
-/// once at bind; the monolithic pass computes each label in place, and
-/// the incremental pass into a checker-owned scratch set that it copies
-/// in only when the label changed; the relabel order, the DFS stacks and
-/// the undo frames are checker-owned buffers reused across queries. The
+/// once at bind; the arena, the saved-span stack, the frames, the relabel
+/// order and the DFS stacks are checker-owned buffers whose capacity is
+/// kept across queries, and arena slots past the tail keep their storage.
+/// Bind allocates a fixed number of buffers, none per state. The
 /// monolithic pass runs one three-colour DFS that both rejects forwarding
 /// loops and yields the children-first order.
 ///
@@ -43,7 +58,8 @@
 
 namespace netupd {
 
-/// A deduplicated set of maximally-consistent sets (one state's label).
+/// A deduplicated, sorted set of maximally-consistent sets (one state's
+/// label), as copied out by LabelingChecker::label.
 using LabelSet = std::vector<Bitset>;
 
 /// The labeling checker; Mode selects the Incremental or Batch behaviour
@@ -63,8 +79,10 @@ public:
   /// that incrementality reduces.
   uint64_t numLabelOps() const { return LabelOps; }
 
-  /// The current label of \p S; exposed for tests.
-  const LabelSet &label(StateId S) const { return Labels[S]; }
+  /// A copy of the current label of \p S; exposed for tests.
+  LabelSet label(StateId S) const {
+    return LabelSet(spanBegin(Spans[S]), spanEnd(Spans[S]));
+  }
 
   /// The children-first order the last full check labeled states in (the
   /// post-order of its DFS); exposed for tests.
@@ -75,10 +93,23 @@ protected:
   CheckResult recheckImpl(const UpdateInfo &Update) override;
 
 private:
-  /// Computes the label of \p S from its successors' current labels into
-  /// \p Out, reusing Out's storage. Out may be S's own label, which is
-  /// not read.
-  void computeLabel(StateId S, LabelSet &Out);
+  /// One state's label: Count sets starting at Arena[Begin].
+  struct Span {
+    uint32_t Begin = 0;
+    uint32_t Count = 0;
+  };
+
+  /// Appends the label of \p S, computed from its successors' current
+  /// labels, at the arena's tail and returns its span.
+  Span computeLabel(StateId S);
+
+  /// Makes room for \p N more sets past the tail. May move the arena, so
+  /// no reference into it may be held across the call.
+  void reserveTail(size_t N);
+
+  /// The sets of \p Sp.
+  const Bitset *spanBegin(Span Sp) const { return Arena.data() + Sp.Begin; }
+  const Bitset *spanEnd(Span Sp) const { return spanBegin(Sp) + Sp.Count; }
 
   /// Relabels every state (monolithic pass) and re-checks initial states.
   CheckResult fullCheck();
@@ -112,19 +143,22 @@ private:
   std::unique_ptr<Closure> Cl;
   std::vector<Bitset> AtomBits;   // Per-state atom valuations.
   std::vector<Bitset> SinkLabels; // Per-state Holds0 set, used while a sink.
-  std::vector<LabelSet> Labels;
   uint64_t LabelOps = 0;
 
-  /// Saved labels for rollback, one frame per recheckAfterUpdate. Frames
-  /// at or above UndoDepth (whose Used is 0), and entries at or above a
-  /// frame's Used, are spare: they keep their buffers for the next query
-  /// to swap into.
-  struct UndoFrame {
-    std::vector<std::pair<StateId, LabelSet>> Saved;
-    size_t Used = 0;
+  /// The label arena: sets [0, ArenaEnd) are live, and the slots past
+  /// ArenaEnd are spares that keep their storage for the next append.
+  std::vector<Bitset> Arena;
+  size_t ArenaEnd = 0;
+  std::vector<Span> Spans; // Per-state current label.
+
+  /// The trail: the spans relabeled states held before, and one frame of
+  /// marks per recheckAfterUpdate still awaiting its rollback.
+  struct Frame {
+    size_t ArenaMark;
+    size_t SavedMark;
   };
-  std::vector<UndoFrame> UndoStack;
-  size_t UndoDepth = 0;
+  std::vector<std::pair<StateId, Span>> Saved;
+  std::vector<Frame> Frames;
 
   /// Stamp-based scratch marks, reused across queries so the incremental
   /// path never touches memory proportional to the whole structure.
@@ -132,7 +166,6 @@ private:
   uint32_t Stamp = 0;
 
   /// Buffers reused across queries.
-  LabelSet ScratchLabel;
   std::vector<StateId> PostOrder, ScratchAncestors, ScratchOrder, ScratchStack;
   std::vector<std::pair<StateId, uint32_t>> DfsStack;
 };

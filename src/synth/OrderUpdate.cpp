@@ -94,6 +94,7 @@
 #include "support/Bitset.h"
 #include "support/Budget.h"
 #include "support/ConcurrentSet.h"
+#include "support/ThreadAnnotations.h"
 #include "support/Timer.h"
 #include "synth/EarlyTermination.h"
 #include "synth/WaitRemoval.h"
@@ -102,6 +103,7 @@
 #include <atomic>
 #include <cassert>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -577,7 +579,7 @@ public:
         // The soft hint's only firing point: between units (and steal
         // tasks), so a unit that starts always runs to its
         // deterministic conclusion.
-        // relaxed: a cause flag read only after every shard joined.
+        // relaxed: a cause flag read only after every shard finished.
         Ctx.WallAbort.store(true, std::memory_order_relaxed);
         Ctx.Halt.requestStop();
         return;
@@ -650,7 +652,7 @@ private:
     Stats.BudgetSpent += Account.spent();
     Stats.SatClauses += UnitScope->ET.numClauses();
     if (UnitTruncated)
-      // relaxed: a tally read only after every shard joined.
+      // relaxed: a tally read only after every shard finished.
       Ctx.ExhaustedUnits.fetch_add(1, std::memory_order_relaxed);
     // Unit-local entries are still instance facts; hand them to the
     // shared W, the run's cross-job export, instead of dropping them
@@ -797,7 +799,7 @@ private:
       // clauses produced it.
       if (Scope->ET.impossible()) {
         Stats.EarlyTerminated = true;
-        // relaxed: a cause flag read only after every shard joined.
+        // relaxed: a cause flag read only after every shard finished.
         Ctx.EtImpossible.store(true, std::memory_order_relaxed);
         Ctx.Halt.requestStop();
         AbortFlag = true;
@@ -922,7 +924,7 @@ private:
         break;
       }
       if (Ctx.softWallExpired()) {
-        // relaxed: a cause flag read only after every shard joined.
+        // relaxed: a cause flag read only after every shard finished.
         Ctx.WallAbort.store(true, std::memory_order_relaxed);
         Ctx.Halt.requestStop();
         break;
@@ -1005,7 +1007,7 @@ private:
       return;
     if (Ctx.Halt.token().stopRequested())
       return;
-    // relaxed: a cause flag read only after every shard joined.
+    // relaxed: a cause flag read only after every shard finished.
     Ctx.ExternalAbort.store(true, std::memory_order_relaxed);
     Ctx.Halt.requestStop();
   }
@@ -1105,6 +1107,109 @@ CommandSeq buildCommands(const SearchContext &Ctx,
     Cur[Op.Sw] = &Out.back().NewTable;
   }
   return Out;
+}
+
+/// The threads that run one owner thread's extra DFS shards. Each
+/// thread that runs a sharded search owns one crew (see shardCrew()); it
+/// grows to the largest Shards - 1 its owner has run, its threads park
+/// on a condition variable between searches, and its destructor joins
+/// them when the owner exits. Search setup then creates no threads.
+///
+/// Only the owner calls run(); crew threads run shard bodies and nothing
+/// else, and never touch the engine's job queue (see "Nested work" in
+/// engine/Engine.h).
+class ShardCrew {
+public:
+  ShardCrew() = default;
+  ShardCrew(const ShardCrew &) = delete;
+  ShardCrew &operator=(const ShardCrew &) = delete;
+
+  ~ShardCrew() {
+    {
+      MutexLock Lock(M);
+      Exiting = true;
+    }
+    Wake.notify_all();
+    for (std::thread &T : Threads)
+      T.join();
+  }
+
+  /// Runs Body(I) for every I in [0, N) on crew threads while the caller
+  /// runs \p Own, growing the crew first if needed. Returns once every
+  /// body has returned, also when Own unwinds, so Body and whatever it
+  /// references may live on the caller's stack.
+  template <class OwnFn>
+  void run(unsigned N, const std::function<void(unsigned)> &Body, OwnFn Own) {
+    start(N, Body);
+    struct Waiter {
+      ShardCrew &Crew;
+      ~Waiter() { Crew.wait(); }
+    } W{*this};
+    Own();
+  }
+
+private:
+  void start(unsigned N, const std::function<void(unsigned)> &Body) {
+    // A thread spawned here waits for the round published below: its
+    // index is past every earlier round's Active.
+    while (Threads.size() < N) {
+      unsigned Idx = static_cast<unsigned>(Threads.size());
+      Threads.emplace_back([this, Idx] { serve(Idx); });
+    }
+    {
+      MutexLock Lock(M);
+      RoundBody = &Body;
+      Active = N;
+      Pending = N;
+      ++Round;
+    }
+    Wake.notify_all();
+  }
+
+  void wait() {
+    MutexLock Lock(M);
+    while (Pending != 0)
+      Done.wait(M);
+    RoundBody = nullptr;
+  }
+
+  /// Crew thread \p Idx: runs Body(Idx) once per round with Idx < Active.
+  void serve(unsigned Idx) {
+    uint64_t Seen = 0;
+    M.lock();
+    for (;;) {
+      while (!Exiting && (Round == Seen || Idx >= Active))
+        Wake.wait(M);
+      if (Exiting)
+        break;
+      Seen = Round;
+      const std::function<void(unsigned)> *Body = RoundBody;
+      M.unlock();
+      (*Body)(Idx);
+      M.lock();
+      if (--Pending == 0)
+        Done.notify_one();
+    }
+    M.unlock();
+  }
+
+  Mutex M;
+  CondVar Wake; // Signals a new round or exit to the crew.
+  CondVar Done; // Signals the owner that the round's last body returned.
+  const std::function<void(unsigned)> *RoundBody NETUPD_GUARDED_BY(M) =
+      nullptr;
+  unsigned Active NETUPD_GUARDED_BY(M) = 0;  // Bodies in the current round.
+  unsigned Pending NETUPD_GUARDED_BY(M) = 0; // Of those, still running.
+  uint64_t Round NETUPD_GUARDED_BY(M) = 0;
+  bool Exiting NETUPD_GUARDED_BY(M) = false;
+  std::vector<std::thread> Threads; // Touched by the owner only.
+};
+
+/// The calling thread's crew, created on its first sharded search and
+/// joined when the thread exits.
+ShardCrew &shardCrew() {
+  thread_local ShardCrew Crew;
+  return Crew;
 }
 
 SynthResult runSearch(const Topology &Topo, const Config &Initial,
@@ -1240,7 +1345,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     // exists, proven before a single work unit ran. A reuse-off search
     // reaches the same verdict (by its own SAT proof or by exhaustion)
     // — the store only made it instant.
-    // relaxed: single-threaded here (before the shards spawn).
+    // relaxed: single-threaded here (before the shards start).
     Ctx.EtImpossible.store(true, std::memory_order_relaxed);
     SearchSeconds = Ctx.Clock.seconds();
     Finish(SynthStatus::Impossible);
@@ -1250,44 +1355,41 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   if (Shards <= 1) {
     Primary.runUnits();
   } else {
-    // Extra shards run on their own threads — deliberately not on the
+    // Extra shards run on this thread's crew — deliberately not on the
     // engine's job pool, whose workers may all be blocked inside jobs
-    // waiting for exactly these threads (see engine/Engine.h).
+    // waiting for exactly these shards (see engine/Engine.h). The crew
+    // serves only this thread, which waits only for its own search, so
+    // it cannot deadlock; it holds as many threads as a per-search spawn
+    // would, parked between searches instead of exiting.
     std::vector<SynthStats> ShardStats(Shards - 1);
-    std::vector<std::thread> Threads;
-    Threads.reserve(Shards - 1);
-    for (unsigned T = 0; T != Shards - 1; ++T) {
-      Threads.emplace_back([&, T] {
-        obs::TraceSpan ShardSpan("synth.shard");
-        std::unique_ptr<CheckerBackend> ShardChecker =
-            Opts.ShardCheckerFactory();
-        if (!ShardChecker)
-          return; // Fewer shards; the rest still cover every unit.
-        KripkeStructure ShardK(Ctx.Pool, Ctx.InitialTables);
-        ShardSearcher Shard(Ctx, ShardK, *ShardChecker, T + 1);
-        CheckResult BindRes = Shard.bindInitial();
-        // The primary bind verified the initial configuration; a shard
-        // bind can only disagree if the backend is nondeterministic, in
-        // which case exploring would be unsound — sit this run out.
-        if (BindRes.Holds)
-          Shard.runUnits();
-        // Fold this checker's real work into the shard's stats before
-        // the checker dies with this thread.
-        Shard.Stats.BackendQueries += ShardChecker->numQueries();
-        Shard.Stats.CacheHits += ShardChecker->cacheHits();
-        Shard.Stats.CacheMisses += ShardChecker->cacheMisses();
-        Shard.finalizeStats();
-        ShardStats[T] = std::move(Shard.Stats);
-      });
-    }
-    Primary.runUnits();
-    for (std::thread &T : Threads)
-      T.join();
+    std::function<void(unsigned)> Body = [&](unsigned T) {
+      obs::TraceSpan ShardSpan("synth.shard");
+      std::unique_ptr<CheckerBackend> ShardChecker =
+          Opts.ShardCheckerFactory();
+      if (!ShardChecker)
+        return; // Fewer shards; the rest still cover every unit.
+      KripkeStructure ShardK(Ctx.Pool, Ctx.InitialTables);
+      ShardSearcher Shard(Ctx, ShardK, *ShardChecker, T + 1);
+      CheckResult BindRes = Shard.bindInitial();
+      // The primary bind verified the initial configuration; a shard
+      // bind can only disagree if the backend is nondeterministic, in
+      // which case exploring would be unsound — sit this run out.
+      if (BindRes.Holds)
+        Shard.runUnits();
+      // Fold this checker's real work into the shard's stats before the
+      // checker dies with this body.
+      Shard.Stats.BackendQueries += ShardChecker->numQueries();
+      Shard.Stats.CacheHits += ShardChecker->cacheHits();
+      Shard.Stats.CacheMisses += ShardChecker->cacheMisses();
+      Shard.finalizeStats();
+      ShardStats[T] = std::move(Shard.Stats);
+    };
+    shardCrew().run(Shards - 1, Body, [&] { Primary.runUnits(); });
     for (const SynthStats &S : ShardStats)
       Total.mergeFrom(S);
   }
 
-  // All shards joined: the winner slot and flags are stable now.
+  // All shards finished: the winner slot and flags are stable now.
   SearchSeconds = Ctx.Clock.seconds();
   std::vector<unsigned> WinnerSeq;
   if (!Ctx.winnerSnapshot(WinnerSeq)) {

@@ -393,40 +393,56 @@ TEST(LabelingCheckerTest, BatchModeWorksWithoutRollbacks) {
   EXPECT_TRUE(Batch.recheckAfterUpdate(Info).Holds);
 }
 
+namespace {
+
+/// A chain s0 -> ... -> s(Len-1) with one host at each end and the path
+/// between them installed for one traffic class.
+struct ChainNet {
+  Topology T;
+  std::vector<SwitchId> Chain;
+  PortId Src, Dst;
+  TrafficClass C{makeHeader(1, 2), "c"};
+  Config Cfg;
+};
+
+ChainNet buildChain(unsigned Len) {
+  ChainNet N;
+  for (unsigned I = 0; I != Len; ++I)
+    N.Chain.push_back(N.T.addSwitch("s" + std::to_string(I)));
+  for (unsigned I = 0; I + 1 != Len; ++I)
+    N.T.connectSwitches(N.Chain[I], N.Chain[I + 1]);
+  HostId H0 = N.T.addHost("h0");
+  HostId H1 = N.T.addHost("h1");
+  N.Src = N.T.attachHost(H0, N.Chain[0]);
+  N.Dst = N.T.attachHost(H1, N.Chain[Len - 1]);
+  N.Cfg = Config(Len);
+  installPath(N.T, N.Cfg, N.C, N.Chain, H1);
+  return N;
+}
+
+} // namespace
+
 TEST(LabelingCheckerTest, IncrementalDoesLessWorkThanBatch) {
   // On a long chain, updating the switch next to the destination must
   // relabel only a handful of ancestors, far fewer than a full pass.
-  Topology T;
   const unsigned Len = 40;
-  std::vector<SwitchId> Chain;
-  for (unsigned I = 0; I != Len; ++I)
-    Chain.push_back(T.addSwitch("s" + std::to_string(I)));
-  for (unsigned I = 0; I + 1 != Len; ++I)
-    T.connectSwitches(Chain[I], Chain[I + 1]);
-  HostId H0 = T.addHost("h0");
-  HostId H1 = T.addHost("h1");
-  PortId Src = T.attachHost(H0, Chain[0]);
-  PortId Dst = T.attachHost(H1, Chain[Len - 1]);
-
-  TrafficClass C{makeHeader(1, 2), "c"};
-  Config Cfg(Len);
-  installPath(T, Cfg, C, Chain, H1);
-
+  ChainNet N = buildChain(Len);
   FormulaFactory FF;
-  Formula Phi = reachabilityProperty(FF, Src, Dst);
+  Formula Phi = reachabilityProperty(FF, N.Src, N.Dst);
 
-  KripkeStructure K(T, Cfg, {C});
+  KripkeStructure K(N.T, N.Cfg, {N.C});
   LabelingChecker Inc;
   ASSERT_TRUE(Inc.bind(K, Phi).Holds);
   uint64_t OpsAfterBind = Inc.numLabelOps();
 
   // Re-install the same last-hop rule with a cosmetic priority change so
   // edges stay identical except for recomputation at that switch.
-  Table NewTable = Cfg.table(Chain[Len - 1]);
+  SwitchId Last = N.Chain[Len - 1];
+  Table NewTable = N.Cfg.table(Last);
   std::vector<StateId> Changed;
-  auto Undo = K.applySwitchUpdate(Chain[Len - 1], NewTable, Changed);
+  auto Undo = K.applySwitchUpdate(Last, NewTable, Changed);
   UpdateInfo Info;
-  Info.Sw = Chain[Len - 1];
+  Info.Sw = Last;
   Info.ChangedStates = &Changed;
   ASSERT_TRUE(Inc.recheckAfterUpdate(Info).Holds);
   uint64_t IncrementalOps = Inc.numLabelOps() - OpsAfterBind;
@@ -436,70 +452,137 @@ TEST(LabelingCheckerTest, IncrementalDoesLessWorkThanBatch) {
   K.undo(Undo);
 }
 
-/// After one warm-up, a recheck plus rollback that leaves every label
-/// unchanged allocates nothing, in either mode: the labels, the relabel
-/// order, the DFS stacks and the undo frames all live in reused checker buffers.
+namespace {
+
+/// Runs one warm-up recheck/rollback round trip of \p Info on \p Checker,
+/// then a second one, and returns how many blocks the second allocated.
+/// \p Res receives the second recheck's result and \p Ops the label
+/// computations it made.
+uint64_t allocsOfRoundTrip(LabelingChecker &Checker, const UpdateInfo &Info,
+                           CheckResult &Res, uint64_t &Ops) {
+  EXPECT_TRUE(Checker.recheckAfterUpdate(Info).Holds) << Checker.name();
+  Checker.notifyRollback();
+
+  uint64_t OpsBefore = Checker.numLabelOps();
+  uint64_t AllocsBefore = NumAllocs.load(std::memory_order_relaxed);
+  Res = Checker.recheckAfterUpdate(Info);
+  Checker.notifyRollback();
+  uint64_t Allocs = NumAllocs.load(std::memory_order_relaxed) - AllocsBefore;
+  Ops = Checker.numLabelOps() - OpsBefore;
+  return Allocs;
+}
+
+} // namespace
+
+/// After one warm-up, a recheck plus rollback allocates nothing, in
+/// either mode, whether or not the recheck changes labels: the label
+/// arena, the saved-span trail, the frames, the relabel order and the
+/// DFS stacks all keep their capacity across queries.
 TEST(LabelingCheckerTest, UnchangedRecheckAndRollbackAllocateNothing) {
   // The chain and cosmetic last-hop update of
   // IncrementalDoesLessWorkThanBatch.
-  Topology T;
   const unsigned Len = 40;
-  std::vector<SwitchId> Chain;
-  for (unsigned I = 0; I != Len; ++I)
-    Chain.push_back(T.addSwitch("s" + std::to_string(I)));
-  for (unsigned I = 0; I + 1 != Len; ++I)
-    T.connectSwitches(Chain[I], Chain[I + 1]);
-  HostId H0 = T.addHost("h0");
-  HostId H1 = T.addHost("h1");
-  PortId Src = T.attachHost(H0, Chain[0]);
-  PortId Dst = T.attachHost(H1, Chain[Len - 1]);
-
-  TrafficClass C{makeHeader(1, 2), "c"};
-  Config Cfg(Len);
-  installPath(T, Cfg, C, Chain, H1);
-
+  ChainNet N = buildChain(Len);
   FormulaFactory FF;
-  Formula Phi = reachabilityProperty(FF, Src, Dst);
+  Formula Phi = reachabilityProperty(FF, N.Src, N.Dst);
 
   for (auto Mode :
        {LabelingChecker::Mode::Incremental, LabelingChecker::Mode::Batch}) {
-    KripkeStructure K(T, Cfg, {C});
+    KripkeStructure K(N.T, N.Cfg, {N.C});
     LabelingChecker Checker(Mode);
     ASSERT_TRUE(Checker.bind(K, Phi).Holds);
 
-    SwitchId Last = Chain[Len - 1];
+    SwitchId Last = N.Chain[Len - 1];
     std::vector<StateId> Changed;
-    auto Undo = K.applySwitchUpdate(Last, Cfg.table(Last), Changed);
+    auto Undo = K.applySwitchUpdate(Last, N.Cfg.table(Last), Changed);
     // The update leaves every edge as it was; name the last two hops'
     // states as changed anyway, so the recheck relabels them (to the
     // labels they already have).
     for (StateId S = 0; S != K.numStates(); ++S)
-      if (K.stateSwitch(S) == Last || K.stateSwitch(S) == Chain[Len - 2])
+      if (K.stateSwitch(S) == Last || K.stateSwitch(S) == N.Chain[Len - 2])
         Changed.push_back(S);
     UpdateInfo Info;
     Info.Sw = Last;
     Info.ChangedStates = &Changed;
 
-    ASSERT_TRUE(Checker.recheckAfterUpdate(Info).Holds); // Warm-up.
-    Checker.notifyRollback();
-
-    uint64_t OpsBefore = Checker.numLabelOps();
-    uint64_t AllocsBefore = NumAllocs.load(std::memory_order_relaxed);
-    CheckResult Res = Checker.recheckAfterUpdate(Info);
-    Checker.notifyRollback();
-    uint64_t Allocs =
-        NumAllocs.load(std::memory_order_relaxed) - AllocsBefore;
-
+    CheckResult Res;
+    uint64_t Ops = 0;
+    uint64_t Allocs = allocsOfRoundTrip(Checker, Info, Res, Ops);
     EXPECT_TRUE(Res.Holds) << Checker.name();
     // Incremental relabels exactly the named states: none changes, so
     // nothing propagates. Batch relabels every state.
-    EXPECT_EQ(Checker.numLabelOps() - OpsBefore,
-              Mode == LabelingChecker::Mode::Batch ? K.numStates()
-                                                   : Changed.size())
+    EXPECT_EQ(Ops, Mode == LabelingChecker::Mode::Batch ? K.numStates()
+                                                        : Changed.size())
         << Checker.name();
     EXPECT_EQ(Allocs, 0u) << Checker.name();
     K.undo(Undo);
   }
+
+  // A recheck that does change labels: on Fig. 1, moving the unreachable
+  // C2 to its green table turns its sink states into forwarding ones. The
+  // property still holds, so no counterexample is built either.
+  Fig1Network F = buildFig1();
+  Formula Reach = reachabilityProperty(FF, F.srcPort(), F.dstPort());
+  for (auto Mode :
+       {LabelingChecker::Mode::Incremental, LabelingChecker::Mode::Batch}) {
+    KripkeStructure K(F.Topo, F.Red, {F.FlowH1H3});
+    LabelingChecker Checker(Mode);
+    ASSERT_TRUE(Checker.bind(K, Reach).Holds);
+    std::vector<LabelSet> Before;
+    for (StateId S = 0; S != K.numStates(); ++S)
+      Before.push_back(Checker.label(S));
+
+    std::vector<StateId> Changed;
+    auto Undo = K.applySwitchUpdate(F.C2, F.Green.table(F.C2), Changed);
+    UpdateInfo Info;
+    Info.Sw = F.C2;
+    Info.ChangedStates = &Changed;
+
+    CheckResult Res;
+    uint64_t Ops = 0;
+    uint64_t Allocs = allocsOfRoundTrip(Checker, Info, Res, Ops);
+    EXPECT_TRUE(Res.Holds) << Checker.name();
+    EXPECT_EQ(Allocs, 0u) << Checker.name();
+
+    // The recheck really changed a label, and the rollback restored it.
+    ASSERT_TRUE(Checker.recheckAfterUpdate(Info).Holds);
+    unsigned Relabeled = 0;
+    for (StateId S = 0; S != K.numStates(); ++S)
+      Relabeled += Checker.label(S) != Before[S];
+    EXPECT_GT(Relabeled, 0u) << Checker.name();
+    Checker.notifyRollback();
+    K.undo(Undo);
+    if (Mode != LabelingChecker::Mode::Incremental)
+      continue; // Batch relabels from scratch; it restores nothing.
+    for (StateId S = 0; S != K.numStates(); ++S)
+      EXPECT_EQ(Checker.label(S), Before[S]) << K.stateName(S);
+  }
+}
+
+/// Binding a checker allocates a fixed number of buffers, none per state:
+/// the labels share one arena, so a 4,096-state chain costs at most a few
+/// more blocks (growth of the arena past one set per state) than a
+/// 64-state one.
+TEST(LabelingCheckerTest, BindAllocationsDoNotGrowWithStates) {
+  auto allocsOfBind = [](unsigned Len, unsigned &NumStates) {
+    ChainNet N = buildChain(Len);
+    FormulaFactory FF;
+    Formula Phi = reachabilityProperty(FF, N.Src, N.Dst);
+    KripkeStructure K(N.T, N.Cfg, {N.C});
+    NumStates = K.numStates();
+    LabelingChecker Checker;
+    uint64_t Before = NumAllocs.load(std::memory_order_relaxed);
+    EXPECT_TRUE(Checker.bind(K, Phi).Holds);
+    return NumAllocs.load(std::memory_order_relaxed) - Before;
+  };
+  unsigned SmallStates = 0, LargeStates = 0;
+  allocsOfBind(64, SmallStates); // Warm-up: first-use statics.
+  uint64_t Small = allocsOfBind(64, SmallStates);
+  uint64_t Large = allocsOfBind(4096, LargeStates);
+  ASSERT_GE(LargeStates, 4096u);
+  EXPECT_LE(Large, Small + 4) << "bind allocates per state: " << Small
+                              << " blocks for " << SmallStates << " states, "
+                              << Large << " for " << LargeStates;
 }
 
 TEST(NaiveTraceCheckerTest, AgreesWithTraceEvalOnFig1) {

@@ -10,8 +10,8 @@
 /// verdict/sequence-class agreement with the sequential search across
 /// the whole backend registry, graceful degradation without a checker
 /// factory, sibling-shard cancellation on the first found sequence,
-/// per-shard statistics merging, and the engine's IntraJobShards
-/// default.
+/// per-shard statistics merging, the engine's IntraJobShards default,
+/// and the per-thread shard crew that runs the extra shards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +30,13 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+
+#ifdef __linux__
+#include <dirent.h>
+#include <set>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 using namespace netupd;
 using namespace netupd::testutil;
@@ -484,3 +491,94 @@ TEST(ShardedSearchTest, PreFiredStopAbortsShardedRun) {
   EXPECT_EQ(Res.Status, SynthStatus::Aborted);
   EXPECT_TRUE(Res.Commands.empty());
 }
+
+#ifdef __linux__
+namespace {
+
+/// The number of threads in this process, from /proc/self/task.
+unsigned numTasks() {
+  unsigned N = 0;
+  if (DIR *D = opendir("/proc/self/task")) {
+    while (dirent *E = readdir(D))
+      N += E->d_name[0] != '.';
+    closedir(D);
+  }
+  return N;
+}
+
+/// Waits (up to 5 s) for the thread count to fall to \p Expected: a joined
+/// thread's task can linger in /proc/self/task for a moment after its
+/// join returns. Returns the last count read.
+unsigned settledTasks(unsigned Expected) {
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  unsigned N = numTasks();
+  while (N > Expected && std::chrono::steady_clock::now() < Deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    N = numTasks();
+  }
+  return N;
+}
+
+/// A direct run of \p S with \p Shards shards on the calling thread.
+/// Adds the kernel thread id of every thread that built a shard checker
+/// (one per extra shard) to \p ShardTids.
+SynthStatus runDirect(const Scenario &S, unsigned Shards,
+                      std::set<long> &ShardTids) {
+  std::mutex TidsM;
+  LabelingChecker Checker(LabelingChecker::Mode::Incremental);
+  FormulaFactory FF;
+  SynthOptions Opts;
+  Opts.Shards = Shards;
+  Opts.ShardCheckerFactory = [&]() -> std::unique_ptr<CheckerBackend> {
+    {
+      std::lock_guard<std::mutex> Lock(TidsM);
+      ShardTids.insert(static_cast<long>(syscall(SYS_gettid)));
+    }
+    return std::make_unique<LabelingChecker>(
+        LabelingChecker::Mode::Incremental);
+  };
+  SynthResult Res = synthesizeUpdate(S, FF, Checker, Opts);
+  if (Res.Status == SynthStatus::Success)
+    expectCorrectSequence(S, Res);
+  return Res.Status;
+}
+
+} // namespace
+
+// One thread's searches reuse its crew: after the first 4-shard search
+// the process holds its crew threads, and neither a narrower nor another
+// 4-shard search creates more. Kernel thread ids are not recycled this
+// soon, so the later searches' shards must run on the first one's threads.
+TEST(ShardCrewTest, SearchesOnOneThreadReuseTheCrew) {
+  Scenario S = diamondWithUpdates(100, 4);
+  std::set<long> First, Later;
+  SynthStatus Seq = runDirect(S, 1, First);
+  ASSERT_EQ(Seq, SynthStatus::Success);
+  EXPECT_TRUE(First.empty());
+
+  EXPECT_EQ(runDirect(S, 4, First), Seq);
+  EXPECT_EQ(First.size(), 3u);
+  unsigned AfterFirst = numTasks();
+  EXPECT_EQ(runDirect(S, 2, Later), Seq);
+  EXPECT_LE(numTasks(), AfterFirst) << "a 2-shard search grew the crew";
+  EXPECT_EQ(runDirect(S, 4, Later), Seq);
+  EXPECT_LE(numTasks(), AfterFirst) << "a repeat search grew the crew";
+  for (long Tid : Later)
+    EXPECT_EQ(First.count(Tid), 1u) << "a shard ran on a new thread";
+}
+
+// A crew lives as long as its owner thread: once a thread that ran a
+// sharded search has exited and been joined, its crew is gone too.
+TEST(ShardCrewTest, CrewExitsWithItsOwnerThread) {
+  Scenario S = diamondWithUpdates(100, 4);
+  unsigned Baseline = numTasks();
+  SynthStatus Status = SynthStatus::Aborted;
+  std::set<long> Tids;
+  std::thread Owner([&] { Status = runDirect(S, 4, Tids); });
+  Owner.join();
+  EXPECT_EQ(Status, SynthStatus::Success);
+  EXPECT_EQ(Tids.size(), 3u);
+  EXPECT_LE(settledTasks(Baseline), Baseline)
+      << "the owner's crew outlived it";
+}
+#endif // __linux__
