@@ -11,6 +11,7 @@
 #include "mc/BackendFactory.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/Crew.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -501,24 +502,22 @@ SynthReport SynthEngine::runOneJob(const SynthJob &Job, size_t Index,
                               StopToken(), Opts.IntraJobShards, Learn);
   } else {
     // Race: first Success fires the shared source; everyone also honours
-    // the external (batch + per-job) token.
+    // the external (batch + per-job) token. The members run as one round
+    // on this thread's crew while it waits: running one here would let a
+    // sharded member start a round on the same crew mid-round
+    // (support/Crew.h).
     StopSource Race;
     StopToken RaceStop = Race.token();
     StopToken MemberStop = anyToken(Stop, RaceStop);
-    std::vector<std::thread> Threads;
-    Threads.reserve(Members.size());
-    for (size_t I = 0; I != Members.size(); ++I) {
+    std::function<void(unsigned)> Body = [&](unsigned I) {
       if (Shed[I])
-        continue;
-      Threads.emplace_back([&, I] {
-        Outcomes[I] = runMember(Job.S, ScenDigest, Members[I], MemberStop,
-                                RaceStop, Opts.IntraJobShards, Learn);
-        if (Outcomes[I].Status == SynthStatus::Success)
-          Race.requestStop();
-      });
-    }
-    for (std::thread &T : Threads)
-      T.join();
+        return;
+      Outcomes[I] = runMember(Job.S, ScenDigest, Members[I], MemberStop,
+                              RaceStop, Opts.IntraJobShards, Learn);
+      if (Outcomes[I].Status == SynthStatus::Success)
+        Race.requestStop();
+    };
+    Crew::local().run(static_cast<unsigned>(Members.size()), Body, [] {});
   }
 
   // Deterministic winner: best verdict rank, lowest member index.

@@ -60,14 +60,14 @@
 /// caches, and the per-job report slots, each completed under the job's
 /// own mutex.
 ///
-/// Portfolio mode: a job with several members runs them on dedicated
-/// threads racing for the first Success; the winner fires a shared
-/// StopSource and the losers abandon their search at the next
-/// cancellation checkpoint. Only Success cancels the race — a member
+/// Portfolio mode: a job with several members races them on the worker
+/// thread's crew (see below); the winner fires a shared StopSource and
+/// the losers abandon their search at the next cancellation checkpoint. Only Success cancels the race — a member
 /// proving its own configuration Impossible says nothing about members
 /// searching a different granularity, so the rest keep running. The
 /// job's feasibility verdict is therefore timing-independent: Success
-/// iff some member can succeed.
+/// iff some member can succeed. A single-member job runs inline on the
+/// worker.
 ///
 /// Intra-job sharding: orthogonally to the portfolio (which races
 /// *different* configurations), a single member's DFS can be
@@ -78,20 +78,19 @@
 /// wires SynthOptions::ShardCheckerFactory to the member's
 /// BackendFactory spec over the job's scenario.
 ///
-/// Nested work and the pool: portfolio threads and shard threads are
-/// NOT submitted back to the engine's job queue. Re-submitting would
+/// Nested work and the pool: portfolio members and DFS shards are NOT
+/// submitted back to the engine's job queue. Re-submitting would
 /// deadlock a saturated pool: every worker could be blocked inside a
-/// job waiting for shard sub-tasks that no free worker exists to run.
-/// Portfolio members run on dedicated threads owned by their job. DFS
-/// shards run on the shard crew of the thread that runs the search
-/// (synth/OrderUpdate.cpp): threads that live as long as that owner
-/// thread and park between searches, so a search creates no threads.
-/// A crew cannot deadlock: it serves only its owner, the owner waits
-/// only for its own search's shards, and crew threads never touch the
-/// job queue. The peak thread count is what a per-search spawn would
-/// reach — one crew thread per extra shard of the widest search its
-/// owner ran — so workers still only ever block on checker work, never
-/// on other queue entries, at the cost of briefly oversubscribing the
+/// job waiting for sub-tasks that no free worker exists to run. Both
+/// run on crews instead (support/Crew.h): a worker runs a multi-member
+/// job's members as one round on its own crew, and whichever thread runs
+/// a search — the worker for a single-member job, a member's crew thread
+/// otherwise — runs its extra shards on its own crew. A crew cannot
+/// deadlock: it serves only its owner, the owner waits only for its own
+/// round, and crew threads never touch the job queue. Crew threads park
+/// between rounds, so a job creates no threads once its worker's crews
+/// are warm. Workers still only ever block on checker work, never on
+/// other queue entries, at the cost of briefly oversubscribing the
 /// machine, which the OS scheduler handles gracefully for these
 /// CPU-bound, cancellation-polling loops.
 ///
@@ -126,9 +125,9 @@ using ResultCache = ShardedDigestCache<CachedJobResult>;
 /// Engine configuration.
 struct EngineOptions {
   /// Worker threads for the job pool; 0 means hardware concurrency.
-  /// Portfolio members and DFS shards run on additional short-lived
-  /// threads owned by the job that spawned them (see the file comment
-  /// on why nested work never re-enters the queue).
+  /// Portfolio members and DFS shards run on the crews of the threads
+  /// that start them (see "Nested work and the pool" in the file
+  /// comment), never on the pool.
   unsigned NumWorkers = 0;
   /// Default intra-job shard count applied to every portfolio member
   /// that left SynthOptions::Shards at 0 (unset). 0 or 1 here disables

@@ -9,7 +9,7 @@
 /// The work items the SynthEngine consumes and the reports it produces.
 /// A SynthJob bundles one scenario with the configuration(s) to try: a
 /// single (backend, options) pair, or a *portfolio* of several that race
-/// on their own threads — the first successful synthesis wins and cancels
+/// on the worker's crew — the first successful synthesis wins and cancels
 /// the rest through a shared StopToken. Racing heterogeneous
 /// configurations is the standard route to robustness when no single
 /// backend dominates (cf. the §6 backend comparison, where the winner
@@ -53,7 +53,7 @@ struct SynthJob {
   Scenario S;
   /// The configurations to run. Empty means one default member
   /// (incremental backend, default options); a single entry runs inline
-  /// on the worker; several entries race on their own threads.
+  /// on the worker; several entries race on the worker's crew threads.
   std::vector<PortfolioMember> Portfolio;
 };
 

@@ -13,22 +13,6 @@
 using namespace netupd;
 using namespace netupd::sat;
 
-uint64_t sat::luby(uint64_t X) {
-  // Locate the finite subsequence containing 0-based index X, then the
-  // position within it (the integer form of MiniSat's luby()).
-  uint64_t Size = 1, Seq = 0;
-  while (Size < X + 1) {
-    ++Seq;
-    Size = 2 * Size + 1;
-  }
-  while (Size - 1 != X) {
-    Size = (Size - 1) / 2;
-    --Seq;
-    X = X % Size;
-  }
-  return uint64_t(1) << Seq;
-}
-
 Var Solver::newVar() {
   Var V = numVars();
   Assigns.push_back(LBool::Undef);
@@ -249,18 +233,10 @@ bool Solver::solve(const std::vector<Lit> &Assumptions) {
   }
 
   std::vector<Lit> Learnt;
-  // Luby restart schedule, local to this call: after luby(k) * Base
-  // conflicts, backtrack to the root (keeping all learned clauses) and
-  // re-descend. Deterministic, and terminating because learned clauses
-  // accumulate monotonically across restarts.
-  constexpr uint64_t RestartBase = 32;
-  uint64_t ConflictsHere = 0, RestartIdx = 0;
-  uint64_t RestartLimit = luby(RestartIdx) * RestartBase;
   for (;;) {
     ClauseRef Confl = propagate();
     if (Confl != NoReason) {
       ++Conflicts;
-      ++ConflictsHere;
       if (decisionLevel() == 0) {
         OkAtLevel0 = false;
         cancelUntil(0);
@@ -284,13 +260,6 @@ bool Solver::solve(const std::vector<Lit> &Assumptions) {
         enqueue(Learnt[0], C);
       }
       VarInc *= (1.0 / 0.95); // Activity decay.
-      if (ConflictsHere >= RestartLimit) {
-        ++Restarts;
-        ++RestartIdx;
-        ConflictsHere = 0;
-        RestartLimit = luby(RestartIdx) * RestartBase;
-        cancelUntil(0); // Assumptions re-apply from the loop below.
-      }
       continue;
     }
 

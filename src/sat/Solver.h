@@ -11,7 +11,9 @@
 /// and solving under assumptions. The paper's early-search-termination
 /// optimization (§4.2 B) feeds ordering constraints mined from
 /// counterexamples into "an (incremental) SAT solver" and aborts the DFS
-/// when they become contradictory; this is that solver.
+/// when they become contradictory; this is that solver. It never
+/// restarts: no benchmark solve reaches the 32 conflicts at which a
+/// Luby schedule would first restart (docs/ARCHITECTURE.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,11 +51,6 @@ struct Lit {
 /// Positive literal of \p V.
 inline Lit mkLit(Var V) { return Lit(V, false); }
 
-/// The Luby restart sequence 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,... (0-based
-/// index); the universal restart schedule of Luby/Sinclair/Zuckerman,
-/// which drives the solver's own restart scheduling below.
-uint64_t luby(uint64_t X);
-
 /// Ternary assignment value.
 enum class LBool : uint8_t { True, False, Undef };
 
@@ -82,13 +79,6 @@ public:
 
   /// Statistics: conflicts seen over the solver's lifetime.
   uint64_t numConflicts() const { return Conflicts; }
-
-  /// Statistics: Luby restarts performed over the solver's lifetime.
-  /// Each solve() call restarts (backtracks to the root, keeping every
-  /// learned clause) after luby(k) * 32 conflicts within the call;
-  /// learned clauses are never deleted, so every restart resumes
-  /// strictly stronger and completeness is unaffected.
-  uint64_t numRestarts() const { return Restarts; }
 
 private:
   using ClauseRef = int;
@@ -137,7 +127,6 @@ private:
   int BranchCursor = 0;
   double VarInc = 1.0;
   uint64_t Conflicts = 0;
-  uint64_t Restarts = 0;
   bool OkAtLevel0 = true;
   std::vector<bool> Model;
   std::vector<uint8_t> Seen; // Scratch for analyze().

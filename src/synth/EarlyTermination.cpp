@@ -40,14 +40,6 @@ obs::Histogram &satTheoryRounds() {
       obs::MetricsRegistry::instance().histogram("synth.sat_theory_rounds");
   return H;
 }
-
-/// Luby restarts performed inside SAT solves, summed over every
-/// EarlyTermination instance in the process.
-obs::Counter &satRestarts() {
-  static obs::Counter &C =
-      obs::MetricsRegistry::instance().counter("synth.sat_restarts");
-  return C;
-}
 } // namespace
 
 sat::Lit EarlyTermination::before(unsigned A, unsigned B) {
@@ -239,7 +231,7 @@ bool EarlyTermination::impossible() {
     return true;
   if (!Dirty)
     return !LastSat;
-  uint64_t RestartsBefore = Solver.numRestarts(), Rounds = 0;
+  uint64_t Rounds = 0;
   bool Done = false;
   while (!Done && !Stop.stopRequested()) {
     ++Rounds;
@@ -248,8 +240,6 @@ bool EarlyTermination::impossible() {
     if (Done)
       LastSat = Sat;
   }
-  if (uint64_t Delta = Solver.numRestarts() - RestartsBefore)
-    satRestarts().add(Delta);
   if (!Done)
     return !LastSat; // Stopped: stay Dirty, so a resumed caller finishes.
   Dirty = false;

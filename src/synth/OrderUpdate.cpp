@@ -94,6 +94,7 @@
 #include "support/Bitset.h"
 #include "support/Budget.h"
 #include "support/ConcurrentSet.h"
+#include "support/Crew.h"
 #include "support/ThreadAnnotations.h"
 #include "support/Timer.h"
 #include "synth/EarlyTermination.h"
@@ -438,7 +439,7 @@ struct SearchContext {
 
   /// The winner slot under WinnerM, copied out in one critical section —
   /// the runSearch tail uses this instead of reading HaveWinner /
-  /// WinnerSeq bare (safe only by the thread-join happens-before, which
+  /// WinnerSeq bare (safe only by the crew round's happens-before, which
   /// the static analysis rightly refuses to assume).
   bool winnerSnapshot(std::vector<unsigned> &SeqOut) {
     MutexLock Lock(WinnerM);
@@ -772,14 +773,12 @@ private:
         Applied.reset(I);
         AppliedSeq.pop_back();
       }
-    } else {
-      if (Ctx.Opts.CexPruning && !Res.Cex.empty() &&
-          Checker.providesCounterexamples()) {
-        // Mostly SAT-layer work (constraint derivation + clause push);
-        // the W append rides along.
-        Clock.switchTo(PhaseSatNs);
-        learnCex(Res.Cex, Next);
-      }
+    } else if (Ctx.Opts.CexPruning && !Res.Cex.empty() &&
+               Checker.providesCounterexamples()) {
+      // Deriving the constraint and the W append are pruning work; only
+      // the clause push inside is SAT.
+      Clock.switchTo(PhasePruneNs);
+      learnCex(Res.Cex, Next);
     }
 
     if (Success)
@@ -788,7 +787,7 @@ private:
     Clock.switchTo(PhaseMutateNs);
     Checker.notifyRollback();
     K.undo(F.Undo);
-    uint64_t UndoNs = Clock.switchTo(PhaseSatNs);
+    uint64_t UndoNs = Clock.switchTo(PhasePruneNs);
     if (Prof)
       mutateLatency().record(UndoNs);
 
@@ -797,7 +796,10 @@ private:
       FailuresSinceEtCheck = 0;
       // An UNSAT answer is an instance-level proof whichever scope's
       // clauses produced it.
-      if (Scope->ET.impossible()) {
+      Clock.switchTo(PhaseSatNs);
+      bool Impossible = Scope->ET.impossible();
+      Clock.switchTo(PhasePruneNs);
+      if (Impossible) {
         Stats.EarlyTerminated = true;
         // relaxed: a cause flag read only after every shard finished.
         Ctx.EtImpossible.store(true, std::memory_order_relaxed);
@@ -990,8 +992,11 @@ private:
     if (Value.none())
       return;
 
-    if (Ctx.Opts.EarlyTermination)
+    if (Ctx.Opts.EarlyTermination) {
+      Clock.switchTo(PhaseSatNs);
       Scope->ET.addMaskValueConstraint(Mask, Value);
+      Clock.switchTo(PhasePruneNs);
+    }
     Scope->Wrong.add(std::move(Mask), std::move(Value));
   }
 
@@ -1107,109 +1112,6 @@ CommandSeq buildCommands(const SearchContext &Ctx,
     Cur[Op.Sw] = &Out.back().NewTable;
   }
   return Out;
-}
-
-/// The threads that run one owner thread's extra DFS shards. Each
-/// thread that runs a sharded search owns one crew (see shardCrew()); it
-/// grows to the largest Shards - 1 its owner has run, its threads park
-/// on a condition variable between searches, and its destructor joins
-/// them when the owner exits. Search setup then creates no threads.
-///
-/// Only the owner calls run(); crew threads run shard bodies and nothing
-/// else, and never touch the engine's job queue (see "Nested work" in
-/// engine/Engine.h).
-class ShardCrew {
-public:
-  ShardCrew() = default;
-  ShardCrew(const ShardCrew &) = delete;
-  ShardCrew &operator=(const ShardCrew &) = delete;
-
-  ~ShardCrew() {
-    {
-      MutexLock Lock(M);
-      Exiting = true;
-    }
-    Wake.notify_all();
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
-  /// Runs Body(I) for every I in [0, N) on crew threads while the caller
-  /// runs \p Own, growing the crew first if needed. Returns once every
-  /// body has returned, also when Own unwinds, so Body and whatever it
-  /// references may live on the caller's stack.
-  template <class OwnFn>
-  void run(unsigned N, const std::function<void(unsigned)> &Body, OwnFn Own) {
-    start(N, Body);
-    struct Waiter {
-      ShardCrew &Crew;
-      ~Waiter() { Crew.wait(); }
-    } W{*this};
-    Own();
-  }
-
-private:
-  void start(unsigned N, const std::function<void(unsigned)> &Body) {
-    // A thread spawned here waits for the round published below: its
-    // index is past every earlier round's Active.
-    while (Threads.size() < N) {
-      unsigned Idx = static_cast<unsigned>(Threads.size());
-      Threads.emplace_back([this, Idx] { serve(Idx); });
-    }
-    {
-      MutexLock Lock(M);
-      RoundBody = &Body;
-      Active = N;
-      Pending = N;
-      ++Round;
-    }
-    Wake.notify_all();
-  }
-
-  void wait() {
-    MutexLock Lock(M);
-    while (Pending != 0)
-      Done.wait(M);
-    RoundBody = nullptr;
-  }
-
-  /// Crew thread \p Idx: runs Body(Idx) once per round with Idx < Active.
-  void serve(unsigned Idx) {
-    uint64_t Seen = 0;
-    M.lock();
-    for (;;) {
-      while (!Exiting && (Round == Seen || Idx >= Active))
-        Wake.wait(M);
-      if (Exiting)
-        break;
-      Seen = Round;
-      const std::function<void(unsigned)> *Body = RoundBody;
-      M.unlock();
-      (*Body)(Idx);
-      M.lock();
-      if (--Pending == 0)
-        Done.notify_one();
-    }
-    M.unlock();
-  }
-
-  Mutex M;
-  CondVar Wake; // Signals a new round or exit to the crew.
-  CondVar Done; // Signals the owner that the round's last body returned.
-  const std::function<void(unsigned)> *RoundBody NETUPD_GUARDED_BY(M) =
-      nullptr;
-  unsigned Active NETUPD_GUARDED_BY(M) = 0;  // Bodies in the current round.
-  unsigned Pending NETUPD_GUARDED_BY(M) = 0; // Of those, still running.
-  uint64_t Round NETUPD_GUARDED_BY(M) = 0;
-  bool Exiting NETUPD_GUARDED_BY(M) = false;
-  std::vector<std::thread> Threads; // Touched by the owner only.
-};
-
-/// The calling thread's crew, created on its first sharded search and
-/// joined when the thread exits.
-ShardCrew &shardCrew() {
-  thread_local ShardCrew Crew;
-  return Crew;
 }
 
 SynthResult runSearch(const Topology &Topo, const Config &Initial,
@@ -1355,12 +1257,10 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   if (Shards <= 1) {
     Primary.runUnits();
   } else {
-    // Extra shards run on this thread's crew — deliberately not on the
-    // engine's job pool, whose workers may all be blocked inside jobs
-    // waiting for exactly these shards (see engine/Engine.h). The crew
-    // serves only this thread, which waits only for its own search, so
-    // it cannot deadlock; it holds as many threads as a per-search spawn
-    // would, parked between searches instead of exiting.
+    // Extra shards run on this thread's crew (support/Crew.h) —
+    // deliberately not on the engine's job pool, whose workers may all
+    // be blocked inside jobs waiting for exactly these shards (see
+    // engine/Engine.h).
     std::vector<SynthStats> ShardStats(Shards - 1);
     std::function<void(unsigned)> Body = [&](unsigned T) {
       obs::TraceSpan ShardSpan("synth.shard");
@@ -1384,7 +1284,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
       Shard.finalizeStats();
       ShardStats[T] = std::move(Shard.Stats);
     };
-    shardCrew().run(Shards - 1, Body, [&] { Primary.runUnits(); });
+    Crew::local().run(Shards - 1, Body, [&] { Primary.runUnits(); });
     for (const SynthStats &S : ShardStats)
       Total.mergeFrom(S);
   }

@@ -126,14 +126,6 @@ TEST(SatTest, TautologyAndDuplicates) {
   EXPECT_TRUE(S.modelValue(B));
 }
 
-// The solver restarts on the Luby schedule; pin the sequence (0-based,
-// as sat::luby documents).
-TEST(SatTest, LubySequencePin) {
-  const uint64_t Expect[] = {1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8};
-  for (size_t I = 0; I != std::size(Expect); ++I)
-    EXPECT_EQ(luby(I), Expect[I]) << "index " << I;
-}
-
 struct RandomCnfParam {
   uint64_t Seed;
   int NumVars;

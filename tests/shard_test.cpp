@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #ifdef __linux__
 #include <dirent.h>
@@ -543,13 +544,66 @@ SynthStatus runDirect(const Scenario &S, unsigned Shards,
   return Res.Status;
 }
 
+/// The kernel thread ids of every thread that constructed a checker
+/// through a backend registered with tidRecordingBackend().
+struct TidLog {
+  std::mutex M;
+  std::set<long> Tids;
+
+  std::set<long> take() {
+    std::lock_guard<std::mutex> Lock(M);
+    return std::exchange(Tids, {});
+  }
+};
+
+/// Registers \p Name as an incremental labeling backend that logs the
+/// constructing thread's id into the returned log.
+std::shared_ptr<TidLog> tidRecordingBackend(const std::string &Name) {
+  auto Log = std::make_shared<TidLog>();
+  BackendFactory::instance().registerBackend(
+      Name, [Log](const Scenario &) -> std::unique_ptr<CheckerBackend> {
+        {
+          std::lock_guard<std::mutex> Lock(Log->M);
+          Log->Tids.insert(static_cast<long>(syscall(SYS_gettid)));
+        }
+        return std::make_unique<LabelingChecker>(
+            LabelingChecker::Mode::Incremental);
+      });
+  return Log;
+}
+
+/// A three-member portfolio job over \p S on \p Backend: switch and
+/// rule granularity, and a second switch-granularity member.
+SynthJob threeMemberJob(const Scenario &S, const std::string &Backend) {
+  SynthJob Job;
+  Job.S = S;
+  for (bool Rule : {false, true, false}) {
+    PortfolioMember M;
+    M.Backend = Backend;
+    M.Opts.RuleGranularity = Rule;
+    Job.Portfolio.push_back(std::move(M));
+  }
+  return Job;
+}
+
+/// One worker, no result cache and no learning: every job runs all of
+/// its members for real, none is served or shed.
+EngineOptions plainOneWorker(unsigned IntraJobShards = 0) {
+  EngineOptions EO;
+  EO.NumWorkers = 1;
+  EO.CacheResults = false;
+  EO.SharedLearning = false;
+  EO.IntraJobShards = IntraJobShards;
+  return EO;
+}
+
 } // namespace
 
 // One thread's searches reuse its crew: after the first 4-shard search
 // the process holds its crew threads, and neither a narrower nor another
 // 4-shard search creates more. Kernel thread ids are not recycled this
 // soon, so the later searches' shards must run on the first one's threads.
-TEST(ShardCrewTest, SearchesOnOneThreadReuseTheCrew) {
+TEST(CrewTest, SearchesOnOneThreadReuseTheCrew) {
   Scenario S = diamondWithUpdates(100, 4);
   std::set<long> First, Later;
   SynthStatus Seq = runDirect(S, 1, First);
@@ -569,7 +623,7 @@ TEST(ShardCrewTest, SearchesOnOneThreadReuseTheCrew) {
 
 // A crew lives as long as its owner thread: once a thread that ran a
 // sharded search has exited and been joined, its crew is gone too.
-TEST(ShardCrewTest, CrewExitsWithItsOwnerThread) {
+TEST(CrewTest, CrewExitsWithItsOwnerThread) {
   Scenario S = diamondWithUpdates(100, 4);
   unsigned Baseline = numTasks();
   SynthStatus Status = SynthStatus::Aborted;
@@ -580,5 +634,75 @@ TEST(ShardCrewTest, CrewExitsWithItsOwnerThread) {
   EXPECT_EQ(Tids.size(), 3u);
   EXPECT_LE(settledTasks(Baseline), Baseline)
       << "the owner's crew outlived it";
+}
+
+// A worker runs a multi-member job's members as a round on its crew, not
+// on threads of their own: after the first job, neither the task count
+// grows nor does any member construct its checker on a new thread, and
+// the worker runs no member itself (three members, three threads).
+TEST(CrewTest, PortfolioMembersReuseTheWorkersCrew) {
+  std::shared_ptr<TidLog> Log = tidRecordingBackend("tid-members");
+  SynthEngine Engine(plainOneWorker());
+  Scenario S = diamondWithUpdates(100, 4);
+  SynthReport First = Engine.submit(threeMemberJob(S, "tid-members")).wait();
+  EXPECT_EQ(First.Result.Status, SynthStatus::Success);
+  std::set<long> CrewTids = Log->take();
+  EXPECT_EQ(CrewTids.size(), 3u) << "one crew thread per member";
+  unsigned AfterFirst = numTasks();
+
+  for (unsigned I = 0; I != 4; ++I) {
+    SynthReport Rep = Engine.submit(threeMemberJob(S, "tid-members")).wait();
+    EXPECT_EQ(Rep.Result.Status, SynthStatus::Success);
+    EXPECT_EQ(Rep.Members.size(), 3u);
+    EXPECT_LE(numTasks(), AfterFirst) << "job " << I << " grew the crew";
+    for (long Tid : Log->take())
+      EXPECT_EQ(CrewTids.count(Tid), 1u) << "a member ran on a new thread";
+  }
+}
+
+// Destroying the engine joins every crew: the workers' member crews and,
+// below them, each member thread's shard crew.
+TEST(CrewTest, EngineDestructionJoinsEveryCrew) {
+  unsigned Baseline = numTasks();
+  {
+    SynthEngine Engine(plainOneWorker(/*IntraJobShards=*/4));
+    Scenario S = diamondWithUpdates(100, 4);
+    SynthReport Rep = Engine.submit(threeMemberJob(S, "incremental")).wait();
+    EXPECT_EQ(Rep.Result.Status, SynthStatus::Success);
+    EXPECT_GT(numTasks(), Baseline + 3) << "no nested crew was started";
+  }
+  EXPECT_LE(settledTasks(Baseline), Baseline)
+      << "a crew outlived its engine";
+}
+
+// Nested crews: members on the worker's crew, each member's shards on its
+// own crew thread's crew. A 3-member portfolio gives the same job verdict
+// at 4 shards as at 1, and every member that was not cancelled by the
+// race reaches the same verdict too.
+TEST(CrewTest, ShardedPortfolioMatchesOneShard) {
+  const Scenario Cases[] = {diamondWithUpdates(100, 4), doubleDiamond(9),
+                            deepImpossible()};
+  const SynthStatus Expected[] = {SynthStatus::Success, SynthStatus::Success,
+                                  SynthStatus::Impossible};
+  for (size_t C = 0; C != std::size(Cases); ++C) {
+    SynthReport Reps[2];
+    for (unsigned Sharded = 0; Sharded != 2; ++Sharded) {
+      SynthEngine Engine(plainOneWorker(Sharded ? 4 : 1));
+      Reps[Sharded] =
+          Engine.submit(threeMemberJob(Cases[C], "incremental")).wait();
+      if (Reps[Sharded].ok())
+        expectCorrectSequence(Cases[C], Reps[Sharded].Result);
+    }
+    EXPECT_EQ(Reps[0].Result.Status, Expected[C]) << "case " << C;
+    EXPECT_EQ(Reps[1].Result.Status, Expected[C]) << "case " << C;
+    ASSERT_EQ(Reps[0].Members.size(), Reps[1].Members.size());
+    for (size_t I = 0; I != Reps[0].Members.size(); ++I) {
+      const MemberOutcome &One = Reps[0].Members[I], &Four = Reps[1].Members[I];
+      EXPECT_TRUE(One.Error.empty() && Four.Error.empty());
+      if (!One.Cancelled && !Four.Cancelled) {
+        EXPECT_EQ(One.Status, Four.Status) << "case " << C << ", member " << I;
+      }
+    }
+  }
 }
 #endif // __linux__

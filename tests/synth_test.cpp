@@ -372,6 +372,30 @@ TEST(OrderUpdateTest, EarlyTerminationAgreesWithExhaustiveSearch) {
   EXPECT_EQ(B.Status, SynthStatus::Impossible);
 }
 
+/// The detail tier charges the SAT phase only for the early-termination
+/// layer's clause pushes and solves: with the layer off, a proof that
+/// learns from counterexamples reports no SAT seconds at all.
+TEST(OrderUpdateTest, SatSecondsOnlyWithEarlyTermination) {
+  bool OldDetail = obs::detailEnabled();
+  obs::setDetail(true);
+  Rng R(505);
+  Topology Base = buildSmallWorld(14, 4, 0.2, R);
+  std::optional<Scenario> S = makeDoubleDiamondScenario(Base, R);
+  ASSERT_TRUE(S.has_value());
+
+  FormulaFactory FF;
+  SynthOptions NoEt;
+  NoEt.EarlyTermination = false;
+  LabelingChecker C1, C2;
+  SynthResult A = synthesizeUpdate(*S, FF, C1, NoEt);
+  SynthResult B = synthesizeUpdate(*S, FF, C2);
+  obs::setDetail(OldDetail);
+  EXPECT_EQ(A.Status, SynthStatus::Impossible);
+  EXPECT_GT(A.Stats.PruneSeconds, 0.0);
+  EXPECT_EQ(A.Stats.SatSeconds, 0.0);
+  EXPECT_GT(B.Stats.SatSeconds, 0.0);
+}
+
 TEST(OrderUpdateTest, PruningDoesNotChangeOutcome) {
   Rng R(606);
   for (int Round = 0; Round != 4; ++Round) {
