@@ -520,35 +520,15 @@ unsigned settledTasks(unsigned Expected) {
   return N;
 }
 
-/// A direct run of \p S with \p Shards shards on the calling thread.
-/// Adds the kernel thread id of every thread that built a shard checker
-/// (one per extra shard) to \p ShardTids.
-SynthStatus runDirect(const Scenario &S, unsigned Shards,
-                      std::set<long> &ShardTids) {
-  std::mutex TidsM;
-  LabelingChecker Checker(LabelingChecker::Mode::Incremental);
-  FormulaFactory FF;
-  SynthOptions Opts;
-  Opts.Shards = Shards;
-  Opts.ShardCheckerFactory = [&]() -> std::unique_ptr<CheckerBackend> {
-    {
-      std::lock_guard<std::mutex> Lock(TidsM);
-      ShardTids.insert(static_cast<long>(syscall(SYS_gettid)));
-    }
-    return std::make_unique<LabelingChecker>(
-        LabelingChecker::Mode::Incremental);
-  };
-  SynthResult Res = synthesizeUpdate(S, FF, Checker, Opts);
-  if (Res.Status == SynthStatus::Success)
-    expectCorrectSequence(S, Res);
-  return Res.Status;
-}
-
-/// The kernel thread ids of every thread that constructed a checker
-/// through a backend registered with tidRecordingBackend().
+/// Kernel thread ids, logged from several threads at once.
 struct TidLog {
   std::mutex M;
   std::set<long> Tids;
+
+  void addCaller() {
+    std::lock_guard<std::mutex> Lock(M);
+    Tids.insert(static_cast<long>(syscall(SYS_gettid)));
+  }
 
   std::set<long> take() {
     std::lock_guard<std::mutex> Lock(M);
@@ -556,20 +536,23 @@ struct TidLog {
   }
 };
 
-/// Registers \p Name as an incremental labeling backend that logs the
-/// constructing thread's id into the returned log.
-std::shared_ptr<TidLog> tidRecordingBackend(const std::string &Name) {
-  auto Log = std::make_shared<TidLog>();
-  BackendFactory::instance().registerBackend(
-      Name, [Log](const Scenario &) -> std::unique_ptr<CheckerBackend> {
-        {
-          std::lock_guard<std::mutex> Lock(Log->M);
-          Log->Tids.insert(static_cast<long>(syscall(SYS_gettid)));
-        }
-        return std::make_unique<LabelingChecker>(
-            LabelingChecker::Mode::Incremental);
-      });
-  return Log;
+/// A direct run of \p S with \p Shards shards on the calling thread.
+/// Logs the kernel thread id of every thread that built a shard checker
+/// (one per extra shard) into \p ShardTids.
+SynthStatus runDirect(const Scenario &S, unsigned Shards, TidLog &ShardTids) {
+  LabelingChecker Checker(LabelingChecker::Mode::Incremental);
+  FormulaFactory FF;
+  SynthOptions Opts;
+  Opts.Shards = Shards;
+  Opts.ShardCheckerFactory = [&]() -> std::unique_ptr<CheckerBackend> {
+    ShardTids.addCaller();
+    return std::make_unique<LabelingChecker>(
+        LabelingChecker::Mode::Incremental);
+  };
+  SynthResult Res = synthesizeUpdate(S, FF, Checker, Opts);
+  if (Res.Status == SynthStatus::Success)
+    expectCorrectSequence(S, Res);
+  return Res.Status;
 }
 
 /// A three-member portfolio job over \p S on \p Backend: switch and
@@ -605,19 +588,20 @@ EngineOptions plainOneWorker(unsigned IntraJobShards = 0) {
 // soon, so the later searches' shards must run on the first one's threads.
 TEST(CrewTest, SearchesOnOneThreadReuseTheCrew) {
   Scenario S = diamondWithUpdates(100, 4);
-  std::set<long> First, Later;
-  SynthStatus Seq = runDirect(S, 1, First);
+  TidLog Log;
+  SynthStatus Seq = runDirect(S, 1, Log);
   ASSERT_EQ(Seq, SynthStatus::Success);
-  EXPECT_TRUE(First.empty());
+  EXPECT_TRUE(Log.take().empty());
 
-  EXPECT_EQ(runDirect(S, 4, First), Seq);
+  EXPECT_EQ(runDirect(S, 4, Log), Seq);
+  std::set<long> First = Log.take();
   EXPECT_EQ(First.size(), 3u);
   unsigned AfterFirst = numTasks();
-  EXPECT_EQ(runDirect(S, 2, Later), Seq);
+  EXPECT_EQ(runDirect(S, 2, Log), Seq);
   EXPECT_LE(numTasks(), AfterFirst) << "a 2-shard search grew the crew";
-  EXPECT_EQ(runDirect(S, 4, Later), Seq);
+  EXPECT_EQ(runDirect(S, 4, Log), Seq);
   EXPECT_LE(numTasks(), AfterFirst) << "a repeat search grew the crew";
-  for (long Tid : Later)
+  for (long Tid : Log.take())
     EXPECT_EQ(First.count(Tid), 1u) << "a shard ran on a new thread";
 }
 
@@ -627,27 +611,40 @@ TEST(CrewTest, CrewExitsWithItsOwnerThread) {
   Scenario S = diamondWithUpdates(100, 4);
   unsigned Baseline = numTasks();
   SynthStatus Status = SynthStatus::Aborted;
-  std::set<long> Tids;
-  std::thread Owner([&] { Status = runDirect(S, 4, Tids); });
+  TidLog Log;
+  std::thread Owner([&] { Status = runDirect(S, 4, Log); });
   Owner.join();
   EXPECT_EQ(Status, SynthStatus::Success);
-  EXPECT_EQ(Tids.size(), 3u);
+  EXPECT_EQ(Log.take().size(), 3u);
   EXPECT_LE(settledTasks(Baseline), Baseline)
       << "the owner's crew outlived it";
 }
 
 // A worker runs a multi-member job's members as a round on its crew, not
-// on threads of their own: after the first job, neither the task count
-// grows nor does any member construct its checker on a new thread, and
-// the worker runs no member itself (three members, three threads).
+// on threads of their own: the worker (seen running a single-member job
+// inline) runs no member itself, and after the first job neither the
+// task count grows nor does any member build its checker on a new thread.
 TEST(CrewTest, PortfolioMembersReuseTheWorkersCrew) {
-  std::shared_ptr<TidLog> Log = tidRecordingBackend("tid-members");
+  auto Log = std::make_shared<TidLog>();
+  BackendFactory::instance().registerBackend(
+      "tid-members", [Log](const Scenario &) {
+        Log->addCaller();
+        return std::make_unique<LabelingChecker>(
+            LabelingChecker::Mode::Incremental);
+      });
   SynthEngine Engine(plainOneWorker());
   Scenario S = diamondWithUpdates(100, 4);
+  SynthJob Single = threeMemberJob(S, "tid-members");
+  Single.Portfolio.resize(1);
+  EXPECT_TRUE(Engine.submit(Single).wait().ok());
+  std::set<long> Worker = Log->take();
+  ASSERT_EQ(Worker.size(), 1u);
+
   SynthReport First = Engine.submit(threeMemberJob(S, "tid-members")).wait();
   EXPECT_EQ(First.Result.Status, SynthStatus::Success);
   std::set<long> CrewTids = Log->take();
   EXPECT_EQ(CrewTids.size(), 3u) << "one crew thread per member";
+  EXPECT_EQ(CrewTids.count(*Worker.begin()), 0u) << "the worker ran a member";
   unsigned AfterFirst = numTasks();
 
   for (unsigned I = 0; I != 4; ++I) {
