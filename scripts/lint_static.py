@@ -11,7 +11,7 @@ determinism contract: verdict and command sequence are a pure function of
                 std::random_device anywhere under src/ EXCEPT the two
                 sanctioned clock wrappers (src/obs/, the trace/metrics
                 time base, and src/support/Timer.h, the stopwatch that
-                only ever feeds stats and the soft-wall hint) and lines
+                only ever feeds stats) and lines
                 tagged `// lint: wallclock-ok`.
 
   relaxed       Every `memory_order_relaxed` must carry a `relaxed:`

@@ -42,10 +42,10 @@ std::vector<PortfolioMember> normalizedPortfolio(const SynthJob &Job) {
 /// Runs one configuration to completion (or cancellation) with a private
 /// checker and formula factory over the job's scenario, which it only
 /// reads (see the Engine.h isolation note). \p Stop is everything that
-/// may cancel the run (race + batch + per-job cancellation + the
-/// member's own token); \p RaceStop is only the job-level race, so a
-/// member aborted by an external cancellation or its own budget is not
-/// mislabelled as a race loser. \p DefaultShards fills in
+/// may cancel the run (race + per-job cancellation + the member's own
+/// token); \p RaceStop is only the job-level race, so a member aborted
+/// by an external cancellation or its own budget is not mislabelled as
+/// a race loser. \p DefaultShards fills in
 /// SynthOptions::Shards for members that left it unset (0); an explicit
 /// member value — 1 included — always wins (EngineOptions::IntraJobShards).
 /// \p Learning (with \p ScenarioDigest, computed once per job) wires the
@@ -121,14 +121,13 @@ int statusRank(SynthStatus S) {
 }
 
 /// True when \p Rep may be replayed to digest-identical jobs. Completed
-/// verdicts are cacheable unless a timing event (external stop or soft
-/// wall expiry — the Interrupted flag) was observed shaping them. An
-/// Aborted verdict is cacheable only in its deterministic shape: every
-/// member ran and aborted purely by exhausting its check quota
-/// (ExhaustedUnits > 0, no timing event, no engine-level error) — such
-/// verdicts are a pure function of (job, budget) since PR 4, and the
-/// budget is part of the digest. Everything else about an abort — wall
-/// expiry, cancellation, a member that never ran — reflects the run,
+/// verdicts are cacheable unless an external stop (the Interrupted flag)
+/// was observed shaping them. An Aborted verdict is cacheable only in its
+/// deterministic shape: every member ran and aborted purely by
+/// exhausting its check quota (ExhaustedUnits > 0, no stop observed, no
+/// engine-level error) — such verdicts are a pure function of (job,
+/// budget), and the budget is part of the digest. Everything else about
+/// an abort — cancellation, a member that never ran — reflects the run,
 /// not the instance, and must not be replayed.
 bool cacheableReport(const SynthReport &Rep) {
   if (Rep.Result.Status != SynthStatus::Aborted)
@@ -189,11 +188,7 @@ Digest netupd::digestOf(const SynthJob &Job) {
     // performance, not semantics — any shard count or store content
     // yields an interchangeable result for the same job. The check
     // budgets ARE semantic (they deterministically select the explored
-    // prefix set, successful sequences included). TimeoutSeconds is
-    // not: it is a soft wall hint whose expiry can only produce an
-    // Interrupted Aborted result, and timing-shaped results never enter
-    // the cache — so two jobs differing only in timeout are
-    // interchangeable whenever either is cacheable.
+    // prefix set, successful sequences included).
     B.addBool(M.Opts.CexPruning);
     B.addBool(M.Opts.EarlyTermination);
     B.addBool(M.Opts.WaitRemoval);
@@ -235,10 +230,9 @@ SynthEngine::SynthEngine(EngineOptions InitOpts) : Opts(std::move(InitOpts)) {
     if (Workers == 0)
       Workers = 1;
   }
-  Cache = Opts.Cache ? Opts.Cache : std::make_shared<ResultCache>();
+  Cache = std::make_shared<ResultCache>();
   if (Opts.SharedLearning)
-    Learn = Opts.Learning ? Opts.Learning
-                          : std::make_shared<ConstraintStore>();
+    Learn = std::make_shared<ConstraintStore>();
 
   // Surface this engine's caches in metrics snapshots (pull-based; the
   // callbacks sample CacheStats at snapshot time). Weak captures: a
@@ -376,7 +370,7 @@ void SynthEngine::executeJob(detail::JobState &St) {
 
   obs::TraceSpan Span("engine.job");
   Timer JobClock;
-  StopToken Stop = anyToken(Opts.Stop, St.Cancel.token());
+  StopToken Stop = St.Cancel.token();
 
   SynthReport Rep;
   Rep.JobIndex = St.Index;
@@ -402,9 +396,9 @@ void SynthEngine::executeJob(detail::JobState &St) {
       // The one store site, and the invariant's enforcement point:
       // cacheableReport() admits completed verdicts and deterministic
       // budget aborts, and rejects everything timing-shaped.
-      // Interrupted Successes are excluded because a cancel or wall
-      // expiry observed mid-race may have abandoned a unit that would
-      // outrank the recorded winner — the sequence is timing-tainted
+      // Interrupted Successes are excluded because a cancel observed
+      // mid-race may have abandoned a unit that would outrank the
+      // recorded winner — the sequence is timing-tainted
       // and must not be served as the job's canonical answer (a cancel
       // that raced completion and was never observed leaves the flag
       // clear — that result is the real, cacheable one). The shutdown
@@ -472,16 +466,15 @@ SynthReport SynthEngine::runOneJob(const SynthJob &Job, size_t Index,
   // provably matches what a standalone run would return: Impossible is
   // a ground fact of (scenario, granularity) — every complete search
   // reaches it regardless of knobs or backend — so only members that
-  // might not *complete* (a check budget could report Aborted, a soft
-  // wall could interrupt) or might not run at all (unknown backend, a
-  // private store this engine cannot speak for) are excluded.
+  // might not *complete* (a check budget could report Aborted) or might
+  // not run at all (unknown backend, a private store this engine cannot
+  // speak for) are excluded.
   std::vector<uint8_t> Shed(Members.size(), 0);
   if (Learn) {
     for (size_t I = 0; I != Members.size(); ++I) {
       const PortfolioMember &M = Members[I];
       if (M.Opts.Learning ||
           M.Opts.MaxCheckCalls > 0 || M.Opts.UnitCheckCalls > 0 ||
-          M.Opts.TimeoutSeconds > 0.0 ||
           !BackendFactory::instance().known(M.Backend))
         continue;
       if (!Learn->knownImpossible(
@@ -502,7 +495,7 @@ SynthReport SynthEngine::runOneJob(const SynthJob &Job, size_t Index,
                               StopToken(), Opts.IntraJobShards, Learn);
   } else {
     // Race: first Success fires the shared source; everyone also honours
-    // the external (batch + per-job) token. The members run as one round
+    // the job's cancellation token. The members run as one round
     // on this thread's crew while it waits: running one here would let a
     // sharded member start a round on the same crew mid-round
     // (support/Crew.h).

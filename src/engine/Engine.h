@@ -22,19 +22,18 @@
 /// the recorded verdict, command sequence, and stats — isomorphic
 /// scenarios recur both within a batch and across batches, and
 /// re-synthesizing them is pure waste. Timing-shaped results are never
-/// cached: cancellation and wall-clock expiry reflect the run, not the
-/// instance, so any report whose stats carry the Interrupted flag skips
-/// the store. Aborted verdicts are cacheable in exactly one shape — the
+/// cached: a cancellation reflects the run, not the instance, so any
+/// report whose stats carry the Interrupted flag skips the store.
+/// Aborted verdicts are cacheable in exactly one shape — the
 /// deterministic budget abort, where every member ran its quota dry
-/// (ExhaustedUnits > 0) with no timing event observed: since PR 4 such
-/// verdicts are a pure function of (job, budget) and the budget is part
-/// of the digest, so replaying them dedups repeated doomed probes in
-/// autotuning loops. See executeJob, whose single store site enforces
-/// both rules, and tests/budget_test.cpp, which audits every
-/// Aborted-writing path including a cancel racing job completion. The
-/// cache is
-/// sharded and thread-safe (support/ShardedCache.h) and lives as long as
-/// the engine, so warm batches also benefit. Checker-level memoization
+/// (ExhaustedUnits > 0) with no timing event observed: such verdicts are
+/// a pure function of (job, budget) and the budget is part of the
+/// digest, so replaying them dedups repeated doomed probes in autotuning
+/// loops. See executeJob, whose single store site enforces both rules,
+/// and tests/budget_test.cpp, which audits every Aborted-writing path
+/// including a cancel racing job completion. The cache is sharded and
+/// thread-safe (support/ShardedCache.h) and lives as long as the engine,
+/// so warm batches also benefit. Checker-level memoization
 /// ("memo:<backend>" specs, mc/MemoizingChecker.h) is independent and
 /// composes: the engine cache dedups whole jobs, the check cache dedups
 /// individual queries across different jobs.
@@ -62,9 +61,10 @@
 ///
 /// Portfolio mode: a job with several members races them on the worker
 /// thread's crew (see below); the winner fires a shared StopSource and
-/// the losers abandon their search at the next cancellation checkpoint. Only Success cancels the race — a member
-/// proving its own configuration Impossible says nothing about members
-/// searching a different granularity, so the rest keep running. The
+/// the losers abandon their search at the next cancellation checkpoint.
+/// Only Success cancels the race — a member proving its own
+/// configuration Impossible says nothing about members searching a
+/// different granularity, so the rest keep running. The
 /// job's feasibility verdict is therefore timing-independent: Success
 /// iff some member can succeed. A single-member job runs inline on the
 /// worker.
@@ -119,7 +119,7 @@ struct CachedJobResult {
   std::string Winner;
 };
 
-/// The engine-level result cache; shareable between engines.
+/// The engine-level result cache; each engine owns one.
 using ResultCache = ShardedDigestCache<CachedJobResult>;
 
 /// Engine configuration.
@@ -134,26 +134,16 @@ struct EngineOptions {
   /// the default; members with an explicit Shards — including an
   /// explicit 1 to pin the sequential search — keep their own value.
   unsigned IntraJobShards = 0;
-  /// Cancels every queued and running job when fired; affected jobs are
-  /// reported as Aborted.
-  StopToken Stop;
-  /// Serve digest-identical jobs from the result cache.
+  /// Serve digest-identical jobs from the engine's result cache, which
+  /// lives as long as the engine.
   bool CacheResults = true;
-  /// The cache to use; null means the engine creates a private one that
-  /// lives as long as the engine. Pass a shared instance to pool results
-  /// across engines.
-  std::shared_ptr<ResultCache> Cache;
   /// Cross-job constraint learning (see the file comment): members seed
   /// their searches from, and publish their learned refutations to, the
-  /// engine's ConstraintStore. Safe to leave on — verdicts and command
-  /// sequences are unchanged by construction; SynthStats reports the
-  /// traffic (ImportedConstraints / ExportedConstraints / SeededPrunes).
+  /// engine's ConstraintStore, which lives as long as the engine. Safe
+  /// to leave on — verdicts and command sequences are unchanged by
+  /// construction; SynthStats reports the traffic (ImportedConstraints /
+  /// ExportedConstraints / SeededPrunes).
   bool SharedLearning = true;
-  /// The store to use when SharedLearning is on; null means the engine
-  /// creates a private one that lives as long as the engine. Pass
-  /// ConstraintStore::processStore() (or any shared instance) to pool
-  /// learning across engines.
-  std::shared_ptr<ConstraintStore> Learning;
   /// When non-empty, the engine enables span tracing (obs/Trace.h) on
   /// construction and writes the accumulated Chrome-trace JSON to this
   /// path on destruction — the one-knob way to profile a whole engine
@@ -239,14 +229,14 @@ public:
   JobHandle submit(SynthJob Job);
 
   /// Runs every job and returns reports in job order. Blocks until the
-  /// batch finishes or Opts.Stop fires; other clients' submissions
-  /// interleave on the same pool.
+  /// batch finishes; other clients' submissions interleave on the same
+  /// pool. To cancel jobs, submit() them and cancel() the handles.
   BatchReport run(const std::vector<SynthJob> &Jobs);
 
   /// The resolved pool size.
   unsigned numWorkers() const { return Workers; }
 
-  /// The engine's result cache (for stats, sharing, or clearing).
+  /// The engine's result cache (for stats or clearing).
   const std::shared_ptr<ResultCache> &resultCache() const { return Cache; }
 
   /// The engine's cross-job constraint store; null when SharedLearning

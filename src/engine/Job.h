@@ -12,9 +12,9 @@
 /// on the worker's crew — the first successful synthesis wins and cancels
 /// the rest through a shared StopToken. Racing heterogeneous
 /// configurations is the standard route to robustness when no single
-/// backend dominates (cf. the §6 backend comparison, where the winner
-/// flips between incremental/batch/granularity depending on the
-/// instance).
+/// configuration decides every instance: switch and rule granularity
+/// search different op universes (Fig. 8(h)), so either can succeed
+/// where the other cannot.
 ///
 /// Reports are indexed by job position, so a batch result is independent
 /// of scheduling order and worker count.
@@ -60,7 +60,11 @@ struct SynthJob {
 /// The standard 3-way portfolio: incremental checker at switch
 /// granularity, incremental checker at rule granularity (succeeds on
 /// Fig. 8(h)-style instances where no switch-granularity order exists),
-/// and the batch checker as a fallback whose per-query cost is flat.
+/// and the batch checker at switch granularity. The batch member runs
+/// the same search as incremental/switch with a costlier exact checker:
+/// on all 600 probe-stream benchmark scenarios the two agree on verdict,
+/// check count and sequence, so it decides no job the incremental
+/// member leaves open.
 std::vector<PortfolioMember> defaultPortfolio(SynthOptions Base = {});
 
 /// Canonical digest of one job's *semantics*: the scenario digest plus
@@ -82,11 +86,11 @@ struct MemberOutcome {
   double Seconds = 0.0;
   /// True if this member aborted while the job-level race was already
   /// decided — i.e. it lost to a sibling's Success. Its Status is then
-  /// Aborted and says nothing about feasibility. Batch-level
-  /// cancellation and a member's own TimeoutSeconds/MaxCheckCalls
-  /// budgets do NOT set this flag (they abort without a race verdict);
-  /// a member that hit its own budget in the same instant the race was
-  /// decided is reported as cancelled, the more common cause.
+  /// Aborted and says nothing about feasibility. Job cancellation and a
+  /// member's own MaxCheckCalls/UnitCheckCalls budget do NOT set this
+  /// flag (they abort without a race verdict); a member that hit its own
+  /// budget in the same instant the race was decided is reported as
+  /// cancelled, the more common cause.
   bool Cancelled = false;
   /// Non-empty on engine-level failures (e.g. unknown backend name).
   std::string Error;
@@ -98,13 +102,13 @@ struct MemberOutcome {
 
 /// The engine's verdict for one job. For portfolios, Result carries the
 /// winning member's commands and stats; Members records every racer.
-/// Absent external cancellation (the batch-level EngineOptions::Stop or
-/// a member's own token/budget), Success/Impossible verdicts are
-/// determined by the job alone, never by scheduling: the race is only
-/// decided by a member's Success, so "some member succeeds" and "no
-/// member succeeds" are timing-independent facts. When the batch itself
-/// is cancelled mid-race, every member may abort with no winner and the
-/// job reports Aborted.
+/// Absent external cancellation (JobHandle::cancel() or a member's own
+/// token/budget), Success/Impossible verdicts are determined by the job
+/// alone, never by scheduling: the race is only decided by a member's
+/// Success, so "some member succeeds" and "no member succeeds" are
+/// timing-independent facts. When the job itself is cancelled
+/// mid-race, every member may abort with no winner and the job reports
+/// Aborted.
 struct SynthReport {
   size_t JobIndex = 0;
   std::string JobName;

@@ -18,7 +18,6 @@ Var Solver::newVar() {
   Assigns.push_back(LBool::Undef);
   Level.push_back(0);
   Reason.push_back(NoReason);
-  Activity.push_back(0.0);
   Polarity.push_back(1); // Default to negative phase, like MiniSat.
   Seen.push_back(0);
   Watches.emplace_back();
@@ -128,15 +127,6 @@ Solver::ClauseRef Solver::propagate() {
   return NoReason;
 }
 
-void Solver::bumpVar(Var V) {
-  Activity[static_cast<size_t>(V)] += VarInc;
-  if (Activity[static_cast<size_t>(V)] > 1e100) {
-    for (double &A : Activity)
-      A *= 1e-100;
-    VarInc *= 1e-100;
-  }
-}
-
 void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
                      int &BtLevel) {
   // First-UIP conflict analysis (MiniSat's analyze).
@@ -159,7 +149,6 @@ void Solver::analyze(ClauseRef Confl, std::vector<Lit> &Learnt,
           Level[static_cast<size_t>(V)] == 0)
         continue;
       Seen[static_cast<size_t>(V)] = 1;
-      bumpVar(V);
       if (Level[static_cast<size_t>(V)] == decisionLevel())
         ++Counter;
       else
@@ -215,15 +204,14 @@ void Solver::cancelUntil(int TargetLevel) {
 
 Var Solver::pickBranchVar() {
   // Cursor scan in static order with phase saving; see BranchCursor.
-  // Activities still accumulate (analyze() bumps them) and steer learned
-  // clauses, but selection stays O(1) amortized per decision.
+  // Selection stays O(1) amortized per decision.
   while (BranchCursor < numVars() &&
          Assigns[static_cast<size_t>(BranchCursor)] != LBool::Undef)
     ++BranchCursor;
   return BranchCursor < numVars() ? BranchCursor : -1;
 }
 
-bool Solver::solve(const std::vector<Lit> &Assumptions) {
+bool Solver::solve() {
   cancelUntil(0);
   if (!OkAtLevel0)
     return false;
@@ -236,7 +224,6 @@ bool Solver::solve(const std::vector<Lit> &Assumptions) {
   for (;;) {
     ClauseRef Confl = propagate();
     if (Confl != NoReason) {
-      ++Conflicts;
       if (decisionLevel() == 0) {
         OkAtLevel0 = false;
         cancelUntil(0);
@@ -259,26 +246,10 @@ bool Solver::solve(const std::vector<Lit> &Assumptions) {
         attachClause(C);
         enqueue(Learnt[0], C);
       }
-      VarInc *= (1.0 / 0.95); // Activity decay.
       continue;
     }
 
-    // No conflict: take the next assumption or branch.
-    if (decisionLevel() < static_cast<int>(Assumptions.size())) {
-      Lit A = Assumptions[static_cast<size_t>(decisionLevel())];
-      if (value(A) == LBool::True) {
-        newDecisionLevel(); // Dummy level so indices line up.
-        continue;
-      }
-      if (value(A) == LBool::False) {
-        cancelUntil(0);
-        return false; // Assumptions conflict with learned facts.
-      }
-      newDecisionLevel();
-      enqueue(A, NoReason);
-      continue;
-    }
-
+    // No conflict: branch.
     Var V = pickBranchVar();
     if (V == -1) {
       // Full model.

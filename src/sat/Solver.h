@@ -7,13 +7,15 @@
 ///
 /// \file
 /// A small conflict-driven clause-learning SAT solver in the MiniSat
-/// style: two-literal watches, first-UIP learning, VSIDS-like activities,
-/// and solving under assumptions. The paper's early-search-termination
-/// optimization (§4.2 B) feeds ordering constraints mined from
-/// counterexamples into "an (incremental) SAT solver" and aborts the DFS
-/// when they become contradictory; this is that solver. It never
-/// restarts: no benchmark solve reaches the 32 conflicts at which a
-/// Luby schedule would first restart (docs/ARCHITECTURE.md).
+/// style: two-literal watches, first-UIP learning and phase saving,
+/// branching in static variable order. The paper's
+/// early-search-termination optimization (§4.2 B) feeds ordering
+/// constraints mined from counterexamples into "an (incremental) SAT
+/// solver" and aborts the DFS when they become contradictory; this is
+/// that solver, sized to that one caller: it never restarts (no
+/// benchmark solve reaches the 32 conflicts at which a Luby schedule
+/// would first restart; docs/ARCHITECTURE.md) and keeps no variable
+/// activities, since its branching never reads them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +57,8 @@ inline Lit mkLit(Var V) { return Lit(V, false); }
 enum class LBool : uint8_t { True, False, Undef };
 
 /// The solver. Usage: newVar() for each variable, addClause() for each
-/// clause, then solve() — repeatedly, with more clauses and/or different
-/// assumptions between calls (incremental use keeps learned clauses).
+/// clause, then solve() — repeatedly, with more clauses between calls
+/// (incremental use keeps learned clauses).
 class Solver {
 public:
   /// Allocates a fresh variable.
@@ -69,16 +71,13 @@ public:
   /// simplification at level 0).
   bool addClause(std::vector<Lit> Lits);
 
-  /// Solves under \p Assumptions. Returns true iff satisfiable; a model is
-  /// then available via modelValue().
-  bool solve(const std::vector<Lit> &Assumptions = {});
+  /// Solves the clauses added so far. Returns true iff satisfiable; a
+  /// model is then available via modelValue().
+  bool solve();
 
   /// The value of \p V in the last model; meaningful only after a
   /// satisfiable solve().
   bool modelValue(Var V) const { return Model[static_cast<size_t>(V)]; }
-
-  /// Statistics: conflicts seen over the solver's lifetime.
-  uint64_t numConflicts() const { return Conflicts; }
 
 private:
   using ClauseRef = int;
@@ -105,7 +104,6 @@ private:
   void analyze(ClauseRef Confl, std::vector<Lit> &Learnt, int &BtLevel);
   void cancelUntil(int Level);
   Var pickBranchVar();
-  void bumpVar(Var V);
   void attachClause(ClauseRef C);
 
   std::vector<std::vector<Lit>> Clauses;
@@ -113,7 +111,6 @@ private:
   std::vector<LBool> Assigns;
   std::vector<int> Level;
   std::vector<ClauseRef> Reason;
-  std::vector<double> Activity;
   std::vector<uint8_t> Polarity; // Phase saving.
   std::vector<Lit> Trail;
   std::vector<int> TrailLim;
@@ -125,8 +122,6 @@ private:
   /// seed 21, 4 hardware threads), 113 at the median and 300 at most per
   /// solve on scale-update, 18 and 89 on probe-stream.
   int BranchCursor = 0;
-  double VarInc = 1.0;
-  uint64_t Conflicts = 0;
   bool OkAtLevel0 = true;
   std::vector<bool> Model;
   std::vector<uint8_t> Seen; // Scratch for analyze().

@@ -71,7 +71,6 @@ public:
   void charge() { ++Spent; }
 
   uint64_t spent() const { return Spent; }
-  uint64_t quota() const { return Quota; }
 
 private:
   bool Limited = false;
@@ -96,19 +95,17 @@ public:
   static BudgetLedger carveTotal(uint64_t Total, size_t Units) {
     BudgetLedger L;
     L.Limited = true;
-    L.Units = Units;
     L.Base = Units ? Total / Units : Total;
     L.Remainder = Units ? Total % Units : 0;
     return L;
   }
 
-  /// Gives every one of \p Units work units the same fixed \p Quota
+  /// Gives every work unit the same fixed \p Quota
   /// (SynthOptions::UnitCheckCalls): the budget bounds each unit
-  /// directly and the hard total is Quota * Units.
-  static BudgetLedger perUnit(uint64_t Quota, size_t Units) {
+  /// directly and the hard total is Quota times the number of units.
+  static BudgetLedger perUnit(uint64_t Quota) {
     BudgetLedger L;
     L.Limited = true;
-    L.Units = Units;
     L.Base = Quota;
     L.Remainder = 0;
     return L;
@@ -130,20 +127,8 @@ public:
     return Limited ? BudgetAccount(unitQuota(Unit)) : BudgetAccount();
   }
 
-  /// The hard bound on charged calls across all units (for
-  /// SynthStats::BudgetRemaining reporting).
-  uint64_t totalQuota() const {
-    if (!Limited)
-      return 0;
-    uint64_t Sum = 0;
-    for (size_t U = 0; U != Units; ++U)
-      Sum += unitQuota(U);
-    return Sum;
-  }
-
 private:
   bool Limited = false;
-  size_t Units = 0;
   uint64_t Base = 0;
   uint64_t Remainder = 0;
 };

@@ -230,14 +230,6 @@ public:
 
   void clear() { Map.clear(); }
 
-  /// A process-wide instance for pooling learning across engines; the
-  /// engine default is an engine-private store (EngineOptions::Learning).
-  static const std::shared_ptr<ConstraintStore> &processStore() {
-    static const std::shared_ptr<ConstraintStore> Store =
-        std::make_shared<ConstraintStore>();
-    return Store;
-  }
-
 private:
   /// One key's immutable entry list; publish() swaps whole snapshots so
   /// fetched copies never observe a mutation.

@@ -23,7 +23,7 @@
 /// becomes the clause "not all of these edges", which excludes the model,
 /// and the solver runs again. The loop therefore terminates, and the
 /// verdict is exact with respect to the kept constraints. The one
-/// relaxation is MaxClauseLits (see the constructor): a dropped
+/// relaxation is MaxClauseLits (see its comment): a dropped
 /// constraint can only make an impossible instance look possible, never
 /// the reverse, and "impossible" is the only verdict the search acts on.
 ///
@@ -54,6 +54,7 @@
 #include "support/Bitset.h"
 #include "support/ThreadAnnotations.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -63,16 +64,15 @@ namespace netupd {
 /// when they are jointly contradictory.
 class EarlyTermination {
 public:
-  /// \p MaxClauseLits drops constraints whose |Updated| x |NotUpdated|
-  /// disjunction would exceed the bound: large counterexamples (long
-  /// paths) produce enormous clauses of little pruning value, and
-  /// omitting them keeps the solver calls cheap. Dropping a constraint
-  /// admits more orders, never fewer, so an Impossible verdict stays a
-  /// proof; apart from this drop the verdict is exact (see file comment).
-  /// The search consults impossible() once every EtCheckInterval (8)
-  /// failed checks per shard, not after every learned constraint.
-  explicit EarlyTermination(size_t MaxClauseLits = 1024)
-      : MaxClauseLits(MaxClauseLits) {}
+  /// Constraints whose |Updated| x |NotUpdated| disjunction would exceed
+  /// this many literals are dropped: large counterexamples (long paths)
+  /// produce enormous clauses of little pruning value, and omitting them
+  /// keeps the solver calls cheap. Dropping a constraint admits more
+  /// orders, never fewer, so an Impossible verdict stays a proof; apart
+  /// from this drop the verdict is exact (see file comment). The search
+  /// consults impossible() once every EtCheckInterval (8) failed checks
+  /// per shard, not after every learned constraint.
+  static constexpr size_t MaxClauseLits = 1024;
 
   /// Records the constraint from one counterexample: some operation of
   /// \p NotUpdated must precede some operation of \p Updated. An empty
@@ -179,7 +179,6 @@ private:
   std::vector<sat::Var> EnteredBy NETUPD_GUARDED_BY(M);
   std::vector<uint32_t> Stack NETUPD_GUARDED_BY(M);
 
-  size_t MaxClauseLits;
   uint64_t Clauses NETUPD_GUARDED_BY(M) = 0;
   bool KnownImpossible NETUPD_GUARDED_BY(M) = false;
   bool Dirty NETUPD_GUARDED_BY(M) = false;  // New clauses since last check.

@@ -79,11 +79,9 @@
 // quota). The winner is the lowest-indexed successful unit, not the
 // first in time, so the returned sequence is deterministic too. A
 // retiring unit copies its W entries into the shared W, so the run's
-// learning export is the shared W in every mode. The wall clock never
-// interrupts a unit: TimeoutSeconds is polled only between units
-// (everywhere, not just in budget mode — the per-candidate clock read is
-// gone). The duplicated cross-unit exploration this costs is the price
-// of byte-identical verdicts at any shard and worker count.
+// learning export is the shared W in every mode. The duplicated
+// cross-unit exploration this costs is the price of byte-identical
+// verdicts at any shard and worker count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -368,9 +366,9 @@ struct SearchContext {
   std::atomic<unsigned> ActiveWorkers{0};
   std::atomic<unsigned> IdleShards{0};
 
-  // Cancellation and abort-cause bookkeeping. The wall clock only
-  // matters between work units (soft hint); check budgets are accounted
-  // per unit through Ledger, so there is no shared call counter left.
+  // Cancellation and abort-cause bookkeeping. Check budgets are
+  // accounted per unit through Ledger, so there is no shared call
+  // counter; Clock only times the search for SynthSeconds.
   Timer Clock;
   /// Fired by the first shard to complete a sequence; siblings abandon
   /// their frontier at the next checkpoint. Never fired in deterministic
@@ -386,7 +384,6 @@ struct SearchContext {
   /// user cancellation with a budget decision (or either with a race
   /// loss, which sets no flag at all).
   std::atomic<bool> ExternalAbort{false};
-  std::atomic<bool> WallAbort{false};
   /// Units whose quota ran dry mid-subtree (deterministic across shard
   /// layouts up to winner cancellation; any nonzero count means the
   /// exploration was truncated and exhaustion cannot be claimed).
@@ -412,13 +409,6 @@ struct SearchContext {
   /// success, or a global abort.
   StopToken stopToken() const {
     return anyToken(anyToken(Opts.Stop, Found.token()), Halt.token());
-  }
-
-  /// True when the soft wall-clock hint has expired; polled only between
-  /// work units, never inside one.
-  bool softWallExpired() const {
-    return Opts.TimeoutSeconds > 0.0 &&
-           Clock.seconds() > Opts.TimeoutSeconds;
   }
 
   void recordWinner(size_t Unit, const std::vector<unsigned> &Seq) {
@@ -564,9 +554,9 @@ public:
       if (Ctx.NextUnit.load(std::memory_order_relaxed) >=
           Ctx.OpOrder.size())
         break;  // Every unit claimed: nothing left here but stealing —
-                // a stop or an expired wall observed now must not taint
-                // the verdict; whether the search is exhaustive is
-                // decided by the shards that own the claimed work.
+                // a stop observed now must not taint the verdict;
+                // whether the search is exhaustive is decided by the
+                // shards that own the claimed work.
       if (Stop.stopRequested()) {
         // A stop seen here leaves work units unexplored, so its cause
         // must be recorded: without a flag the verdict block would
@@ -574,15 +564,6 @@ public:
         // Impossible proof. noteStop() classifies — a sibling's Found
         // is not an abort at all.
         noteStop();
-        return;
-      }
-      if (Ctx.softWallExpired()) {
-        // The soft hint's only firing point: between units (and steal
-        // tasks), so a unit that starts always runs to its
-        // deterministic conclusion.
-        // relaxed: a cause flag read only after every shard finished.
-        Ctx.WallAbort.store(true, std::memory_order_relaxed);
-        Ctx.Halt.requestStop();
         return;
       }
       // relaxed: the counter is the sole synchronization object here —
@@ -925,12 +906,6 @@ private:
         noteStop();
         break;
       }
-      if (Ctx.softWallExpired()) {
-        // relaxed: a cause flag read only after every shard finished.
-        Ctx.WallAbort.store(true, std::memory_order_relaxed);
-        Ctx.Halt.requestStop();
-        break;
-      }
       if (takeTask(T)) {
         bool Won = runStolen(T);
         Ctx.ActiveWorkers.fetch_sub(1, std::memory_order_acq_rel);
@@ -1128,8 +1103,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   // per-unit quotas once, from (budget, #units) alone. UnitCheckCalls
   // bounds each unit directly and wins over the carved total.
   if (Opts.UnitCheckCalls > 0)
-    Ctx.Ledger =
-        BudgetLedger::perUnit(Opts.UnitCheckCalls, Ctx.OpOrder.size());
+    Ctx.Ledger = BudgetLedger::perUnit(Opts.UnitCheckCalls);
   else if (Opts.MaxCheckCalls > 0)
     Ctx.Ledger =
         BudgetLedger::carveTotal(Opts.MaxCheckCalls, Ctx.OpOrder.size());
@@ -1215,11 +1189,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     }
     Total.EarlyTerminated |= Ctx.EtImpossible.load();
     Total.ExhaustedUnits = Ctx.ExhaustedUnits.load();
-    Total.HitBudget = Ctx.WallAbort.load() || Total.ExhaustedUnits > 0;
-    Total.Interrupted = Ctx.ExternalAbort.load() || Ctx.WallAbort.load();
-    uint64_t Cap = Ctx.Ledger.totalQuota(); // 0 when unlimited.
-    Total.BudgetRemaining =
-        Cap > Total.BudgetSpent ? Cap - Total.BudgetSpent : 0;
+    Total.Interrupted = Ctx.ExternalAbort.load();
     Total.SynthSeconds = SearchSeconds;
     Result.Status = Status;
     Result.Stats = Total;
@@ -1295,8 +1265,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   if (!Ctx.winnerSnapshot(WinnerSeq)) {
     if (Ctx.EtImpossible.load())
       Finish(SynthStatus::Impossible); // SAT proof; outranks an abort.
-    else if (Ctx.ExternalAbort.load() || Ctx.WallAbort.load() ||
-             Ctx.ExhaustedUnits.load() > 0)
+    else if (Ctx.ExternalAbort.load() || Ctx.ExhaustedUnits.load() > 0)
       Finish(SynthStatus::Aborted); // Truncated somewhere: exhaustion
                                     // cannot be claimed.
     else

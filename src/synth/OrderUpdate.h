@@ -50,12 +50,10 @@
 /// per unit, and shards never steal; the lowest-indexed successful unit
 /// supplies the result — so the verdict AND the returned sequence are a
 /// pure function of (job, budget), identical at every shard and worker
-/// count, Aborted verdicts included. TimeoutSeconds is only a soft
-/// wall-clock hint that fires between work units, never inside one; it
-/// is the single remaining source of timing dependence and is excluded
-/// from job digests (timeout-influenced runs are flagged Interrupted and
-/// never cached — unlike pure quota-exhaustion Aborts, which are
-/// deterministic and are replayed by the engine's result cache).
+/// count, Aborted verdicts included. Only an external stop can cut a run
+/// short on timing; such runs are flagged Interrupted and never cached,
+/// unlike pure quota-exhaustion Aborts, which are deterministic and are
+/// replayed by the engine's result cache.
 ///
 /// Cross-job learning: with SynthOptions::Learning set, the search seeds
 /// its W set and SAT layer from the ConstraintStore before exploring and
@@ -107,16 +105,8 @@ struct SynthOptions {
   /// UnitCheckCalls wins. Like MaxCheckCalls it is semantic and part of
   /// digestOf(SynthJob).
   uint64_t UnitCheckCalls = 0;
-  /// Soft wall-clock hint (0 = none); the paper used a 10-minute
-  /// timeout. Checked only *between* work units — a unit that starts
-  /// always completes (or exhausts its quota), so pair a timeout with a
-  /// check budget to bound unit length. Because expiry can only turn a
-  /// run into Aborted (never alter a completed verdict) and leaves the
-  /// Interrupted flag set — which keeps the result out of the engine's
-  /// cache — this knob is excluded from digestOf(SynthJob).
-  double TimeoutSeconds = 0.0;
-  /// Cooperative-cancellation token, polled at the same checkpoints as
-  /// the abort knobs. The engine's portfolio mode fires it to cancel
+  /// Cooperative-cancellation token, polled at the search's
+  /// checkpoints. The engine's portfolio mode fires it to cancel
   /// losing configurations; a default (empty) token never stops.
   StopToken Stop;
   /// Intra-configuration parallelism: the number of DFS shards the
@@ -178,13 +168,11 @@ struct SynthStats {
   uint64_t BackendQueries = 0;
   bool EarlyTerminated = false;
   /// Deterministic-budget accounting (all zero for unlimited runs):
-  /// charged check calls across every work unit, the unspent remainder
-  /// of the ledger's hard total, and the number of units that ran out
-  /// of quota. Spent/Remaining may vary with scheduling (a sibling can
-  /// start a doomed unit before the winner propagates); the *verdict*
-  /// never does.
+  /// charged check calls across every work unit, and the number of
+  /// units that ran out of quota (nonzero iff a budget shaped the run).
+  /// BudgetSpent may vary with scheduling (a sibling can start a doomed
+  /// unit before the winner propagates); the *verdict* never does.
   uint64_t BudgetSpent = 0;
-  uint64_t BudgetRemaining = 0;
   uint64_t ExhaustedUnits = 0;
   /// Cross-job learning accounting (all zero when SynthOptions::Learning
   /// is unset): wrong-set entries imported from the ConstraintStore at
@@ -211,16 +199,11 @@ struct SynthStats {
   /// granularity) learning key already held an up-front UNSAT proof
   /// (engine/Engine.cpp; set on the fabricated Impossible outcome).
   uint64_t ShedMembers = 0;
-  /// True iff a budget condition shaped the run: a unit exhausted its
-  /// quota or the soft wall hint expired. Never set by a race loss or
-  /// an external cancellation (see MemberOutcome::Cancelled for the
-  /// former).
-  bool HitBudget = false;
-  /// True iff a timing event — an external stop or the soft wall hint —
-  /// was observed cutting the run short. A Success with this flag may
-  /// carry a sequence that is not the deterministic lowest-unit one
-  /// (an outranking unit may have been abandoned mid-flight), so the
-  /// engine refuses to cache interrupted results.
+  /// True iff an external stop was observed cutting the run short
+  /// (never a race loss: see MemberOutcome::Cancelled). A Success with
+  /// this flag may carry a sequence that is not the deterministic
+  /// lowest-unit one (an outranking unit may have been abandoned
+  /// mid-flight), so the engine refuses to cache interrupted results.
   bool Interrupted = false;
   unsigned WaitsBeforeRemoval = 0;
   unsigned WaitsAfterRemoval = 0;
@@ -255,7 +238,6 @@ struct SynthStats {
     BackendQueries += S.BackendQueries;
     EarlyTerminated |= S.EarlyTerminated;
     BudgetSpent += S.BudgetSpent;
-    BudgetRemaining += S.BudgetRemaining;
     ExhaustedUnits += S.ExhaustedUnits;
     ImportedConstraints += S.ImportedConstraints;
     ExportedConstraints += S.ExportedConstraints;
@@ -265,7 +247,6 @@ struct SynthStats {
     Restarts += S.Restarts;
     SubsumedDropped += S.SubsumedDropped;
     ShedMembers += S.ShedMembers;
-    HitBudget |= S.HitBudget;
     Interrupted |= S.Interrupted;
     WaitsBeforeRemoval += S.WaitsBeforeRemoval;
     WaitsAfterRemoval += S.WaitsAfterRemoval;
@@ -289,11 +270,10 @@ enum class SynthStatus {
   /// including pre-update ones).
   InitialViolation,
   /// Gave up: a work unit exhausted its deterministic check quota
-  /// (MaxCheckCalls / UnitCheckCalls), the soft TimeoutSeconds hint
-  /// expired between units, or an external stop token fired. Pure
-  /// quota-exhaustion aborts are reproducible (see the file comment)
-  /// and the engine caches them; timing-shaped aborts (stop or wall
-  /// observed — the Interrupted flag) are never cached.
+  /// (MaxCheckCalls / UnitCheckCalls) or an external stop token fired.
+  /// Pure quota-exhaustion aborts are reproducible (see the file
+  /// comment) and the engine caches them; stop-shaped aborts (the
+  /// Interrupted flag) are never cached.
   Aborted
 };
 

@@ -10,12 +10,11 @@
 /// search's deterministic budget mode): ledger carving, inclusive
 /// exactly-N boundary semantics, the determinism matrix (byte-identical
 /// verdicts and sequences across shard and worker counts, budget-Aborted
-/// cases included), the soft wall-clock hint, the update-independent
-/// counterexample guard, the Found-vs-budget abort classification, and
-/// the engine's abort-caching contract across all of its Aborted-writing
-/// paths: pure quota-exhaustion aborts are deterministic and ARE cached,
-/// while every timing-shaped abort (wall expiry, cancellation, shutdown)
-/// stays out of the cache.
+/// cases included), the update-independent counterexample guard, the
+/// Found-vs-budget abort classification, and the engine's abort-caching
+/// contract across all of its Aborted-writing paths: pure
+/// quota-exhaustion aborts are deterministic and ARE cached, while every
+/// timing-shaped abort (cancellation, shutdown) stays out of the cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +67,18 @@ Scenario doubleDiamond(uint64_t Seed) {
 
 // --- BudgetLedger -----------------------------------------------------------
 
+namespace {
+
+/// The hard bound on charged calls across \p Units work units.
+uint64_t carvedTotal(const BudgetLedger &L, size_t Units) {
+  uint64_t Sum = 0;
+  for (size_t U = 0; U != Units; ++U)
+    Sum += L.unitQuota(U);
+  return Sum;
+}
+
+} // namespace
+
 TEST(BudgetLedgerTest, CarveGivesEarlierUnitsTheRemainder) {
   BudgetLedger L = BudgetLedger::carveTotal(10, 4);
   ASSERT_TRUE(L.limited());
@@ -75,7 +86,7 @@ TEST(BudgetLedgerTest, CarveGivesEarlierUnitsTheRemainder) {
   EXPECT_EQ(L.unitQuota(1), 3u);
   EXPECT_EQ(L.unitQuota(2), 2u);
   EXPECT_EQ(L.unitQuota(3), 2u);
-  EXPECT_EQ(L.totalQuota(), 10u);
+  EXPECT_EQ(carvedTotal(L, 4), 10u);
 }
 
 TEST(BudgetLedgerTest, CarveFloorsEveryUnitAtOneCall) {
@@ -84,18 +95,18 @@ TEST(BudgetLedgerTest, CarveFloorsEveryUnitAtOneCall) {
   BudgetLedger L = BudgetLedger::carveTotal(2, 5);
   for (size_t U = 0; U != 5; ++U)
     EXPECT_EQ(L.unitQuota(U), 1u) << "unit " << U;
-  EXPECT_EQ(L.totalQuota(), 5u);
+  EXPECT_EQ(carvedTotal(L, 5), 5u);
 }
 
 TEST(BudgetLedgerTest, PerUnitGivesEveryUnitTheFullQuota) {
-  BudgetLedger L = BudgetLedger::perUnit(7, 3);
+  BudgetLedger L = BudgetLedger::perUnit(7);
   for (size_t U = 0; U != 3; ++U)
     EXPECT_EQ(L.unitQuota(U), 7u);
-  EXPECT_EQ(L.totalQuota(), 21u);
+  EXPECT_EQ(carvedTotal(L, 3), 21u);
 }
 
 TEST(BudgetLedgerTest, AccountsAreInclusiveAtTheBoundary) {
-  BudgetAccount A = BudgetLedger::perUnit(2, 1).openAccount(0);
+  BudgetAccount A = BudgetLedger::perUnit(2).openAccount(0);
   ASSERT_TRUE(A.limited());
   EXPECT_TRUE(A.canSpend()); // 0 spent of 2.
   A.charge();
@@ -162,7 +173,6 @@ TEST(BudgetBoundaryTest, ExactBudgetSucceedsOneLessAborts) {
     EXPECT_EQ(Res.Stats.BudgetSpent, NumOps);
     EXPECT_EQ(Res.Stats.ExhaustedUnits, 0u)
         << "spending the full quota on a completed unit is not truncation";
-    EXPECT_FALSE(Res.Stats.HitBudget);
   }
   {
     AcceptAll Checker;
@@ -171,7 +181,6 @@ TEST(BudgetBoundaryTest, ExactBudgetSucceedsOneLessAborts) {
     Opts.UnitCheckCalls = NumOps - 1;
     SynthResult Res = synthesizeUpdate(S, FF, Checker, Opts);
     EXPECT_EQ(Res.Status, SynthStatus::Aborted);
-    EXPECT_TRUE(Res.Stats.HitBudget);
     EXPECT_EQ(Res.Stats.ExhaustedUnits, NumOps)
         << "every unit runs dry one call short of its sequence";
     EXPECT_TRUE(Res.Commands.empty());
@@ -294,32 +303,6 @@ TEST(BudgetDeterminismTest, MatrixOfShardAndWorkerCounts) {
   EXPECT_EQ(Reference[0].Status, SynthStatus::Success);
   EXPECT_EQ(Reference[3].Status, SynthStatus::Impossible)
       << "a generous budget must still complete the impossibility proof";
-}
-
-// --- Soft wall hint ---------------------------------------------------------
-
-// TimeoutSeconds is a soft hint checked between work units: an expired
-// clock aborts the run (classified as a budget condition), and a timeout
-// that never fires changes nothing.
-TEST(BudgetSoftWallTest, ExpiredTimeoutAbortsBetweenUnits) {
-  Scenario S = diamondWithUpdates(3000, 3);
-  FormulaFactory FF;
-  SynthOptions Opts;
-  Opts.TimeoutSeconds = 1e-9; // Expired by the first between-unit check.
-  std::unique_ptr<CheckerBackend> Checker =
-      BackendFactory::instance().create("incremental", S);
-  SynthResult Res = synthesizeUpdate(S, FF, *Checker, Opts);
-  EXPECT_EQ(Res.Status, SynthStatus::Aborted);
-  EXPECT_TRUE(Res.Stats.HitBudget);
-  EXPECT_TRUE(Res.Commands.empty());
-
-  SynthOptions Ample;
-  Ample.TimeoutSeconds = 3600.0;
-  std::unique_ptr<CheckerBackend> Checker2 =
-      BackendFactory::instance().create("incremental", S);
-  SynthResult Res2 = synthesizeUpdate(S, FF, *Checker2, Ample);
-  EXPECT_EQ(Res2.Status, SynthStatus::Success);
-  EXPECT_FALSE(Res2.Stats.HitBudget);
 }
 
 // --- Update-independent counterexample guard --------------------------------
@@ -476,9 +459,8 @@ TEST(AbortClassificationTest, FoundRunNeverReportsBudgetAbort) {
   ASSERT_TRUE(PrimaryFinished) << "primary did not finish in time";
 
   ASSERT_EQ(Res.Status, SynthStatus::Success);
-  EXPECT_FALSE(Res.Stats.HitBudget)
+  EXPECT_EQ(Res.Stats.ExhaustedUnits, 0u)
       << "a race loss was misclassified as a budget abort";
-  EXPECT_EQ(Res.Stats.ExhaustedUnits, 0u);
 }
 
 namespace {
@@ -520,7 +502,7 @@ private:
 
 } // namespace
 
-// A stop (or wall expiry) observed only after every work unit has been
+// A stop observed only after every work unit has been
 // claimed and completed must not taint the verdict: the exhaustive
 // Impossible proof is already established. (Regression: the unit loop
 // used to poll the stop before noticing the cursor was exhausted, so a
@@ -581,7 +563,6 @@ TEST(AbortedCacheTest, QuotaExhaustionAbortsAreCachedAndReplayed) {
 
   BatchReport First = Engine.run({Job});
   ASSERT_EQ(First.Reports[0].Result.Status, SynthStatus::Aborted);
-  EXPECT_TRUE(First.Reports[0].Result.Stats.HitBudget);
   ASSERT_GT(First.Reports[0].Result.Stats.ExhaustedUnits, 0u);
   EXPECT_FALSE(First.Reports[0].Result.Stats.Interrupted);
 
@@ -603,39 +584,6 @@ TEST(AbortedCacheTest, QuotaExhaustionAbortsAreCachedAndReplayed) {
   BatchReport Third = Engine.run({Widened});
   EXPECT_FALSE(Third.Reports[0].FromCache)
       << "a different budget must never replay another budget's abort";
-}
-
-// Timing-shaped aborts stay out of the cache: a soft-wall expiry
-// reflects the run's clock, not the instance, and is flagged
-// Interrupted — a digest-identical resubmission must execute again.
-// (TimeoutSeconds is excluded from the digest precisely because its
-// results are never cached.)
-TEST(AbortedCacheTest, WallExpiryAbortsAreNeverCached) {
-  SynthJob Job;
-  Job.Name = "walled";
-  Job.S = diamondWithUpdates(6100, 3);
-  Job.Portfolio.emplace_back();
-  Job.Portfolio[0].Opts.TimeoutSeconds = 1e-9; // Expired at first poll.
-
-  EngineOptions EO;
-  EO.NumWorkers = 1;
-  SynthEngine Engine(EO);
-
-  BatchReport First = Engine.run({Job});
-  ASSERT_EQ(First.Reports[0].Result.Status, SynthStatus::Aborted);
-  EXPECT_TRUE(First.Reports[0].Result.Stats.Interrupted);
-
-  BatchReport Second = Engine.run({Job});
-  EXPECT_EQ(Second.EngineCacheHits, 0u);
-  EXPECT_FALSE(Second.Reports[0].FromCache);
-
-  // And the wall expiry must not poison the *budgetless* digest the job
-  // shares with a timeout-free twin: that twin runs for real too.
-  SynthJob Untimed = Job;
-  Untimed.Portfolio[0].Opts.TimeoutSeconds = 0.0;
-  BatchReport Clean = Engine.run({Untimed});
-  EXPECT_FALSE(Clean.Reports[0].FromCache);
-  EXPECT_EQ(Clean.Reports[0].Result.Status, SynthStatus::Success);
 }
 
 namespace {
@@ -673,16 +621,14 @@ private:
 } // namespace
 
 // Shutdown path: jobs still queued when the engine dies are reported
-// Aborted by the destructor — and a later engine sharing the same cache
-// must run them for real.
+// Aborted by the destructor and never enter its result cache; a later
+// engine runs them for real.
 TEST(AbortedCacheTest, ShutdownOrphansAreNeverCached) {
   auto Open = std::make_shared<std::atomic<bool>>(false);
   BackendFactory::instance().registerBackend(
       "budget-gate", [Open](const Scenario &) {
         return std::make_unique<GateChecker>(Open);
       });
-
-  auto SharedCache = std::make_shared<ResultCache>();
 
   SynthJob Blocker;
   Blocker.Name = "blocker";
@@ -695,11 +641,12 @@ TEST(AbortedCacheTest, ShutdownOrphansAreNeverCached) {
   Orphan.S = diamondWithUpdates(7100, 3);
 
   JobHandle OrphanHandle;
+  std::shared_ptr<ResultCache> Cache;
   {
     EngineOptions EO;
     EO.NumWorkers = 1;
-    EO.Cache = SharedCache;
     SynthEngine Engine(EO);
+    Cache = Engine.resultCache(); // Outlives the engine for the audit.
     Engine.submit(Blocker); // Occupies the only worker, parked in bind.
     OrphanHandle = Engine.submit(Orphan);
     EXPECT_FALSE(OrphanHandle.done());
@@ -709,14 +656,14 @@ TEST(AbortedCacheTest, ShutdownOrphansAreNeverCached) {
   }
   ASSERT_TRUE(OrphanHandle.done());
   EXPECT_EQ(OrphanHandle.wait().Result.Status, SynthStatus::Aborted);
+  EXPECT_FALSE(Cache->lookup(digestOf(Orphan)).has_value())
+      << "a shutdown-aborted job leaked into the result cache";
 
   EngineOptions EO2;
   EO2.NumWorkers = 1;
-  EO2.Cache = SharedCache;
   SynthEngine Fresh(EO2);
   BatchReport Rep = Fresh.run({Orphan});
-  EXPECT_FALSE(Rep.Reports[0].FromCache)
-      << "a shutdown-aborted job leaked into the shared result cache";
+  EXPECT_FALSE(Rep.Reports[0].FromCache);
   EXPECT_EQ(Rep.Reports[0].Result.Status, SynthStatus::Success);
 }
 

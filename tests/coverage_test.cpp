@@ -184,19 +184,36 @@ TEST(WaitRemovalCornersTest, EmptyAndAdditiveSequences) {
 }
 
 TEST(EarlyTerminationCornersTest, OversizedClausesAreDroppedSoundly) {
-  // MaxClauseLits = 4: a 3x2 constraint is dropped, so the relaxation
-  // stays satisfiable even though the full constraint set would conflict
-  // with the follow-ups.
-  EarlyTermination ET(/*MaxClauseLits=*/4);
-  ET.addCexConstraint({0, 1, 2}, {3, 4}); // 6 literals > 4: dropped.
-  ET.addCexConstraint({3}, {0});          // 0 < 3.
-  ET.addCexConstraint({4}, {1});          // 1 < 4.
-  EXPECT_FALSE(ET.impossible());          // Relaxed: still satisfiable.
+  // Ops 0..32 updated, 33..64 not: a 33x32 constraint of 1,056 literals,
+  // over the bound, is dropped. The chain 0 < 1 < ... < 64 puts every
+  // updated op first, which the dropped constraint would contradict, so
+  // the relaxation stays satisfiable.
+  static_assert(33 * 32 > EarlyTermination::MaxClauseLits,
+                "the oversized constraint must exceed the bound");
+  std::vector<unsigned> Updated, NotUpdated;
+  for (unsigned I = 0; I != 65; ++I)
+    (I < 33 ? Updated : NotUpdated).push_back(I);
+  EarlyTermination ET;
+  ET.addCexConstraint(Updated, NotUpdated); // Dropped.
+  for (unsigned I = 0; I != 64; ++I)
+    ET.addCexConstraint({I + 1}, {I}); // I before I + 1.
+  EXPECT_FALSE(ET.impossible()); // Relaxed: still satisfiable.
+  EXPECT_EQ(ET.numClauses(), 64u);
 
   // Small contradictions are still caught.
-  ET.addCexConstraint({0}, {3});
-  ET.addCexConstraint({1}, {4});
+  ET.addCexConstraint({0}, {64}); // 64 before 0 closes a cycle.
   EXPECT_TRUE(ET.impossible());
+
+  // At the bound a 32x32 constraint is kept, and against the same chain
+  // it is contradictory.
+  static_assert(32 * 32 == EarlyTermination::MaxClauseLits,
+                "the kept constraint must sit exactly at the bound");
+  Updated.pop_back(); // 0..31 updated, 33..64 not.
+  EarlyTermination AtBound;
+  AtBound.addCexConstraint(Updated, NotUpdated);
+  for (unsigned I = 0; I != 64; ++I)
+    AtBound.addCexConstraint({I + 1}, {I});
+  EXPECT_TRUE(AtBound.impossible());
 }
 
 TEST(PropertyTextTest, PaperFormulasParse) {

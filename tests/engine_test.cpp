@@ -249,24 +249,6 @@ TEST(SynthEngineTest, PortfolioAgreesWithSingleConfigRuns) {
   expectCorrectSequence(S, R);
 }
 
-TEST(SynthEngineTest, BatchStopTokenAbortsRemainingJobs) {
-  std::vector<SynthJob> Jobs(4);
-  for (size_t I = 0; I != Jobs.size(); ++I)
-    Jobs[I].S = smallDiamond(40 + I);
-
-  StopSource Stop;
-  Stop.requestStop(); // Fired before the batch starts: nothing may run.
-  EngineOptions EO;
-  EO.NumWorkers = 2;
-  EO.Stop = Stop.token();
-  SynthEngine Engine(EO);
-  BatchReport Rep = Engine.run(Jobs);
-  ASSERT_EQ(Rep.Reports.size(), Jobs.size());
-  for (const SynthReport &R : Rep.Reports)
-    EXPECT_EQ(R.Result.Status, SynthStatus::Aborted);
-  EXPECT_EQ(Rep.TotalQueries, 0u);
-}
-
 // A batch containing duplicate scenarios must report engine-cache hits
 // and perform fewer queries than the same batch with caching disabled,
 // while returning identical per-job verdicts and command sequences.

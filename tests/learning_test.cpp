@@ -85,14 +85,30 @@ struct RunResult {
   SynthStats Stats;
 };
 
-/// Runs one single-member job on a fresh 1-worker engine with the result
-/// cache off (learning, not replay, is under test). \p Store null means
-/// SharedLearning off; each call builds its own engine, so a shared
-/// store is also exercising cross-engine pooling. \p Tweak adjusts the
+RunResult observed(const Scenario &S, const SynthResult &Res) {
+  RunResult Out;
+  Out.Status = Res.Status;
+  Out.Rendered = commandSeqToString(S.Topo, Res.Commands);
+  Out.Commands = Res.Commands;
+  Out.Stats = Res.Stats;
+  return Out;
+}
+
+/// A 1-worker engine with the result cache off (learning, not replay, is
+/// under test) and SharedLearning as \p Learning says. Runs through one
+/// learning engine share its constraint store.
+std::unique_ptr<SynthEngine> makeEngine(bool Learning) {
+  EngineOptions EO;
+  EO.NumWorkers = 1;
+  EO.CacheResults = false;
+  EO.SharedLearning = Learning;
+  return std::make_unique<SynthEngine>(EO);
+}
+
+/// Runs one single-member job on \p Engine. \p Tweak adjusts the
 /// member's SynthOptions (budgets, ET, granularity).
-RunResult runOnce(const Scenario &S, const std::string &Backend,
-                  unsigned Shards,
-                  const std::shared_ptr<ConstraintStore> &Store,
+RunResult runOnce(SynthEngine &Engine, const Scenario &S,
+                  const std::string &Backend, unsigned Shards,
                   const std::function<void(SynthOptions &)> &Tweak = {}) {
   SynthJob Job;
   Job.S = S;
@@ -103,22 +119,34 @@ RunResult runOnce(const Scenario &S, const std::string &Backend,
     Tweak(M.Opts);
   Job.Portfolio.push_back(std::move(M));
 
-  EngineOptions EO;
-  EO.NumWorkers = 1;
-  EO.CacheResults = false;
-  EO.SharedLearning = Store != nullptr;
-  EO.Learning = Store;
-  SynthEngine Engine(EO);
   BatchReport Rep = Engine.run({Job});
   const SynthReport &R = Rep.Reports[0];
   EXPECT_TRUE(R.Members[0].Error.empty()) << R.Members[0].Error;
+  return observed(S, R.Result);
+}
 
-  RunResult Out;
-  Out.Status = R.Result.Status;
-  Out.Rendered = commandSeqToString(S.Topo, R.Result.Commands);
-  Out.Commands = R.Result.Commands;
-  Out.Stats = R.Result.Stats;
-  return Out;
+/// runOnce on a fresh engine with learning off: the reuse-off reference.
+RunResult runCold(const Scenario &S, const std::string &Backend,
+                  unsigned Shards,
+                  const std::function<void(SynthOptions &)> &Tweak = {}) {
+  return runOnce(*makeEngine(false), S, Backend, Shards, Tweak);
+}
+
+/// Runs one configuration through synthesizeUpdate directly, importing
+/// from and publishing to \p Store. Unlike an engine member, this run is
+/// never shed on the store's up-front Impossible mark, so it exercises
+/// the import path itself.
+RunResult runDirect(const Scenario &S, const std::string &Backend,
+                    const std::shared_ptr<ConstraintStore> &Store,
+                    const std::function<void(SynthOptions &)> &Tweak = {}) {
+  std::unique_ptr<CheckerBackend> Checker =
+      BackendFactory::instance().create(Backend, S);
+  SynthOptions Opts;
+  Opts.Learning = Store;
+  if (Tweak)
+    Tweak(Opts);
+  FormulaFactory FF;
+  return observed(S, synthesizeUpdate(S, FF, *Checker, Opts));
 }
 
 /// Replay-checks a successful sequence (the "same sequence class"
@@ -264,10 +292,10 @@ TEST(LearningInvarianceTest, FeasibleMatrixAcrossBackendRegistry) {
                       ->providesCounterexamples();
     for (unsigned Shards : {1u, 4u}) {
       std::string Cell = Backend + " shards=" + std::to_string(Shards);
-      RunResult Ref = runOnce(Feas, Backend, Shards, nullptr);
-      auto Store = std::make_shared<ConstraintStore>();
-      RunResult Warm = runOnce(Feas, Backend, Shards, Store);
-      RunResult Seeded = runOnce(Feas, Backend, Shards, Store);
+      RunResult Ref = runCold(Feas, Backend, Shards);
+      std::unique_ptr<SynthEngine> Engine = makeEngine(true);
+      RunResult Warm = runOnce(*Engine, Feas, Backend, Shards);
+      RunResult Seeded = runOnce(*Engine, Feas, Backend, Shards);
 
       EXPECT_EQ(Ref.Status, SynthStatus::Success) << Cell;
       EXPECT_EQ(Warm.Status, Ref.Status)
@@ -295,10 +323,10 @@ TEST(LearningInvarianceTest, InfeasibleVerdictsSurviveSeeding) {
   Scenario Inf = doubleDiamond(9);
   for (const char *Backend : {"incremental", "batch"}) {
     for (unsigned Shards : {1u, 4u}) {
-      RunResult Ref = runOnce(Inf, Backend, Shards, nullptr);
-      auto Store = std::make_shared<ConstraintStore>();
-      runOnce(Inf, Backend, Shards, Store);
-      RunResult Seeded = runOnce(Inf, Backend, Shards, Store);
+      RunResult Ref = runCold(Inf, Backend, Shards);
+      std::unique_ptr<SynthEngine> Engine = makeEngine(true);
+      runOnce(*Engine, Inf, Backend, Shards);
+      RunResult Seeded = runOnce(*Engine, Inf, Backend, Shards);
       EXPECT_EQ(Ref.Status, SynthStatus::Impossible) << Backend;
       EXPECT_EQ(Seeded.Status, Ref.Status) << Backend << " shards=" << Shards;
       EXPECT_EQ(Seeded.Rendered, Ref.Rendered);
@@ -311,13 +339,13 @@ TEST(LearningInvarianceTest, InfeasibleVerdictsSurviveSeeding) {
 // (their bitsets index a different op universe) and still succeed.
 TEST(LearningInvarianceTest, GranularitiesNeverShareEntries) {
   Scenario Inf = doubleDiamond(9);
-  auto Store = std::make_shared<ConstraintStore>();
-  RunResult SwitchRun = runOnce(Inf, "incremental", 1, Store);
+  std::unique_ptr<SynthEngine> Engine = makeEngine(true);
+  RunResult SwitchRun = runOnce(*Engine, Inf, "incremental", 1);
   ASSERT_EQ(SwitchRun.Status, SynthStatus::Impossible);
   ASSERT_GT(SwitchRun.Stats.ExportedConstraints, 0u);
 
   RunResult RuleRun =
-      runOnce(Inf, "incremental", 1, Store,
+      runOnce(*Engine, Inf, "incremental", 1,
               [](SynthOptions &O) { O.RuleGranularity = true; });
   EXPECT_EQ(RuleRun.Status, SynthStatus::Success)
       << "rule granularity must still solve the Fig. 8(h) instance";
@@ -336,12 +364,11 @@ TEST(LearningInvarianceTest, BudgetedRunsIgnoreThePopulatedStore) {
   for (uint64_t Unit : {uint64_t(2), uint64_t(100000)}) {
     auto Budget = [Unit](SynthOptions &O) { O.UnitCheckCalls = Unit; };
     for (unsigned Shards : {1u, 4u}) {
-      RunResult Ref = runOnce(Feas, "incremental", Shards, nullptr, Budget);
-      auto Store = std::make_shared<ConstraintStore>();
+      RunResult Ref = runCold(Feas, "incremental", Shards, Budget);
+      std::unique_ptr<SynthEngine> Engine = makeEngine(true);
       // Populate with everything an unbudgeted run learns for this key.
-      runOnce(Feas, "incremental", Shards, Store);
-      RunResult Seeded =
-          runOnce(Feas, "incremental", Shards, Store, Budget);
+      runOnce(*Engine, Feas, "incremental", Shards);
+      RunResult Seeded = runOnce(*Engine, Feas, "incremental", Shards, Budget);
       EXPECT_EQ(Seeded.Status, Ref.Status)
           << "unit=" << Unit << " shards=" << Shards;
       EXPECT_EQ(Seeded.Rendered, Ref.Rendered)
@@ -352,7 +379,7 @@ TEST(LearningInvarianceTest, BudgetedRunsIgnoreThePopulatedStore) {
     }
     // The tight budget must actually produce the Abort regime once.
     if (Unit == 2) {
-      EXPECT_EQ(runOnce(Feas, "incremental", 1, nullptr, Budget).Status,
+      EXPECT_EQ(runCold(Feas, "incremental", 1, Budget).Status,
                 SynthStatus::Aborted);
     }
   }
@@ -363,9 +390,9 @@ TEST(LearningInvarianceTest, BudgetedRunsIgnoreThePopulatedStore) {
 // sweep are exactly who they help.
 TEST(LearningInvarianceTest, BudgetedRunsStillExport) {
   Scenario Inf = doubleDiamond(9);
-  auto Store = std::make_shared<ConstraintStore>();
+  std::unique_ptr<SynthEngine> Engine = makeEngine(true);
   RunResult Probe =
-      runOnce(Inf, "incremental", 1, Store,
+      runOnce(*Engine, Inf, "incremental", 1,
               [](SynthOptions &O) { O.UnitCheckCalls = 2; });
   // Every depth-one root refutes within its quota: a complete proof.
   EXPECT_EQ(Probe.Status, SynthStatus::Impossible);
@@ -374,23 +401,18 @@ TEST(LearningInvarianceTest, BudgetedRunsStillExport) {
 
   // And a follow-up run consumes them. The probe's Impossible verdict
   // also marked the key (a budget-mode Impossible is still a complete
-  // proof — a truncated unit reports Aborted), so an unbudgeted,
-  // untimed follow-up would be shed outright; the soft wall hint makes
-  // this member non-sheddable and exercises the import path proper.
-  RunResult Follow = runOnce(Inf, "incremental", 1, Store,
-                             [](SynthOptions &O) {
-                               O.EarlyTermination = false;
-                               O.TimeoutSeconds = 3600.0;
-                             });
+  // proof — a truncated unit reports Aborted), so an unbudgeted
+  // follow-up on the engine would be shed outright; run directly on the
+  // engine's store, it exercises the import path proper.
+  auto NoEt = [](SynthOptions &O) { O.EarlyTermination = false; };
+  RunResult Follow =
+      runDirect(Inf, "incremental", Engine->constraintStore(), NoEt);
   EXPECT_EQ(Follow.Status, SynthStatus::Impossible);
   EXPECT_GT(Follow.Stats.ImportedConstraints, 0u);
 
-  // The sheddable shape of the same follow-up is answered from the
-  // up-front proof: same verdict, no checker work at all.
-  RunResult Shed = runOnce(Inf, "incremental", 1, Store,
-                           [](SynthOptions &O) {
-                             O.EarlyTermination = false;
-                           });
+  // On the engine the same follow-up is answered from the up-front
+  // proof: same verdict, no checker work at all.
+  RunResult Shed = runOnce(*Engine, Inf, "incremental", 1, NoEt);
   EXPECT_EQ(Shed.Status, SynthStatus::Impossible);
   EXPECT_EQ(Shed.Stats.ShedMembers, 1u);
   EXPECT_EQ(Shed.Stats.CheckCalls, 0u);
@@ -405,21 +427,17 @@ TEST(LearningInvarianceTest, BudgetedRunsStillExport) {
 TEST(LearningAccelerationTest, SecondProbeSkipsRefutedPrefixes) {
   Scenario Inf = doubleDiamond(9);
   auto NoEt = [](SynthOptions &O) { O.EarlyTermination = false; };
-  // Soft wall hint (never fires here): makes the follow-up members
-  // non-sheddable, so the test exercises the seeded-prune path rather
-  // than the up-front shed P1's Impossible mark would trigger.
-  auto NoEtTimed = [](SynthOptions &O) {
-    O.EarlyTermination = false;
-    O.TimeoutSeconds = 3600.0;
-  };
-  auto Store = std::make_shared<ConstraintStore>();
+  std::unique_ptr<SynthEngine> Engine = makeEngine(true);
 
-  RunResult P1 = runOnce(Inf, "incremental", 1, Store, NoEt);
+  RunResult P1 = runOnce(*Engine, Inf, "incremental", 1, NoEt);
   ASSERT_EQ(P1.Status, SynthStatus::Impossible);
   ASSERT_GT(P1.Stats.ExportedConstraints, 0u);
   ASSERT_GT(P1.Stats.CheckCalls, 1u);
 
-  RunResult P2 = runOnce(Inf, "batch", 1, Store, NoEtTimed);
+  // Run directly on the engine's store, so the follow-up exercises the
+  // seeded-prune path rather than the up-front shed P1's Impossible mark
+  // triggers on the engine.
+  RunResult P2 = runDirect(Inf, "batch", Engine->constraintStore(), NoEt);
   EXPECT_EQ(P2.Status, SynthStatus::Impossible);
   EXPECT_GT(P2.Stats.ImportedConstraints, 0u);
   EXPECT_EQ(P2.Stats.CheckCalls, 1u)
@@ -428,12 +446,12 @@ TEST(LearningAccelerationTest, SecondProbeSkipsRefutedPrefixes) {
 
   // Reuse-off control: the same second probe without the store pays the
   // full re-derivation.
-  RunResult Control = runOnce(Inf, "batch", 1, nullptr, NoEt);
+  RunResult Control = runCold(Inf, "batch", 1, NoEt);
   EXPECT_EQ(Control.Status, SynthStatus::Impossible);
   EXPECT_GT(Control.Stats.CheckCalls, P2.Stats.CheckCalls);
 
-  // The untimed shape doesn't even bind: P1's proof sheds it.
-  RunResult P3 = runOnce(Inf, "batch", 1, Store, NoEt);
+  // On the engine the probe doesn't even bind: P1's proof sheds it.
+  RunResult P3 = runOnce(*Engine, Inf, "batch", 1, NoEt);
   EXPECT_EQ(P3.Status, SynthStatus::Impossible);
   EXPECT_EQ(P3.Stats.ShedMembers, 1u);
   EXPECT_EQ(P3.Stats.CheckCalls, 0u);
@@ -445,14 +463,13 @@ TEST(LearningAccelerationTest, SecondProbeSkipsRefutedPrefixes) {
 // prunes still hold the query count to the bind. Either way: one check.
 TEST(LearningAccelerationTest, SeededSatLayerShortCircuits) {
   Scenario Inf = doubleDiamond(9);
-  auto Store = std::make_shared<ConstraintStore>();
-  RunResult P1 = runOnce(Inf, "incremental", 1, Store);
+  std::unique_ptr<SynthEngine> Engine = makeEngine(true);
+  RunResult P1 = runOnce(*Engine, Inf, "incremental", 1);
   ASSERT_EQ(P1.Status, SynthStatus::Impossible);
 
-  // Timed (non-sheddable; the hint never fires) so the run actually
+  // Run directly on the engine's store (never shed) so the run actually
   // consults the seeded SAT layer instead of being shed up front.
-  RunResult P2 = runOnce(Inf, "batch", 1, Store,
-                         [](SynthOptions &O) { O.TimeoutSeconds = 3600.0; });
+  RunResult P2 = runDirect(Inf, "batch", Engine->constraintStore());
   EXPECT_EQ(P2.Status, SynthStatus::Impossible);
   EXPECT_EQ(P2.Stats.CheckCalls, 1u);
   EXPECT_TRUE(P2.Stats.EarlyTerminated || P2.Stats.SeededPrunes > 0)
@@ -469,11 +486,9 @@ TEST(LearningEngineTest, KnobControlsTheStoreLifetime) {
 
   SynthEngine Defaulted{EngineOptions{}};
   ASSERT_NE(Defaulted.constraintStore(), nullptr);
-
-  EngineOptions Pooled;
-  Pooled.Learning = ConstraintStore::processStore();
-  SynthEngine Shared(Pooled);
-  EXPECT_EQ(Shared.constraintStore(), ConstraintStore::processStore());
+  SynthEngine Other{EngineOptions{}};
+  EXPECT_NE(Other.constraintStore(), Defaulted.constraintStore())
+      << "each engine owns its store";
 }
 
 // An autotuning-style probe stream through one engine: every scenario is
