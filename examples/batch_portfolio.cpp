@@ -14,17 +14,16 @@
 /// rest; instances where no switch-granularity order exists (the
 /// Fig. 8(h) "double diamond") are won by the rule-granularity racer.
 ///
-/// The run is also observed: EngineOptions::TraceFile turns on span
-/// tracing for the engine's lifetime and dumps a Chrome-trace JSON on
-/// destruction (open it at ui.perfetto.dev to see jobs, portfolio
-/// members, and searches nested on a timeline), and the metrics
-/// registry snapshot at the end is the JSON a synthesis daemon would
-/// serve from its stats endpoint.
+/// The run is also observed: span tracing is on for the engine's
+/// lifetime, and once the engine is gone every span goes to a
+/// Chrome-trace JSON file (open it at ui.perfetto.dev to see jobs,
+/// portfolio members, and searches nested on a timeline). Each job's
+/// report carries its own timings: time queued and time run.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/Engine.h"
-#include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "topo/Generators.h"
 
 #include <cstdio>
@@ -64,14 +63,12 @@ int main() {
   }
 
   // 2. Run the whole batch on a fixed-size worker pool, with span
-  //    tracing on: the engine writes every span recorded during its
-  //    lifetime to the trace file when it is destroyed. Reports come
-  //    back in job order whatever the scheduling.
+  //    tracing on. Reports come back in job order whatever the
+  //    scheduling.
+  obs::setTracing(true);
   EngineOptions EO;
   EO.NumWorkers = 4;
-  EO.TraceFile = "batch_portfolio_trace.json";
   BatchReport Rep;
-  std::string Snapshot;
   {
     SynthEngine Engine(EO);
     Rep = Engine.run(Jobs);
@@ -81,24 +78,23 @@ int main() {
                 Jobs.size(), Engine.numWorkers(), Rep.numSucceeded(),
                 Rep.WallSeconds);
     for (const SynthReport &Report : Rep.Reports) {
-      std::printf("  %-18s %-9s won by %-18s (%zu commands, %.3fs)\n",
-                  Report.JobName.c_str(),
-                  Report.ok() ? "success" : "infeasible",
-                  Report.ok() ? Report.Winner.c_str() : "-",
-                  Report.Result.Commands.size(), Report.Seconds);
+      std::printf(
+          "  %-18s %-9s won by %-18s (%zu commands, %.3fs queued, "
+          "%.3fs run)\n",
+          Report.JobName.c_str(), Report.ok() ? "success" : "infeasible",
+          Report.ok() ? Report.Winner.c_str() : "-",
+          Report.Result.Commands.size(), Report.QueueSeconds,
+          Report.Seconds);
     }
     std::printf("checker queries across all racers: %llu\n",
                 static_cast<unsigned long long>(Rep.TotalQueries));
+  }
 
-    // 4. What the process observed about itself: job latencies, queue
-    //    waits, and cache counters, as the daemon-ready JSON payload.
-    //    Sampled while the engine lives — its result cache unregisters
-    //    from the registry on destruction.
-    Snapshot = obs::MetricsRegistry::instance().snapshotJson();
-  } // Engine destroyed: batch_portfolio_trace.json written here.
-
+  // 4. The engine is gone and its workers joined, so every span they
+  //    recorded is in the rings: write the timeline.
+  if (!obs::writeChromeTrace("batch_portfolio_trace.json"))
+    return 1;
   std::printf("\ntrace timeline: batch_portfolio_trace.json "
               "(open in ui.perfetto.dev)\n");
-  std::printf("metrics snapshot:\n%s\n", Snapshot.c_str());
   return Rep.numSucceeded() == Rep.Reports.size() ? 0 : 1;
 }

@@ -9,10 +9,10 @@ determinism contract: verdict and command sequence are a pure function of
                 deterministic-budget code paths: std::chrono, time(),
                 clock_gettime(), gettimeofday(), rand()/srand(),
                 std::random_device anywhere under src/ EXCEPT the two
-                sanctioned clock wrappers (src/obs/, the trace/metrics
-                time base, and src/support/Timer.h, the stopwatch that
-                only ever feeds stats) and lines
-                tagged `// lint: wallclock-ok`.
+                sanctioned clock wrappers (src/obs/, the trace time
+                base, and src/support/Timer.h, the stopwatch that only
+                ever feeds stats) and lines tagged
+                `// lint: wallclock-ok`.
 
   relaxed       Every `memory_order_relaxed` must carry a `relaxed:`
                 justification comment — on the same line, or in a
@@ -31,6 +31,13 @@ determinism contract: verdict and command sequence are a pure function of
                 in src/ (use make_unique / containers); deliberate
                 leaks and lock-free intrusive nodes are tagged
                 `// lint: naked-new-ok`.
+
+  getenv        No environment reads (`getenv(`, `std::getenv(`,
+                `secure_getenv(`) anywhere under src/: every knob of the
+                library is an option a program sets, so no run is
+                steered by a variable nobody passed. Lines tagged
+                `// lint: getenv-ok` are exempt. tools/ and bench/ are
+                outside src/ and keep their own variables.
 
 Usage:
   lint_static.py [--root DIR]        lint src/ under DIR (default: repo root)
@@ -106,10 +113,12 @@ UNDO_RE = re.compile(r"(?:\.|->)undo\s*\(|Undos\.push_back|\bF\.Undo\b")
 DETACH_RE = re.compile(r"(?:\.|->)detach\s*\(\s*\)")
 NAKED_NEW_RE = re.compile(r"\bnew\s+(?:\(|[A-Za-z_])")
 PLACEMENT_NEW_RE = re.compile(r"\bnew\s*\(")
+GETENV_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
 
 TAG_WALLCLOCK = "lint: wallclock-ok"
 TAG_MUTATE = "lint: mutate-ok"
 TAG_NAKED_NEW = "lint: naked-new-ok"
+TAG_GETENV = "lint: getenv-ok"
 TAG_RELAXED = "relaxed:"
 
 RELAXED_LOOKBACK = 10  # lines; a blank line ends the covered block
@@ -188,6 +197,12 @@ def lint_file(relpath, raw_lines, findings):
                      "naked `new` (use std::make_unique / a container, "
                      "or tag the deliberate site `// lint: "
                      "naked-new-ok`)"))
+
+        if GETENV_RE.search(code) and TAG_GETENV not in raw:
+            findings.append(
+                (relpath, lineno, "getenv",
+                 "environment read under src/ (make it an option the "
+                 "caller sets, or tag `// lint: getenv-ok`)"))
 
 
 def lint_tree(root):

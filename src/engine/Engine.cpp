@@ -9,7 +9,6 @@
 
 #include "kripke/Kripke.h"
 #include "mc/BackendFactory.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Crew.h"
 #include "support/Timer.h"
@@ -234,37 +233,6 @@ SynthEngine::SynthEngine(EngineOptions InitOpts) : Opts(std::move(InitOpts)) {
   if (Opts.SharedLearning)
     Learn = std::make_shared<ConstraintStore>();
 
-  // Surface this engine's caches in metrics snapshots (pull-based; the
-  // callbacks sample CacheStats at snapshot time). Weak captures: a
-  // snapshot taken between our destructor's unregister and a racing
-  // provider copy must not resurrect a dying cache.
-  auto Sample = [](const CacheStats &St) {
-    obs::CacheSample S;
-    S.Hits = St.Hits;
-    S.Misses = St.Misses;
-    S.Evictions = St.Evictions;
-    S.Entries = St.Entries;
-    return S;
-  };
-  std::weak_ptr<ResultCache> WC = Cache;
-  CacheStatsToken = obs::MetricsRegistry::instance().registerCacheStats(
-      "engine.result_cache", [WC, Sample]() -> obs::CacheSample {
-        if (auto C = WC.lock())
-          return Sample(C->stats());
-        return {};
-      });
-  if (Learn) {
-    std::weak_ptr<ConstraintStore> WL = Learn;
-    LearnStatsToken = obs::MetricsRegistry::instance().registerCacheStats(
-        "engine.constraint_store", [WL, Sample]() -> obs::CacheSample {
-          if (auto L = WL.lock())
-            return Sample(L->stats());
-          return {};
-        });
-  }
-  if (!Opts.TraceFile.empty())
-    obs::setTracing(true);
-
   Pool.reserve(Workers);
   // Workers spawn lazily in submit(): a 1-job batch costs one thread no
   // matter how wide the machine is.
@@ -297,11 +265,6 @@ SynthEngine::~SynthEngine() {
     }
     St->CV.notify_all();
   }
-
-  obs::MetricsRegistry::instance().unregisterCacheStats(CacheStatsToken);
-  obs::MetricsRegistry::instance().unregisterCacheStats(LearnStatsToken);
-  if (!Opts.TraceFile.empty())
-    obs::writeChromeTrace(Opts.TraceFile); // Best-effort; see Engine.h.
 }
 
 JobHandle SynthEngine::submit(SynthJob Job) {
@@ -356,17 +319,7 @@ void SynthEngine::workerLoop() {
 }
 
 void SynthEngine::executeJob(detail::JobState &St) {
-  // Always-on per-job metrics: a handful of relaxed atomic ops per job,
-  // invisible next to a synthesis run (per-call metrics live behind
-  // obs::detailEnabled() instead).
-  obs::MetricsRegistry &MR = obs::MetricsRegistry::instance();
-  static obs::Histogram &QueueWait = MR.histogram("engine.queue_wait_ns");
-  static obs::Histogram &JobLatency = MR.histogram("engine.job_ns");
-  static obs::Counter &JobsDone = MR.counter("engine.jobs_completed");
-  static obs::Counter &JobsCached = MR.counter("engine.jobs_from_cache");
   uint64_t QueueNs = St.EnqueuedNs ? obs::nowNs() - St.EnqueuedNs : 0;
-  if (St.EnqueuedNs)
-    QueueWait.record(QueueNs);
 
   obs::TraceSpan Span("engine.job");
   Timer JobClock;
@@ -412,10 +365,6 @@ void SynthEngine::executeJob(detail::JobState &St) {
   }
 
   Rep.QueueSeconds = QueueNs / 1e9;
-  JobsDone.add();
-  if (Rep.FromCache)
-    JobsCached.add();
-  JobLatency.recordSeconds(JobClock.seconds());
 
   {
     MutexLock Lock(St.M);

@@ -144,15 +144,6 @@ struct EngineOptions {
   /// construction; SynthStats reports the traffic (ImportedConstraints /
   /// ExportedConstraints / SeededPrunes).
   bool SharedLearning = true;
-  /// When non-empty, the engine enables span tracing (obs/Trace.h) on
-  /// construction and writes the accumulated Chrome-trace JSON to this
-  /// path on destruction — the one-knob way to profile a whole engine
-  /// lifetime; open the file at https://ui.perfetto.dev. Programmatic
-  /// control (obs::setTracing / the NETUPD_TRACE environment variable)
-  /// works independently of this knob. Excluded from digestOf(SynthJob)
-  /// territory by construction: tracing is per-engine, never per-job,
-  /// and changes no verdict.
-  std::string TraceFile;
 };
 
 namespace detail {
@@ -167,8 +158,7 @@ struct JobState {
   size_t Index = 0;
   StopSource Cancel;
   /// Enqueue timestamp (obs::nowNs at submit), so the worker that
-  /// dequeues can report queue wait into the engine.queue_wait_ns
-  /// histogram.
+  /// dequeues can report SynthReport::QueueSeconds.
   uint64_t EnqueuedNs = 0;
 
   Mutex M;
@@ -255,11 +245,6 @@ private:
   unsigned Workers;
   std::shared_ptr<ResultCache> Cache;
   std::shared_ptr<ConstraintStore> Learn;
-  /// Metrics-registry tokens for the cache-stats providers registered in
-  /// the constructor (result cache + constraint store); released in the
-  /// destructor so a dead engine's caches stop appearing in snapshots.
-  uint64_t CacheStatsToken = 0;
-  uint64_t LearnStatsToken = 0;
 
   Mutex QueueMutex;
   CondVar QueueCV;

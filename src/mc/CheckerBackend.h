@@ -29,12 +29,10 @@
 /// artifact a deterministic budget must not observe.
 ///
 /// The same wrappers are the single observability site of the check
-/// path: they open mc.bind / mc.recheck trace spans and, when the
-/// detail metrics tier is on, record per-call latency histograms.
-/// A decorator's inner calls go through these wrappers too, so a
-/// memoized check shows up as nested spans — the outer one covering
-/// the cache lookup, the inner one (present only on a miss) the real
-/// compute. Observability never changes a verdict (obs/Trace.h).
+/// path: they open mc.bind / mc.recheck trace spans. A decorator's
+/// inner calls go through these wrappers too, so a memoized check shows
+/// up as nested spans — the outer one covering the cache lookup, the
+/// inner one (present only on a miss) the real compute. Observability never changes a verdict (obs/Trace.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +41,6 @@
 
 #include "kripke/Kripke.h"
 #include "ltl/Formula.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Budget.h"
 
@@ -84,12 +81,7 @@ public:
   /// (Fig. 4 line 7). Exempt from budget charging (see file comment).
   CheckResult bind(KripkeStructure &K, Formula Phi) {
     obs::TraceSpan Span("mc.bind");
-    if (!obs::detailEnabled())
-      return bindImpl(K, Phi);
-    uint64_t T0 = obs::nowNs();
-    CheckResult R = bindImpl(K, Phi);
-    bindLatency().record(obs::nowNs() - T0);
-    return R;
+    return bindImpl(K, Phi);
   }
 
   /// Rechecks after the bound structure was mutated by one switch/rule
@@ -100,12 +92,7 @@ public:
     if (Account)
       Account->charge();
     obs::TraceSpan Span("mc.recheck");
-    if (!obs::detailEnabled())
-      return recheckImpl(Update);
-    uint64_t T0 = obs::nowNs();
-    CheckResult R = recheckImpl(Update);
-    recheckLatency().record(obs::nowNs() - T0);
-    return R;
+    return recheckImpl(Update);
   }
 
   /// Attaches the logical-cost account future rechecks charge; null (the
@@ -153,19 +140,6 @@ protected:
   std::atomic<unsigned> Queries{0};
 
 private:
-  /// The shared per-call latency histograms; resolved once per process
-  /// (a registry lookup takes a mutex — too hot for the recheck path).
-  static obs::Histogram &bindLatency() {
-    static obs::Histogram &H =
-        obs::MetricsRegistry::instance().histogram("mc.bind_ns");
-    return H;
-  }
-  static obs::Histogram &recheckLatency() {
-    static obs::Histogram &H =
-        obs::MetricsRegistry::instance().histogram("mc.recheck_ns");
-    return H;
-  }
-
   /// The account recheckAfterUpdate() charges; not owned, may be null.
   /// Plain pointer on purpose: a backend is single-threaded (see
   /// numQueries()), and so is its account.

@@ -12,25 +12,8 @@
 using namespace netupd;
 
 const std::shared_ptr<CheckCache> &MemoizingChecker::processCache() {
-  static const std::shared_ptr<CheckCache> Cache = [] {
-    auto C = std::make_shared<CheckCache>();
-    // Surface the process-wide check cache in metrics snapshots for the
-    // lifetime of the process; registered once, never unregistered.
-    std::weak_ptr<CheckCache> W = C;
-    obs::MetricsRegistry::instance().registerCacheStats(
-        "mc.check_cache", [W]() -> obs::CacheSample {
-          obs::CacheSample S;
-          if (auto Strong = W.lock()) {
-            CacheStats St = Strong->stats();
-            S.Hits = St.Hits;
-            S.Misses = St.Misses;
-            S.Evictions = St.Evictions;
-            S.Entries = St.Entries;
-          }
-          return S;
-        });
-    return C;
-  }();
+  static const std::shared_ptr<CheckCache> Cache =
+      std::make_shared<CheckCache>();
   return Cache;
 }
 

@@ -12,8 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 
@@ -133,10 +131,7 @@ Registry &registry() {
   return *R;
 }
 
-std::atomic<bool> Enabled{[] {
-  const char *E = std::getenv("NETUPD_TRACE");
-  return E && *E && std::strcmp(E, "0") != 0;
-}()};
+std::atomic<bool> Enabled{false};
 
 /// Binds a buffer to the thread for its lifetime and returns it to the
 /// pool on exit.

@@ -48,8 +48,8 @@
 namespace netupd {
 namespace obs {
 
-/// Whether spans are being recorded. One relaxed load; the initial value
-/// comes from the NETUPD_TRACE environment variable (unset/"0" = off).
+/// Whether spans are being recorded. One relaxed load; off until
+/// setTracing(true).
 bool tracingEnabled();
 
 /// Turns span recording on or off at runtime. Spans already buffered are
@@ -113,7 +113,8 @@ uint64_t droppedSpans();
 size_t traceBufferCapacity();
 
 /// Nanoseconds since the trace epoch on the steady clock; the time base
-/// used for spans, exposed so metrics code shares it.
+/// used for spans, exposed so the phase clock and the engine's queue
+/// timestamps share it.
 uint64_t nowNs();
 
 } // namespace obs

@@ -22,16 +22,14 @@
 ///   void touch() { MutexLock Lock(M); ++Guarded; }
 ///   void touchLocked() NETUPD_REQUIRES(M) { ++Guarded; }
 ///
-/// The wrappers deliberately mirror the std types they hold (lock /
-/// unlock / try_lock, shared variants) so `obs::timedLock` and the other
-/// generic helpers keep working unchanged; CondVar replaces
-/// std::condition_variable for waits on a wrapped Mutex.
+/// Mutex mirrors the std::mutex it holds (lock / unlock / try_lock);
+/// CondVar replaces std::condition_variable for waits on a wrapped
+/// Mutex. Every acquisition in the tree is a MutexLock scope or a
+/// CondVar wait.
 ///
 /// Suppression policy (see docs/ARCHITECTURE.md, "Static analysis &
-/// sanitizers"): NETUPD_NO_THREAD_SAFETY_ANALYSIS is reserved for the
-/// try-lock-first helpers in obs/Metrics.h, whose interface annotations
-/// still declare the capability transfer — a new use anywhere else is a
-/// reviewed decision, not a drive-by.
+/// sanitizers"): there is none. No macro turns the analysis off for a
+/// function, so every lock acquisition in the tree is checked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +38,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // ---- Attribute macros ------------------------------------------------------
 //
@@ -73,29 +70,19 @@
 /// Function requires the capability held (and does not release it).
 #define NETUPD_REQUIRES(...)                                                 \
   NETUPD_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define NETUPD_REQUIRES_SHARED(...)                                          \
-  NETUPD_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /// Function acquires the capability (caller must not hold it).
 #define NETUPD_ACQUIRE(...)                                                  \
   NETUPD_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define NETUPD_ACQUIRE_SHARED(...)                                           \
-  NETUPD_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 
 /// Function releases the capability (caller must hold it).
 #define NETUPD_RELEASE(...)                                                  \
   NETUPD_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define NETUPD_RELEASE_SHARED(...)                                           \
-  NETUPD_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define NETUPD_RELEASE_GENERIC(...)                                         \
-  NETUPD_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
 
 /// Function attempts the capability; holds it iff the return value equals
 /// the first macro argument.
 #define NETUPD_TRY_ACQUIRE(...)                                              \
   NETUPD_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define NETUPD_TRY_ACQUIRE_SHARED(...)                                       \
-  NETUPD_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 
 /// Caller must NOT hold the capability (deadlock prevention).
 #define NETUPD_EXCLUDES(...)                                                 \
@@ -110,18 +97,12 @@
 #define NETUPD_RETURN_CAPABILITY(x)                                          \
   NETUPD_THREAD_ANNOTATION(lock_returned(x))
 
-/// Disables analysis inside one function. Reserved for the documented
-/// try-lock helpers; see the suppression policy in the file comment.
-#define NETUPD_NO_THREAD_SAFETY_ANALYSIS                                     \
-  NETUPD_THREAD_ANNOTATION(no_thread_safety_analysis)
-
 namespace netupd {
 
 // ---- Capability-wrapped primitives -----------------------------------------
 
-/// std::mutex as a TSA capability. Same interface (BasicLockable +
-/// Lockable), so generic helpers — obs::timedLock in particular — accept
-/// it unchanged.
+/// std::mutex as a TSA capability, with the same interface
+/// (BasicLockable + Lockable).
 class NETUPD_CAPABILITY("mutex") Mutex {
 public:
   Mutex() = default;
@@ -137,34 +118,10 @@ private:
   std::mutex M;
 };
 
-/// std::shared_mutex as a TSA capability (exclusive + shared modes).
-class NETUPD_CAPABILITY("shared_mutex") SharedMutex {
-public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex &) = delete;
-  SharedMutex &operator=(const SharedMutex &) = delete;
-
-  void lock() NETUPD_ACQUIRE() { M.lock(); }
-  void unlock() NETUPD_RELEASE() { M.unlock(); }
-  bool try_lock() NETUPD_TRY_ACQUIRE(true) { return M.try_lock(); }
-
-  void lock_shared() NETUPD_ACQUIRE_SHARED() { M.lock_shared(); }
-  void unlock_shared() NETUPD_RELEASE_SHARED() { M.unlock_shared(); }
-  bool try_lock_shared() NETUPD_TRY_ACQUIRE_SHARED(true) {
-    return M.try_lock_shared();
-  }
-
-private:
-  std::shared_mutex M;
-};
-
-/// Scoped exclusive lock on a Mutex; the adopt form takes over a mutex
-/// the caller already holds (the timedLock pattern: wait-profiled
-/// acquisition, RAII release).
+/// Scoped exclusive lock on a Mutex.
 class NETUPD_SCOPED_CAPABILITY MutexLock {
 public:
   explicit MutexLock(Mutex &M) NETUPD_ACQUIRE(M) : Mu(M) { Mu.lock(); }
-  MutexLock(Mutex &M, std::adopt_lock_t) NETUPD_REQUIRES(M) : Mu(M) {}
   ~MutexLock() NETUPD_RELEASE() { Mu.unlock(); }
 
   MutexLock(const MutexLock &) = delete;
@@ -172,42 +129,6 @@ public:
 
 private:
   Mutex &Mu;
-};
-
-/// Scoped exclusive lock on a SharedMutex (the writer side).
-class NETUPD_SCOPED_CAPABILITY SharedMutexLock {
-public:
-  explicit SharedMutexLock(SharedMutex &M) NETUPD_ACQUIRE(M) : Mu(M) {
-    Mu.lock();
-  }
-  SharedMutexLock(SharedMutex &M, std::adopt_lock_t) NETUPD_REQUIRES(M)
-      : Mu(M) {}
-  ~SharedMutexLock() NETUPD_RELEASE() { Mu.unlock(); }
-
-  SharedMutexLock(const SharedMutexLock &) = delete;
-  SharedMutexLock &operator=(const SharedMutexLock &) = delete;
-
-private:
-  SharedMutex &Mu;
-};
-
-/// Scoped shared (reader) lock on a SharedMutex.
-class NETUPD_SCOPED_CAPABILITY SharedReaderLock {
-public:
-  explicit SharedReaderLock(SharedMutex &M) NETUPD_ACQUIRE_SHARED(M)
-      : Mu(M) {
-    Mu.lock_shared();
-  }
-  SharedReaderLock(SharedMutex &M, std::adopt_lock_t)
-      NETUPD_REQUIRES_SHARED(M)
-      : Mu(M) {}
-  ~SharedReaderLock() NETUPD_RELEASE_GENERIC() { Mu.unlock_shared(); }
-
-  SharedReaderLock(const SharedReaderLock &) = delete;
-  SharedReaderLock &operator=(const SharedReaderLock &) = delete;
-
-private:
-  SharedMutex &Mu;
 };
 
 /// Condition variable for waits on a wrapped Mutex. wait() keeps the

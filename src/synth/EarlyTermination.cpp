@@ -7,8 +7,6 @@
 
 #include "synth/EarlyTermination.h"
 
-#include "obs/Metrics.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -24,22 +22,6 @@ size_t homeSlot(uint64_t Key, size_t Mask) {
 }
 
 enum : uint8_t { White, Grey, Black }; // DFS colors.
-
-/// Wait-time histogram for the EarlyTermination mutex — held across SAT
-/// solves, so it is the prime suspect for shard stalls under learning.
-obs::Histogram &satLockWait() {
-  static obs::Histogram &H =
-      obs::MetricsRegistry::instance().histogram("synth.sat_lock_ns");
-  return H;
-}
-
-/// Solve / cycle-check rounds per completed impossible() check: the
-/// loop terminates, but nothing bounds it polynomially, so it is watched.
-obs::Histogram &satTheoryRounds() {
-  static obs::Histogram &H =
-      obs::MetricsRegistry::instance().histogram("synth.sat_theory_rounds");
-  return H;
-}
 } // namespace
 
 sat::Lit EarlyTermination::before(unsigned A, unsigned B) {
@@ -154,8 +136,7 @@ bool EarlyTermination::refuteCycle() {
 void EarlyTermination::addCexConstraint(
     const std::vector<unsigned> &Updated,
     const std::vector<unsigned> &NotUpdated) {
-  obs::timedLock(M, satLockWait());
-  MutexLock Lock(M, std::adopt_lock);
+  MutexLock Lock(M);
   if (KnownImpossible)
     return;
   // A cancelled search learns nothing: leave the clause set as-is —
@@ -225,16 +206,13 @@ void EarlyTermination::reset() {
 }
 
 bool EarlyTermination::impossible() {
-  obs::timedLock(M, satLockWait());
-  MutexLock Lock(M, std::adopt_lock);
+  MutexLock Lock(M);
   if (KnownImpossible)
     return true;
   if (!Dirty)
     return !LastSat;
-  uint64_t Rounds = 0;
   bool Done = false;
   while (!Done && !Stop.stopRequested()) {
-    ++Rounds;
     bool Sat = Solver.solve();
     Done = !Sat || !refuteCycle();
     if (Done)
@@ -243,7 +221,5 @@ bool EarlyTermination::impossible() {
   if (!Done)
     return !LastSat; // Stopped: stay Dirty, so a resumed caller finishes.
   Dirty = false;
-  if (obs::detailEnabled())
-    satTheoryRounds().record(Rounds);
   return !LastSat;
 }

@@ -112,14 +112,6 @@ using namespace netupd;
 
 namespace {
 
-/// Per-call mutate/rollback latency (applyHandle and undo both feed
-/// it), alive only under the obs detail tier.
-obs::Histogram &mutateLatency() {
-  static obs::Histogram &H =
-      obs::MetricsRegistry::instance().histogram("synth.mutate_ns");
-  return H;
-}
-
 /// A running phase timeline for one shard: every switchTo(Acc) reads
 /// the clock once, attributing the elapsed slice to the *previous*
 /// phase, and switching to the phase already open is free. One clock
@@ -127,7 +119,7 @@ obs::Histogram &mutateLatency() {
 /// consecutive pruned candidates — the bulk of a deep exhaustive proof —
 /// extends one open "prune" slice with zero clock reads; only real
 /// phase transitions pay: a full candidate costs ~4 reads and a pruned
-/// one none. Two reads per phase were the dominant share of the metrics
+/// one none. Two reads per phase were the dominant share of the detail
 /// tier's 43% overhead on prune-heavy workloads. One-off phases (the
 /// binds) use the same clock: switchTo, then stop. Inert when unarmed.
 class PhaseClock {
@@ -138,32 +130,26 @@ public:
   PhaseClock &operator=(const PhaseClock &) = delete;
 
   /// Closes the current phase slice into its accumulator and opens a new
-  /// one into \p Acc. Returns the closed slice's duration (0 unarmed or
-  /// when \p Acc is already the open phase — callers that use the
-  /// duration always switch to a *different* phase).
-  uint64_t switchTo(uint64_t &Acc) {
+  /// one into \p Acc; free when \p Acc is already the open phase.
+  void switchTo(uint64_t &Acc) {
     if (!On || Cur == &Acc)
-      return 0;
+      return;
     uint64_t Now = obs::nowNs();
-    uint64_t D = Cur ? Now - Last : 0;
     if (Cur)
-      *Cur += D;
+      *Cur += Now - Last;
     Last = Now;
     Cur = &Acc;
-    return D;
   }
 
   /// Closes the current slice without opening a new one (e.g. before
-  /// recursing — the child runs its own timeline). Returns its duration.
-  uint64_t stop() {
+  /// recursing — the child runs its own timeline).
+  void stop() {
     if (!On || !Cur)
-      return 0;
+      return;
     uint64_t Now = obs::nowNs();
-    uint64_t D = Now - Last;
-    *Cur += D;
+    *Cur += Now - Last;
     Last = Now;
     Cur = nullptr;
-    return D;
   }
 
 private:
@@ -729,9 +715,7 @@ private:
 
     Clock.switchTo(PhaseMutateNs);
     K.applyHandle(opTarget(I), F.Undo);
-    uint64_t ApplyNs = Clock.switchTo(PhaseCheckNs);
-    if (Prof)
-      mutateLatency().record(ApplyNs);
+    Clock.switchTo(PhaseCheckNs);
 
     UpdateInfo Info;
     Info.Sw = F.Undo.New->sw();
@@ -768,9 +752,7 @@ private:
     Clock.switchTo(PhaseMutateNs);
     Checker.notifyRollback();
     K.undo(F.Undo);
-    uint64_t UndoNs = Clock.switchTo(PhasePruneNs);
-    if (Prof)
-      mutateLatency().record(UndoNs);
+    Clock.switchTo(PhasePruneNs);
 
     if (Ctx.Opts.EarlyTermination && !Res.Holds &&
         ++FailuresSinceEtCheck >= EtCheckInterval) {
@@ -1028,12 +1010,11 @@ private:
   uint64_t PhaseMutateNs = 0;
   uint64_t PhasePruneNs = 0;
   uint64_t PhaseSatNs = 0;
-  /// Whether the obs detail tier was on when this shard started; the
-  /// searcher lives inside one run, so the flag cannot change under it.
-  const bool Prof = obs::detailEnabled();
   /// The shard's phase timeline, spanning units and the DFS recursion;
   /// stopped at unit/steal boundaries so only search work is attributed.
-  PhaseClock Clock{Prof};
+  /// Armed by the obs detail tier as it stood when this shard started;
+  /// the searcher lives inside one run, so the flag cannot change under it.
+  PhaseClock Clock{obs::detailEnabled()};
   /// The SAT check batches failures: solving after every learned clause
   /// is wasted work when the constraints are still easily satisfiable.
   unsigned FailuresSinceEtCheck = 0;

@@ -1,11 +1,9 @@
 // Positive snippet (cmake/AnnotationChecks.cmake): the repo's locking
-// idioms in miniature — scoped locks, adopt-lock transfer, REQUIRES
-// helpers, shared readers, CondVar waits. Must COMPILE under every
-// compiler, including clang -Wthread-safety -Werror: if this breaks,
-// the wrappers' annotations are wrong, not the user code.
+// idioms in miniature — scoped locks, REQUIRES helpers, CondVar waits.
+// Must COMPILE under every compiler, including clang -Wthread-safety
+// -Werror: if this breaks, the wrappers' annotations are wrong, not the
+// user code.
 #include "support/ThreadAnnotations.h"
-
-#include <mutex>
 
 using namespace netupd;
 
@@ -15,20 +13,11 @@ struct Store {
   int Count NETUPD_GUARDED_BY(M) = 0;
   bool Ready NETUPD_GUARDED_BY(M) = false;
 
-  SharedMutex SM;
-  int Shared NETUPD_GUARDED_BY(SM) = 0;
-
   void bumpLocked() NETUPD_REQUIRES(M) { ++Count; }
 
   void bump() {
     MutexLock Lock(M);
     bumpLocked();
-  }
-
-  void adoptPattern() {
-    M.lock(); // Stands in for obs::timedLock's ACQUIRE interface.
-    MutexLock Lock(M, std::adopt_lock);
-    ++Count;
   }
 
   void waitReady() {
@@ -45,24 +34,12 @@ struct Store {
     }
     CV.notify_all();
   }
-
-  int readShared() {
-    SharedReaderLock Lock(SM);
-    return Shared;
-  }
-
-  void writeShared(int V) {
-    SharedMutexLock Lock(SM);
-    Shared = V;
-  }
 };
 
 int main() {
   Store S;
   S.bump();
-  S.adoptPattern();
   S.publish();
   S.waitReady();
-  S.writeShared(3);
-  return S.readShared();
+  return 0;
 }

@@ -18,7 +18,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "obs/Metrics.h"
 #include "support/ThreadAnnotations.h"
 
 #include <gtest/gtest.h>
@@ -57,9 +56,6 @@ static_assert(sizeof(NETUPD_TEST_STR(NETUPD_SCOPED_CAPABILITY)) == 1,
               "NETUPD_SCOPED_CAPABILITY must expand to nothing off-Clang");
 static_assert(sizeof(NETUPD_TEST_STR(NETUPD_EXCLUDES(M))) == 1,
               "NETUPD_EXCLUDES must expand to nothing off-Clang");
-static_assert(sizeof(NETUPD_TEST_STR(NETUPD_NO_THREAD_SAFETY_ANALYSIS)) == 1,
-              "NETUPD_NO_THREAD_SAFETY_ANALYSIS must expand to nothing "
-              "off-Clang");
 #endif
 
 // The wrappers must add no storage beyond the std primitive they hold.
@@ -95,55 +91,6 @@ TEST(AnnotationsTest, MutexTryLockReflectsOwnership) {
   M.unlock();
   EXPECT_TRUE(M.try_lock());
   M.unlock();
-}
-
-TEST(AnnotationsTest, AdoptLockReleasesOnScopeExit) {
-  Mutex M;
-  M.lock();
-  { MutexLock Lock(M, std::adopt_lock); }
-  // The scope above must have released it.
-  EXPECT_TRUE(M.try_lock());
-  M.unlock();
-}
-
-// ---- SharedMutex: readers coexist, writers exclude -------------------------
-
-TEST(AnnotationsTest, SharedMutexAllowsConcurrentReaders) {
-  SharedMutex M;
-  M.lock_shared();
-  bool SecondReader = false;
-  std::thread([&] {
-    SecondReader = M.try_lock_shared();
-    if (SecondReader)
-      M.unlock_shared();
-  }).join();
-  EXPECT_TRUE(SecondReader);
-  // A writer must be excluded while a reader holds it.
-  bool Writer = true;
-  std::thread([&] { Writer = M.try_lock(); }).join();
-  EXPECT_FALSE(Writer);
-  M.unlock_shared();
-}
-
-TEST(AnnotationsTest, SharedMutexWriterExcludesReaders) {
-  SharedMutex M;
-  {
-    SharedMutexLock Writer(M);
-    bool Reader = true;
-    std::thread([&] { Reader = M.try_lock_shared(); }).join();
-    EXPECT_FALSE(Reader);
-  }
-  // Writer scope ended; readers may enter again.
-  {
-    SharedReaderLock R1(M);
-    bool R2 = false;
-    std::thread([&] {
-      R2 = M.try_lock_shared();
-      if (R2)
-        M.unlock_shared();
-    }).join();
-    EXPECT_TRUE(R2);
-  }
 }
 
 // ---- CondVar: the Engine queue handshake in miniature ----------------------
@@ -192,35 +139,4 @@ TEST(AnnotationsTest, CondVarNotifyAllWakesEveryWaiter) {
   for (auto &T : Waiters)
     T.join();
   EXPECT_EQ(Awake.load(), NumWaiters);
-}
-
-// ---- timedLock interop -----------------------------------------------------
-//
-// The obs helpers are the adopt-lock producers for the whole tree; they
-// must compose with the wrappers under both detail settings.
-
-TEST(AnnotationsTest, TimedLockAdoptPairWorksWithWrappers) {
-  Mutex M;
-  SharedMutex SM;
-  obs::Histogram H;
-  for (bool Detail : {false, true}) {
-    obs::setDetail(Detail);
-    int Guarded = 0;
-    {
-      obs::timedLock(M, H);
-      MutexLock Lock(M, std::adopt_lock);
-      ++Guarded;
-    }
-    EXPECT_TRUE(M.try_lock()); // Released on scope exit.
-    M.unlock();
-    {
-      obs::timedLockShared(SM, H);
-      SharedReaderLock Lock(SM, std::adopt_lock);
-      Guarded += 1;
-    }
-    EXPECT_TRUE(SM.try_lock());
-    SM.unlock();
-    EXPECT_EQ(Guarded, 2);
-  }
-  obs::setDetail(false);
 }

@@ -588,11 +588,13 @@ TEST(AbortedCacheTest, QuotaExhaustionAbortsAreCachedAndReplayed) {
 
 namespace {
 
-/// Blocks in bind() until released; accepts everything afterwards.
+/// Blocks in bind() until released, raising Entered once it is parked
+/// there; accepts everything afterwards.
 class GateChecker : public CheckerBackend {
 public:
-  explicit GateChecker(std::shared_ptr<std::atomic<bool>> Open)
-      : Open(std::move(Open)) {}
+  GateChecker(std::shared_ptr<std::atomic<bool>> Open,
+              std::shared_ptr<std::atomic<bool>> Entered)
+      : Open(std::move(Open)), Entered(std::move(Entered)) {}
 
   const char *name() const override { return "Gate"; }
   void notifyRollback() override {}
@@ -600,6 +602,7 @@ public:
 
 protected:
   CheckResult bindImpl(KripkeStructure &, Formula) override {
+    Entered->store(true);
     while (!Open->load())
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     ++Queries;
@@ -616,18 +619,21 @@ protected:
 
 private:
   std::shared_ptr<std::atomic<bool>> Open;
+  std::shared_ptr<std::atomic<bool>> Entered;
 };
 
 } // namespace
 
-// Shutdown path: jobs still queued when the engine dies are reported
-// Aborted by the destructor and never enter its result cache; a later
-// engine runs them for real.
+// Shutdown path: the running job finishes and is cached, while a job
+// still queued when the engine dies is reported Aborted by the
+// destructor and never enters the result cache; a later engine runs it
+// for real.
 TEST(AbortedCacheTest, ShutdownOrphansAreNeverCached) {
   auto Open = std::make_shared<std::atomic<bool>>(false);
+  auto Entered = std::make_shared<std::atomic<bool>>(false);
   BackendFactory::instance().registerBackend(
-      "budget-gate", [Open](const Scenario &) {
-        return std::make_unique<GateChecker>(Open);
+      "budget-gate", [Open, Entered](const Scenario &) {
+        return std::make_unique<GateChecker>(Open, Entered);
       });
 
   SynthJob Blocker;
@@ -647,9 +653,14 @@ TEST(AbortedCacheTest, ShutdownOrphansAreNeverCached) {
     EO.NumWorkers = 1;
     SynthEngine Engine(EO);
     Cache = Engine.resultCache(); // Outlives the engine for the audit.
-    Engine.submit(Blocker); // Occupies the only worker, parked in bind.
+    JobHandle BlockerHandle = Engine.submit(Blocker);
+    // Only once the blocker occupies the only worker, parked in bind, is
+    // the orphan sure to stay queued until the destructor.
+    while (!Entered->load())
+      std::this_thread::yield();
     OrphanHandle = Engine.submit(Orphan);
     EXPECT_FALSE(OrphanHandle.done());
+    EXPECT_FALSE(BlockerHandle.done());
     Open->store(true);
     // Destructor: the blocker finishes, the orphan is reported Aborted
     // without running.
@@ -658,6 +669,8 @@ TEST(AbortedCacheTest, ShutdownOrphansAreNeverCached) {
   EXPECT_EQ(OrphanHandle.wait().Result.Status, SynthStatus::Aborted);
   EXPECT_FALSE(Cache->lookup(digestOf(Orphan)).has_value())
       << "a shutdown-aborted job leaked into the result cache";
+  EXPECT_TRUE(Cache->lookup(digestOf(Blocker)).has_value())
+      << "the job running at shutdown must finish and be cached";
 
   EngineOptions EO2;
   EO2.NumWorkers = 1;

@@ -459,6 +459,10 @@ TEST(SynthEngineTest, AsyncSubmitPollWait) {
   const SynthReport &PlainRep = PlainHandle.wait();
   EXPECT_EQ(PlainRep.Result.Status, SynthStatus::Success);
   EXPECT_TRUE(GatedHandle.done());
+  // The report carries the job's own timings: the plain job waited in
+  // the queue behind the gated one, then ran.
+  EXPECT_GT(PlainRep.QueueSeconds, 0.0);
+  EXPECT_GT(PlainRep.Seconds, 0.0);
 }
 
 // Cancellation semantics: a queued job cancelled before a worker reaches

@@ -719,28 +719,17 @@ TEST(EarlyTerminationTest, AgreesWithBruteForceOracle) {
   EXPECT_GE(Impossible, 200u);
 }
 
-/// Each completed check reports its solve / cycle-check rounds in the
-/// per-call metrics tier. A 3-cycle of singleton precedences takes two:
-/// a model containing the cycle, then UNSAT once its clause is added.
+/// Each cycle-check round that finds a cycle adds one clause, so
+/// numClauses() (SynthStats::SatClauses) counts the theory's extra
+/// rounds. A 3-cycle of singleton precedences takes one: a model
+/// containing the cycle, then UNSAT once its clause is added.
 TEST(EarlyTerminationTest, ReportsTheoryRounds) {
-  bool OldDetail = obs::detailEnabled();
-  obs::setDetail(true);
-  obs::MetricsRegistry &MR = obs::MetricsRegistry::instance();
-  obs::Histogram &Rounds = MR.histogram("synth.sat_theory_rounds");
-  uint64_t Count = Rounds.count(), Sum = Rounds.sumNs();
   EarlyTermination ET;
   ET.addCexConstraint({1}, {0});
   ET.addCexConstraint({2}, {1});
   ET.addCexConstraint({0}, {2});
   EXPECT_TRUE(ET.impossible());
   EXPECT_EQ(ET.numClauses(), 4u) << "three constraints and one cycle";
-  EXPECT_EQ(Rounds.count(), Count + 1);
-  EXPECT_EQ(Rounds.sumNs(), Sum + 2);
-  std::string Json = MR.snapshotJson();
-  EXPECT_NE(Json.find("\"synth.sat_theory_rounds\":{\"count\":"),
-            std::string::npos)
-      << Json;
-  obs::setDetail(OldDetail);
 }
 
 // --- SynthStats::mergeFrom coverage guard -----------------------------------
