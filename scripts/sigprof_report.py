@@ -15,6 +15,11 @@ Self share: samples whose interrupted PC lies in the function (innermost
 inlined frame). Inclusive share: samples with the function anywhere on the
 stack, counted once per sample. --under keeps only samples with a function
 matching REGEX on the stack, so the shares become shares of that subtree.
+
+The sampler keeps the innermost and the outermost 32 frames of a deeper
+stack and writes "~K" for the K frames between them. Those samples are
+counted as truncated: a function that sat only in the dropped middle is
+missing from their stacks, so its inclusive share reads low.
 """
 
 import argparse
@@ -26,6 +31,7 @@ import sys
 
 
 def read_profile(path):
+    """([(addresses innermost first, truncated)], mapped regions)."""
     samples, maps = [], []
     in_maps = False
     with open(path) as f:
@@ -38,7 +44,9 @@ def read_profile(path):
             elif in_maps:
                 maps.append(line)
             elif line:
-                samples.append([int(a, 16) for a in line.split()])
+                tokens = line.split()
+                frames = [int(t, 16) for t in tokens if t[0] != "~"]
+                samples.append((frames, len(frames) != len(tokens)))
     return samples, parse_maps(maps)
 
 
@@ -161,14 +169,14 @@ def main():
     # look up the call instruction before them.
     resolved = []
     by_file = collections.defaultdict(set)
-    for frames in samples:
+    for frames, truncated in samples:
         stack = []
         for depth, addr in enumerate(frames):
             loc = to_file_address(addr if depth == 0 else addr - 1, regions)
             stack.append(loc)
             if loc:
                 by_file[loc[0]].add(loc[1])
-        resolved.append(stack)
+        resolved.append((stack, truncated))
     names = symbolize(by_file)
 
     def frame_names(loc):
@@ -182,20 +190,22 @@ def main():
     under = re.compile(args.under) if args.under else None
     self_count = collections.Counter()
     incl_count = collections.Counter()
-    kept = 0
-    for stack in resolved:
+    kept = truncated_kept = 0
+    for stack, truncated in resolved:
         chains = [frame_names(loc) for loc in stack]
         seen = {name for chain in chains for name in chain}
         if under and not any(under.search(n) for n in seen):
             continue
         kept += 1
+        truncated_kept += truncated
         if chains:
             self_count[chains[0][-1 if args.outer else 0]] += 1
         for name in seen:
             incl_count[name] += 1
 
-    print("%d samples%s" % (kept, " under /%s/" % args.under if under
-                            else ""))
+    print("%d samples%s, %d truncated (middle frames dropped)" %
+          (kept, " under /%s/" % args.under if under else "",
+           truncated_kept))
     if not kept:
         return
     for title, counter in (("self", self_count),

@@ -41,7 +41,19 @@ CheckResult LabelingChecker::bindImpl(KripkeStructure &Structure, Formula Phi) {
   Stamp = 0;
   PostOrder.reserve(N);
   DfsStack.reserve(N);
-  return fullCheck();
+  CheckResult Res = fullCheck();
+  if (M == Mode::Incremental) {
+    // Every state is labeled, so nothing is deferred. R starts empty and
+    // is filled by one recompute, whose toggles no rollback reaches.
+    Reach.reset(N);
+    Deferred.reset(N);
+    ReachStamp.assign(N, 0);
+    ScratchSeeds.clear();
+    ScratchSeeds.reserve(N);
+    ScratchStack.reserve(N);
+    recomputeReach(ScratchSeeds);
+  }
+  return Res;
 }
 
 void LabelingChecker::reserveTail(size_t N) {
@@ -146,11 +158,49 @@ LabelingChecker::findLoopFrom(const std::vector<StateId> *Roots,
   return std::nullopt;
 }
 
+void LabelingChecker::recomputeReach(std::vector<StateId> &Seeds) {
+  ++Stamp;
+  std::vector<StateId> &Stack = ScratchStack;
+  Stack.clear();
+  for (StateId S : K->initialStates()) {
+    if (ReachStamp[S] == Stamp)
+      continue;
+    ReachStamp[S] = Stamp;
+    Stack.push_back(S);
+  }
+  while (!Stack.empty()) {
+    StateId S = Stack.back();
+    Stack.pop_back();
+    if (!Reach.contains(S)) {
+      Reach.toggle(S);
+      // No deferred state was in R, so only an entering one can be now.
+      if (Deferred.contains(S)) {
+        Deferred.toggle(S);
+        Seeds.push_back(S);
+      }
+    }
+    for (StateId Next : K->succs(S)) {
+      if (ReachStamp[Next] == Stamp)
+        continue;
+      ReachStamp[Next] = Stamp;
+      Stack.push_back(Next);
+    }
+  }
+  // Drop the states the DFS no longer reached. Removing member I moves
+  // the last member, which this backward walk has already seen, into I.
+  const std::vector<StateId> &Members = Reach.members();
+  for (size_t I = Members.size(); I-- != 0;)
+    if (ReachStamp[Members[I]] != Stamp)
+      Reach.toggle(Members[I]);
+}
+
 CheckResult
 LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
   ++Queries;
-  Frames.push_back(Frame{ArenaEnd, Saved.size()});
+  Frames.push_back(
+      Frame{ArenaEnd, Saved.size(), Reach.mark(), Deferred.mark()});
 
+  // Loops are found from every changed state, reachable or not.
   if (auto Loop = findLoopFrom(&Changed, nullptr)) {
     // Labels are left untouched: the caller must roll this update back
     // (the search cannot proceed through a rejected configuration), and
@@ -162,16 +212,44 @@ LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
     return R;
   }
 
-  // The relabel region is the ancestor set of the changed states; collect
-  // it by reverse DFS, then topologically order the induced subgraph so
+  // Only changed states have new edges, so R can change only if one of
+  // them is in it. If none is, every label in R is still exact: defer the
+  // changed states (their ancestors lie outside R too) and keep the
+  // verdict of the configuration being extended.
+  if (std::none_of(Changed.begin(), Changed.end(),
+                   [&](StateId S) { return Reach.contains(S); })) {
+    for (StateId S : Changed)
+      defer(S);
+    return checkInitStates();
+  }
+  std::vector<StateId> &Seeds = ScratchSeeds;
+  Seeds.assign(Changed.begin(), Changed.end());
+  recomputeReach(Seeds);
+  relabel(Seeds);
+  return checkInitStates();
+}
+
+void LabelingChecker::flushDeferred() {
+  if (M == Mode::Batch)
+    return;
+  std::vector<StateId> &Seeds = ScratchSeeds;
+  Seeds.assign(Deferred.members().begin(), Deferred.members().end());
+  for (StateId S : Seeds)
+    Deferred.toggle(S);
+  relabel(Seeds);
+}
+
+void LabelingChecker::relabel(const std::vector<StateId> &Seeds) {
+  // The relabel region is the ancestor set of the seeds; collect it by
+  // reverse DFS, then topologically order the induced subgraph so
   // children are relabeled before parents (the relbl function of §5).
   ++Stamp;
   std::vector<StateId> &Ancestors = ScratchAncestors;
   Ancestors.clear();
   {
     std::vector<StateId> &Stack = ScratchStack;
-    Stack.assign(Changed.begin(), Changed.end());
-    for (StateId S : Changed)
+    Stack.assign(Seeds.begin(), Seeds.end());
+    for (StateId S : Seeds)
       AncestorStamp[S] = Stamp;
     while (!Stack.empty()) {
       StateId S = Stack.back();
@@ -221,7 +299,7 @@ LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
   // region state lies in the region, so one sweep over Order reaches each
   // dirty state after all of its dirty successors.
   size_t Pending = 0;
-  for (StateId S : Changed) {
+  for (StateId S : Seeds) {
     if (DirtyStamp[S] == Stamp)
       continue;
     DirtyStamp[S] = Stamp;
@@ -252,8 +330,6 @@ LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
       ++Pending;
     }
   }
-
-  return checkInitStates();
 }
 
 CheckResult
@@ -277,6 +353,8 @@ void LabelingChecker::notifyRollback() {
     Spans[Saved[I].first] = Saved[I].second;
   Saved.resize(F.SavedMark);
   ArenaEnd = F.ArenaMark;
+  Reach.undoTo(F.ReachMark);
+  Deferred.undoTo(F.DeferredMark);
 }
 
 CheckResult LabelingChecker::checkInitStates() {

@@ -37,14 +37,39 @@
 /// recheck is matched by one rollback, innermost first), which is what
 /// makes the cut sound. Rollback copies no label.
 ///
+/// Reachability gate (Incremental mode). Only the labels of states that
+/// ingress traffic reaches decide a verdict: the initial states and, for
+/// a counterexample, their descendants. The checker keeps R, the states
+/// reachable from the initial states in the current configuration, and
+/// the invariant that every state in R holds its exact label. Ancestors
+/// of a state outside R lie outside R too, so an update whose changed
+/// states all lie outside R leaves R, every label in R and the verdict as
+/// they are. Such a recheck relabels nothing: its changed states are
+/// *deferred*, marked as states whose labels (and whose ancestors'
+/// labels) may be stale. An update that changes a state in R recomputes
+/// R, then relabels the changed states plus the deferred states that
+/// entered R, propagating to ancestors as above. No deferred state is in
+/// R after a recheck, and every state that is not deferred agrees with
+/// its successors' current labels, which is what keeps the invariant.
+/// Verdicts, counterexamples, query counts and budget charges are those
+/// of eager relabeling; only the label ops differ. Rollback restores R
+/// and the deferred set from their own trails, as it restores spans.
+///
+/// Two things are not deferred. The loop check still roots its DFS at
+/// every changed state, reachable or not: a loop that no traffic reaches
+/// still rejects the configuration, exactly as in Batch mode. And bind()
+/// labels every state: its DFS must visit every state for the loop check
+/// anyway, so the deferred set starts empty.
+///
 /// The steady state does no hashing and no allocation. The closure is a
 /// compiled table (ltl/Closure.h); each state's sink label is computed
 /// once at bind; the arena, the saved-span stack, the frames, the relabel
-/// order and the DFS stacks are checker-owned buffers whose capacity is
-/// kept across queries, and arena slots past the tail keep their storage.
-/// Bind allocates a fixed number of buffers, none per state. The
-/// monolithic pass runs one three-colour DFS that both rejects forwarding
-/// loops and yields the children-first order.
+/// order, the DFS stacks, R, the deferred set and their trails are
+/// checker-owned buffers whose capacity is kept across queries, and arena
+/// slots past the tail keep their storage. Bind allocates a fixed number
+/// of buffers, none per state. The monolithic pass runs one three-colour
+/// DFS that both rejects forwarding loops and yields the children-first
+/// order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,7 +104,9 @@ public:
   /// that incrementality reduces.
   uint64_t numLabelOps() const { return LabelOps; }
 
-  /// A copy of the current label of \p S; exposed for tests.
+  /// A copy of the current label of \p S; exposed for tests. Exact for
+  /// every state traffic reaches, and for every state after
+  /// flushDeferred().
   LabelSet label(StateId S) const {
     return LabelSet(spanBegin(Spans[S]), spanEnd(Spans[S]));
   }
@@ -87,6 +114,11 @@ public:
   /// The children-first order the last full check labeled states in (the
   /// post-order of its DFS); exposed for tests.
   const std::vector<StateId> &postOrder() const { return PostOrder; }
+
+  /// Relabels every deferred state, so that label() is exact for every
+  /// state. Recorded in the innermost open frame, so the matching
+  /// rollback undoes it too. A no-op in Batch mode.
+  void flushDeferred();
 
 protected:
   CheckResult bindImpl(KripkeStructure &K, Formula Phi) override;
@@ -114,9 +146,24 @@ private:
   /// Relabels every state (monolithic pass) and re-checks initial states.
   CheckResult fullCheck();
 
-  /// Relabels ancestors of \p Changed only; records undo info into the
-  /// current frame.
+  /// Rejects new loops through \p Changed, then defers \p Changed or
+  /// relabels it (see the file comment); records undo info into a new
+  /// frame.
   CheckResult incrementalCheck(const std::vector<StateId> &Changed);
+
+  /// Relabels \p Seeds and, while labels change, their ancestors,
+  /// children first; records the old spans on the trail.
+  void relabel(const std::vector<StateId> &Seeds);
+
+  /// Recomputes R from the initial states. A deferred state that enters
+  /// R leaves the deferred set and is appended to \p Seeds.
+  void recomputeReach(std::vector<StateId> &Seeds);
+
+  /// Marks \p S deferred unless it already is.
+  void defer(StateId S) {
+    if (!Deferred.contains(S))
+      Deferred.toggle(S);
+  }
 
   /// Three-colour DFS along successor edges from \p Roots, or from every
   /// state in id order when \p Roots is null. Returns the first cycle
@@ -151,22 +198,75 @@ private:
   size_t ArenaEnd = 0;
   std::vector<Span> Spans; // Per-state current label.
 
+  /// A set of states with constant-time membership, insertion and
+  /// removal that can list its members. Every toggle is logged, so
+  /// undoTo() restores the membership (not the member order) the set had
+  /// at a mark.
+  class TrailedSet {
+  public:
+    /// Empties the set and its log and sizes it for \p N states.
+    void reset(unsigned N) {
+      Pos.assign(N, Absent);
+      Members.clear();
+      Members.reserve(N);
+      Log.clear();
+      Log.reserve(N);
+    }
+    bool contains(StateId S) const { return Pos[S] != Absent; }
+    const std::vector<StateId> &members() const { return Members; }
+    /// Inserts \p S if absent, removes it if present.
+    void toggle(StateId S) {
+      flip(S);
+      Log.push_back(S);
+    }
+    size_t mark() const { return Log.size(); }
+    void undoTo(size_t Mark) {
+      for (; Log.size() != Mark; Log.pop_back())
+        flip(Log.back());
+    }
+
+  private:
+    static constexpr uint32_t Absent = ~uint32_t(0);
+    void flip(StateId S) {
+      if (Pos[S] == Absent) {
+        Pos[S] = static_cast<uint32_t>(Members.size());
+        Members.push_back(S);
+        return;
+      }
+      StateId Last = Members.back();
+      Members[Pos[S]] = Last;
+      Pos[Last] = Pos[S];
+      Members.pop_back();
+      Pos[S] = Absent;
+    }
+    std::vector<uint32_t> Pos; // Index into Members, or Absent.
+    std::vector<StateId> Members;
+    std::vector<StateId> Log;
+  };
+
+  /// R, and the states outside it whose labels may be stale.
+  TrailedSet Reach, Deferred;
+
   /// The trail: the spans relabeled states held before, and one frame of
   /// marks per recheckAfterUpdate still awaiting its rollback.
   struct Frame {
     size_t ArenaMark;
     size_t SavedMark;
+    size_t ReachMark;
+    size_t DeferredMark;
   };
   std::vector<std::pair<StateId, Span>> Saved;
   std::vector<Frame> Frames;
 
   /// Stamp-based scratch marks, reused across queries so the incremental
   /// path never touches memory proportional to the whole structure.
-  std::vector<uint32_t> GrayStamp, DoneStamp, AncestorStamp, DirtyStamp;
+  std::vector<uint32_t> GrayStamp, DoneStamp, AncestorStamp, DirtyStamp,
+      ReachStamp;
   uint32_t Stamp = 0;
 
   /// Buffers reused across queries.
-  std::vector<StateId> PostOrder, ScratchAncestors, ScratchOrder, ScratchStack;
+  std::vector<StateId> PostOrder, ScratchAncestors, ScratchOrder, ScratchStack,
+      ScratchSeeds;
   std::vector<std::pair<StateId, uint32_t>> DfsStack;
 };
 

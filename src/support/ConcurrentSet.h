@@ -70,27 +70,54 @@ namespace netupd {
 /// whose win reaches 3/4 load sets Resizing, doubles the table and
 /// publishes it by clearing Resizing (release). Nothing else locks, and
 /// the old slots are freed at once: nobody can still hold them.
+///
+/// Slots are reused per thread. A table hands its slot array to a spare
+/// kept by the thread that destroys or resets it, and reset() starts from
+/// that thread's spare, emptied, whenever the spare holds at least the
+/// initial capacity: as many slots as fit in it. A stream of similar
+/// searches on one thread therefore migrates only on its first. Each
+/// thread keeps at most one spare, the largest slot array a table on it
+/// ended with, until the thread exits.
 class ClaimTable {
 public:
-  /// Slots after every reset(); the table doubles from here.
+  /// Slots after a reset() that finds no larger spare; the table doubles
+  /// from here.
   static constexpr size_t InitialCapacity = 1024;
 
   ClaimTable() = default;
+  ~ClaimTable() { retire(); }
   ClaimTable(const ClaimTable &) = delete;
   ClaimTable &operator=(const ClaimTable &) = delete;
 
   /// Empties the table and shapes it for \p NumBits-wide keys claimed by
   /// participants 0 .. \p Participants-1. Not thread-safe; call before
-  /// the search fans out.
+  /// the search fans out, on the thread that will destroy the table.
   void reset(size_t NumBits, unsigned Participants) {
+    retire();
     KeyWords = (NumBits + 63) / 64;
+    const size_t Stride = KeyWords + 1;
     Pins = std::vector<Pin>(Participants);
     // Each participant can win one claim past the threshold before it
     // sees a resize start; keep that overshoot inside the free quarter.
     size_t Cap = InitialCapacity;
     while (Cap / 4 <= Participants)
       Cap *= 2;
-    Slots = allocate(Cap);
+    Spare &S = spare();
+    if (S.NumWords >= Cap * Stride) {
+      while (2 * Cap * Stride <= S.NumWords)
+        Cap *= 2;
+      Slots = std::move(S.Slots);
+      NumWords = S.NumWords;
+      S.NumWords = 0;
+      // Empty every tag. Stale key words may stay: a key word is only
+      // read behind a tag this search published after storing it.
+      // relaxed: reset is single-threaded; the searchers start later.
+      for (size_t I = 0; I != Cap; ++I)
+        Slots[I * Stride].store(Empty, std::memory_order_relaxed);
+    } else {
+      Slots = allocate(Cap);
+      NumWords = Cap * Stride;
+    }
     setCapacity(Cap);
     // relaxed: reset is single-threaded; the searchers start later.
     Count.store(0, std::memory_order_relaxed);
@@ -120,6 +147,9 @@ public:
   // relaxed: a count, read by callers that joined the claimants.
   size_t size() const { return Count.load(std::memory_order_relaxed); }
 
+  /// Slots, for tests. Not thread-safe against a migration.
+  size_t capacity() const { return Mask + 1; }
+
 private:
   static constexpr uint64_t Empty = 0;
   static constexpr uint64_t Busy = 1;
@@ -130,6 +160,29 @@ private:
   };
 
   using Words = std::unique_ptr<std::atomic<uint64_t>[]>;
+
+  /// A slot array a finished table left to its thread, and its length in
+  /// words (0 when there is none).
+  struct Spare {
+    Words Slots;
+    size_t NumWords = 0;
+  };
+
+  static Spare &spare() {
+    thread_local Spare S;
+    return S;
+  }
+
+  /// Hands the slots to this thread's spare, unless that holds more.
+  void retire() {
+    Spare &S = spare();
+    if (NumWords > S.NumWords) {
+      S.Slots = std::move(Slots);
+      S.NumWords = NumWords;
+    }
+    Slots.reset();
+    NumWords = 0;
+  }
 
   /// \p Cap zeroed (Empty) slots.
   Words allocate(size_t Cap) const {
@@ -242,12 +295,14 @@ private:
                    std::memory_order_relaxed);
     }
     Slots = std::move(New);
+    NumWords = Cap * Stride;
     setCapacity(Cap);
   }
 
   // Read by every claim and written only by reset() and migrations, which
   // run while no claim is pinned.
   Words Slots;
+  size_t NumWords = 0; // Slots' length in words; a reused spare may be longer.
   size_t Mask = 0;
   size_t Threshold = 0;
   size_t KeyWords = 0;

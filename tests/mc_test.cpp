@@ -215,6 +215,9 @@ bool isLoopThrough(const KripkeStructure &K, const std::vector<StateId> &Cycle,
 /// bound fresh to the same configuration — verdict, counterexample and
 /// labels. Passing updates stack up, so rollbacks run at depths above 1
 /// and reuse the undo frames and scratch buffers of earlier queries.
+/// Inc resolves its deferred labels before every label comparison; Lazy
+/// runs the same stream and resolves them only when the round ends, so
+/// its deferred states outlive many rechecks and rollbacks.
 TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderUpdateStorm) {
   Rng R(31);
   for (unsigned Family = 0; Family != 3; ++Family) {
@@ -229,6 +232,8 @@ TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderUpdateStorm) {
       if (!Inc.bind(K, Phi).Holds)
         continue; // The random base config must satisfy the property.
       ++Exercised;
+      LabelingChecker Lazy(LabelingChecker::Mode::Incremental);
+      ASSERT_TRUE(Lazy.bind(K, Phi).Holds);
 
       // Mirror the synthesizer's discipline: a failed recheck is rolled
       // back immediately, a passing one may stick around or be rolled
@@ -237,6 +242,7 @@ TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderUpdateStorm) {
       for (int Step = 0; Step != 16; ++Step) {
         if (!Undos.empty() && R.nextBool(0.4)) {
           Inc.notifyRollback();
+          Lazy.notifyRollback();
           K.undo(Undos.back());
           Undos.pop_back();
         } else {
@@ -250,6 +256,9 @@ TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderUpdateStorm) {
           Info.Sw = Sw;
           Info.ChangedStates = &Changed;
           CheckResult Got = Inc.recheckAfterUpdate(Info);
+          CheckResult GotLazy = Lazy.recheckAfterUpdate(Info);
+          EXPECT_EQ(GotLazy.Holds, Got.Holds);
+          EXPECT_EQ(GotLazy.Cex, Got.Cex);
 
           // Verdict and counterexample equal a fresh bind's. A new loop
           // is the exception: the incremental search starts at the
@@ -269,6 +278,7 @@ TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderUpdateStorm) {
             MaxDepth = std::max(MaxDepth, unsigned(Undos.size()));
           } else {
             Inc.notifyRollback();
+            Lazy.notifyRollback();
             K.undo(Undo);
           }
         }
@@ -279,9 +289,17 @@ TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderUpdateStorm) {
         LabelingChecker Ref(LabelingChecker::Mode::Batch);
         CheckResult RefRes = Ref.bind(KRef, Phi);
         EXPECT_TRUE(RefRes.Holds); // Only passing configs survive.
+        Inc.flushDeferred();
         for (StateId S = 0; S != K.numStates(); ++S)
           EXPECT_EQ(Inc.label(S), Ref.label(S)) << K.stateName(S);
       }
+
+      KripkeStructure KRef(Net.Topo, K.config(), Net.Classes);
+      LabelingChecker Ref(LabelingChecker::Mode::Batch);
+      ASSERT_TRUE(Ref.bind(KRef, Phi).Holds);
+      Lazy.flushDeferred();
+      for (StateId S = 0; S != K.numStates(); ++S)
+        EXPECT_EQ(Lazy.label(S), Ref.label(S)) << K.stateName(S);
     }
     EXPECT_EQ(Exercised, 6u) << "family " << Family;
     EXPECT_GE(MaxDepth, 2u) << "family " << Family;
@@ -545,7 +563,9 @@ TEST(LabelingCheckerTest, UnchangedRecheckAndRollbackAllocateNothing) {
     EXPECT_EQ(Allocs, 0u) << Checker.name();
 
     // The recheck really changed a label, and the rollback restored it.
+    // C2 is unreachable, so Incremental defers its labels until asked.
     ASSERT_TRUE(Checker.recheckAfterUpdate(Info).Holds);
+    Checker.flushDeferred();
     unsigned Relabeled = 0;
     for (StateId S = 0; S != K.numStates(); ++S)
       Relabeled += Checker.label(S) != Before[S];
@@ -557,6 +577,247 @@ TEST(LabelingCheckerTest, UnchangedRecheckAndRollbackAllocateNothing) {
     for (StateId S = 0; S != K.numStates(); ++S)
       EXPECT_EQ(Checker.label(S), Before[S]) << K.stateName(S);
   }
+}
+
+namespace {
+
+/// Which states traffic entering at \p K's initial states reaches.
+std::vector<bool> reachableStates(const KripkeStructure &K) {
+  std::vector<bool> Seen(K.numStates(), false);
+  std::vector<StateId> Stack(K.initialStates().begin(),
+                             K.initialStates().end());
+  for (StateId S : Stack)
+    Seen[S] = true;
+  while (!Stack.empty()) {
+    StateId S = Stack.back();
+    Stack.pop_back();
+    for (StateId Next : K.succs(S))
+      if (!Seen[Next]) {
+        Seen[Next] = true;
+        Stack.push_back(Next);
+      }
+  }
+  return Seen;
+}
+
+/// \p Sw's Fig. 1 table once h1->h3 traffic is routed along \p Path.
+Table tableAlong(const Fig1Network &N, const std::vector<SwitchId> &Path,
+                 SwitchId Sw) {
+  Config Cfg = N.Red;
+  installPath(N.Topo, Cfg, N.FlowH1H3, Path, N.H[2]);
+  return Cfg.table(Sw);
+}
+
+/// Installs \p T at \p Sw in \p K and rechecks \p Checker; \p Undo
+/// receives the record that undoes the update.
+CheckResult recheckUpdate(KripkeStructure &K, LabelingChecker &Checker,
+                          SwitchId Sw, const Table &T,
+                          KripkeStructure::UndoRecord &Undo) {
+  std::vector<StateId> Changed;
+  Undo = K.applySwitchUpdate(Sw, T, Changed);
+  UpdateInfo Info;
+  Info.Sw = Sw;
+  Info.ChangedStates = &Undo.Changed;
+  return Checker.recheckAfterUpdate(Info);
+}
+
+std::vector<LabelSet> labelsOf(const LabelingChecker &Checker,
+                               const KripkeStructure &K) {
+  std::vector<LabelSet> Labels;
+  for (StateId S = 0; S != K.numStates(); ++S)
+    Labels.push_back(Checker.label(S));
+  return Labels;
+}
+
+/// The labels of a Batch checker bound fresh to \p K's configuration.
+std::vector<LabelSet> freshLabels(const Fig1Network &N,
+                                  const KripkeStructure &K, Formula Phi) {
+  KripkeStructure KRef(N.Topo, K.config(), {N.FlowH1H3});
+  LabelingChecker Ref(LabelingChecker::Mode::Batch);
+  Ref.bind(KRef, Phi);
+  return labelsOf(Ref, KRef);
+}
+
+} // namespace
+
+/// An update that changes only states no traffic reaches keeps the
+/// verdict and relabels nothing; the deferred labels are exact once
+/// flushed.
+TEST(LabelingCheckerTest, UnreachableUpdateRelabelsNothing) {
+  Fig1Network N = buildFig1();
+  FormulaFactory FF;
+  Formula Phi = reachabilityProperty(FF, N.srcPort(), N.dstPort());
+  KripkeStructure K(N.Topo, N.Red, {N.FlowH1H3});
+  LabelingChecker Inc;
+  ASSERT_TRUE(Inc.bind(K, Phi).Holds);
+  std::vector<bool> Reach = reachableStates(K);
+
+  uint64_t Ops = Inc.numLabelOps();
+  KripkeStructure::UndoRecord Undo;
+  EXPECT_TRUE(recheckUpdate(K, Inc, N.C2, N.Green.table(N.C2), Undo).Holds);
+  ASSERT_FALSE(Undo.Changed.empty());
+  for (StateId S : Undo.Changed)
+    EXPECT_FALSE(Reach[S]) << K.stateName(S);
+  EXPECT_EQ(Inc.numLabelOps(), Ops);
+  EXPECT_EQ(Inc.numQueries(), 2u);
+
+  Inc.flushDeferred();
+  EXPECT_GT(Inc.numLabelOps(), Ops);
+  EXPECT_EQ(labelsOf(Inc, K), freshLabels(N, K, Phi));
+  Inc.notifyRollback();
+  K.undo(Undo);
+}
+
+/// A forwarding loop that no traffic reaches still rejects the update,
+/// exactly as the Batch checker's whole-structure search does.
+TEST(LabelingCheckerTest, UnreachableLoopStillRejectsLikeBatch) {
+  Fig1Network N = buildFig1();
+  FormulaFactory FF;
+  Formula Phi = reachabilityProperty(FF, N.srcPort(), N.dstPort());
+  // A4 forwards to C2, which has no rule yet; neither carries red traffic.
+  Config Base = N.Red;
+  Base.setTable(N.A[3], tableAlong(N, {N.A[3], N.C2, N.A[2], N.T[2]}, N.A[3]));
+  Table C2ToA4 = tableAlong(N, {N.C2, N.A[3], N.T[2]}, N.C2);
+
+  KripkeStructure K(N.Topo, Base, {N.FlowH1H3});
+  KripkeStructure KB(N.Topo, Base, {N.FlowH1H3});
+  LabelingChecker Inc;
+  LabelingChecker Batch(LabelingChecker::Mode::Batch);
+  ASSERT_TRUE(Inc.bind(K, Phi).Holds);
+  ASSERT_TRUE(Batch.bind(KB, Phi).Holds);
+  std::vector<LabelSet> Before = labelsOf(Inc, K);
+
+  uint64_t Ops = Inc.numLabelOps();
+  KripkeStructure::UndoRecord Undo, UndoB;
+  CheckResult Got = recheckUpdate(K, Inc, N.C2, C2ToA4, Undo);
+  CheckResult Want = recheckUpdate(KB, Batch, N.C2, C2ToA4, UndoB);
+  std::optional<std::vector<StateId>> Loop = K.findForwardingLoop();
+  ASSERT_TRUE(Loop.has_value());
+  std::vector<bool> Reach = reachableStates(K);
+  for (StateId S : *Loop)
+    EXPECT_FALSE(Reach[S]) << "the loop carries traffic: " << K.stateName(S);
+
+  EXPECT_FALSE(Want.Holds);
+  EXPECT_EQ(Want.Cex, *Loop);
+  EXPECT_FALSE(Got.Holds);
+  EXPECT_TRUE(isLoopThrough(K, Got.Cex, Undo.Changed));
+  EXPECT_EQ(Inc.numLabelOps(), Ops);
+
+  Inc.notifyRollback();
+  K.undo(Undo);
+  EXPECT_EQ(labelsOf(Inc, K), Before);
+}
+
+/// States deferred while unreachable hold exact labels as soon as an
+/// update routes traffic through them: verdict, counterexample and the
+/// labels of every reachable state equal a fresh Batch bind's, with no
+/// flush.
+TEST(LabelingCheckerTest, DeferredLabelsAreExactOnceReached) {
+  Fig1Network N = buildFig1();
+  FormulaFactory FF;
+  Formula Phi = reachabilityProperty(FF, N.srcPort(), N.dstPort());
+  // C2's green table completes the green path; forwarding to A4, which
+  // has no rule, blackholes it.
+  Table Blackhole = tableAlong(N, {N.C2, N.A[3], N.T[2]}, N.C2);
+  for (const Table *C2Table : {&N.Green.table(N.C2), &Blackhole}) {
+    bool Broken = C2Table == &Blackhole;
+    KripkeStructure K(N.Topo, N.Red, {N.FlowH1H3});
+    LabelingChecker Inc;
+    ASSERT_TRUE(Inc.bind(K, Phi).Holds);
+
+    KripkeStructure::UndoRecord Undo1, Undo2;
+    uint64_t Ops = Inc.numLabelOps();
+    ASSERT_TRUE(recheckUpdate(K, Inc, N.C2, *C2Table, Undo1).Holds);
+    EXPECT_EQ(Inc.numLabelOps(), Ops);
+    // The second pass reaches C2 again after a rollback, which must have
+    // restored C2's stale labels and its deferral together.
+    for (int Pass = 0; Pass != 2; ++Pass) {
+      CheckResult Got =
+          recheckUpdate(K, Inc, N.A[0], N.Green.table(N.A[0]), Undo2);
+
+      KripkeStructure KRef(N.Topo, K.config(), {N.FlowH1H3});
+      LabelingChecker Ref(LabelingChecker::Mode::Batch);
+      CheckResult Want = Ref.bind(KRef, Phi);
+      EXPECT_EQ(Want.Holds, !Broken);
+      EXPECT_EQ(Got.Holds, Want.Holds);
+      EXPECT_EQ(Got.Cex, Want.Cex);
+
+      std::vector<bool> Reach = reachableStates(K);
+      bool Reached = false;
+      for (StateId S : Undo1.Changed)
+        Reached |= Reach[S];
+      EXPECT_TRUE(Reached) << "the A1 update must route traffic through C2";
+      for (StateId S = 0; S != K.numStates(); ++S) {
+        if (Reach[S]) {
+          EXPECT_EQ(Inc.label(S), Ref.label(S)) << K.stateName(S);
+        }
+      }
+      Inc.notifyRollback();
+      K.undo(Undo2);
+    }
+    Inc.notifyRollback();
+    K.undo(Undo1);
+  }
+}
+
+/// Rollback restores labels, R and the deferred set across deferrals and
+/// flushes alike, and a rebind after raw undos (a stolen task's path)
+/// starts with nothing deferred.
+TEST(LabelingCheckerTest, RollbackCrossesDeferralsAndFlushes) {
+  Fig1Network N = buildFig1();
+  FormulaFactory FF;
+  Formula Phi = reachabilityProperty(FF, N.srcPort(), N.dstPort());
+  KripkeStructure K(N.Topo, N.Red, {N.FlowH1H3});
+  LabelingChecker Inc;
+  ASSERT_TRUE(Inc.bind(K, Phi).Holds);
+  std::vector<LabelSet> Before = labelsOf(Inc, K);
+
+  // Deferred, then flushed: every label exact.
+  KripkeStructure::UndoRecord Undo1, Undo2, Undo3;
+  ASSERT_TRUE(recheckUpdate(K, Inc, N.C2, N.Green.table(N.C2), Undo1).Holds);
+  Inc.flushDeferred();
+  std::vector<LabelSet> AfterFlush = labelsOf(Inc, K);
+  EXPECT_EQ(AfterFlush, freshLabels(N, K, Phi));
+
+  // Traffic moves to C2, so C1 carries none; its update is deferred.
+  ASSERT_TRUE(
+      recheckUpdate(K, Inc, N.A[0], N.Green.table(N.A[0]), Undo2).Holds);
+  std::vector<LabelSet> AfterMove = labelsOf(Inc, K);
+  uint64_t Ops = Inc.numLabelOps();
+  ASSERT_TRUE(recheckUpdate(K, Inc, N.C1, Table(), Undo3).Holds);
+  EXPECT_EQ(Inc.numLabelOps(), Ops);
+
+  Inc.notifyRollback();
+  K.undo(Undo3);
+  EXPECT_EQ(labelsOf(Inc, K), AfterMove);
+  Inc.notifyRollback();
+  K.undo(Undo2);
+  EXPECT_EQ(labelsOf(Inc, K), AfterFlush);
+  Inc.notifyRollback();
+  K.undo(Undo1);
+  EXPECT_EQ(labelsOf(Inc, K), Before);
+
+  // R and the deferred set are back too: the first update defers again.
+  Ops = Inc.numLabelOps();
+  ASSERT_TRUE(recheckUpdate(K, Inc, N.C2, N.Green.table(N.C2), Undo1).Holds);
+  EXPECT_EQ(Inc.numLabelOps(), Ops);
+
+  // Undo it raw, with no rollback, and rebind: nothing stays deferred,
+  // and the checker answers as a fresh one would.
+  K.undo(Undo1);
+  ASSERT_TRUE(Inc.bind(K, Phi).Holds);
+  EXPECT_EQ(labelsOf(Inc, K), Before);
+  CheckResult Got =
+      recheckUpdate(K, Inc, N.A[0], N.Green.table(N.A[0]), Undo2);
+  KripkeStructure KRef(N.Topo, K.config(), {N.FlowH1H3});
+  LabelingChecker Ref(LabelingChecker::Mode::Batch);
+  CheckResult Want = Ref.bind(KRef, Phi);
+  EXPECT_FALSE(Want.Holds); // C2 has no rule yet: a blackhole.
+  EXPECT_EQ(Got.Holds, Want.Holds);
+  EXPECT_EQ(Got.Cex, Want.Cex);
+  Inc.notifyRollback();
+  K.undo(Undo2);
+  EXPECT_EQ(labelsOf(Inc, K), Before);
 }
 
 /// Binding a checker allocates a fixed number of buffers, none per state:

@@ -272,13 +272,12 @@ TEST(ClaimTableTest, BitsetKeys) {
   EXPECT_EQ(Set.size(), 2u);
 }
 
-/// 8 threads, each its own participant, claim every value of \p Values;
-/// each thread starts at a different offset so wins are spread across
-/// threads. Checks that every value was won exactly once.
-static void raceClaims(size_t NumBits, const std::vector<Bitset> &Values) {
-  constexpr unsigned NumThreads = 8;
-  ClaimTable Set;
-  Set.reset(NumBits, NumThreads);
+/// \p NumThreads threads, each its own participant, claim every value of
+/// \p Values in \p Set; each thread starts at a different offset so wins
+/// are spread across threads. Checks that every value was won exactly
+/// once.
+static void raceInto(ClaimTable &Set, unsigned NumThreads,
+                     const std::vector<Bitset> &Values) {
   std::vector<std::atomic<unsigned>> Wins(Values.size());
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T != NumThreads; ++T)
@@ -295,6 +294,19 @@ static void raceClaims(size_t NumBits, const std::vector<Bitset> &Values) {
     Wrong += W.load() != 1;
   EXPECT_EQ(Wrong, 0u) << "values not claimed exactly once";
   EXPECT_EQ(Set.size(), Values.size());
+}
+
+/// raceInto on a fresh 8-participant table, reset on a fresh thread so it
+/// starts at the initial capacity rather than at a spare an earlier table
+/// left to the calling thread.
+static void raceClaims(size_t NumBits, const std::vector<Bitset> &Values) {
+  std::thread([&] {
+    constexpr unsigned NumThreads = 8;
+    ClaimTable Set;
+    Set.reset(NumBits, NumThreads);
+    EXPECT_EQ(Set.capacity(), ClaimTable::InitialCapacity);
+    raceInto(Set, NumThreads, Values);
+  }).join();
 }
 
 // The claim semantics under contention: every value is claimed exactly
@@ -327,6 +339,41 @@ TEST(ClaimTableTest, ClaimsAreUniqueAcrossResizes) {
   ASSERT_EQ(ThreeWords.front().numWords(), 3u);
   raceClaims(20, OneWord);
   raceClaims(130, ThreeWords);
+}
+
+// A table reset on the thread where an earlier table grew starts at the
+// size that table ended with, holds none of its keys, and claims each
+// of them exactly once again; a table on another thread starts small.
+TEST(ClaimTableTest, ResetReusesTheThreadsGrownSlots) {
+  constexpr unsigned NumThreads = 4;
+  std::vector<Bitset> Values;
+  for (unsigned V = 0; V != 5000; ++V)
+    Values.push_back(configOf(V));
+  std::thread([&] {
+    size_t Grown = 0;
+    {
+      ClaimTable First;
+      First.reset(16, NumThreads);
+      raceInto(First, NumThreads, Values);
+      Grown = First.capacity();
+    }
+    ASSERT_GT(Grown, ClaimTable::InitialCapacity);
+    ClaimTable Second;
+    Second.reset(16, NumThreads);
+    EXPECT_EQ(Second.capacity(), Grown);
+    EXPECT_EQ(Second.size(), 0u);
+    raceInto(Second, NumThreads, Values);
+    EXPECT_EQ(Second.capacity(), Grown) << "the reused slots had to grow";
+    // Resetting the same table empties it too.
+    Second.reset(16, NumThreads);
+    EXPECT_EQ(Second.capacity(), Grown);
+    raceInto(Second, NumThreads, Values);
+  }).join();
+  std::thread([&] {
+    ClaimTable Other;
+    Other.reset(16, NumThreads);
+    EXPECT_EQ(Other.capacity(), ClaimTable::InitialCapacity);
+  }).join();
 }
 
 // The claim table takes its slot from the low hash bits and compares the

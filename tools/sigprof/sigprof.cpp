@@ -22,9 +22,17 @@
 /// samples (200 CPU-seconds; it is mapped lazily, so unused slots cost
 /// no memory). Later samples are counted as dropped.
 ///
+/// Each sample keeps the innermost 32 and the outermost 32 frames of the
+/// whole stack. A deeper stack (the search's DFS recursion easily is)
+/// loses the frames between them, so the thread entry and the job
+/// frames survive however deep the search recursed, and the report can
+/// still tell which job a sample belongs to.
+///
 /// Output format: "# sigprof samples N dropped D", one line per sample
 /// with hex addresses innermost first (the first one is the interrupted
 /// PC, the rest are return addresses), then "# maps" and the maps text.
+/// In a truncated sample, the token "~K" stands between the inner and
+/// the outer frames for the K frames left out.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,23 +43,56 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <execinfo.h>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/time.h>
 #include <ucontext.h>
 #include <unistd.h>
+#include <unwind.h>
 
 namespace {
 
-constexpr int MaxDepth = 48;
+constexpr uint32_t InnerDepth = 32;
+constexpr uint32_t OuterDepth = 32;
+constexpr uint32_t MaxDepth = InnerDepth + OuterDepth;
+// Walks stop here, so a corrupt stack cannot keep the handler looping.
+constexpr size_t MaxWalk = 1 << 16;
 constexpr size_t Capacity = 200000;
 constexpr long IntervalUsec = 1000; // 1 kHz of CPU time.
 
 struct Sample {
-  uint32_t Depth;
+  uint32_t Depth;   // Frames kept.
+  uint32_t Skipped; // Frames left out between the inner and outer runs.
   uintptr_t Frames[MaxDepth];
 };
+
+/// One stack walk: frames before the interrupted PC (the handler and the
+/// signal trampoline) are skipped; the first InnerDepth frames go to the
+/// sample, the rest through a ring that ends up holding the outermost.
+struct Walk {
+  uintptr_t Pc;
+  Sample *S;
+  size_t Total = 0; // Frames from the interrupted PC on.
+  bool Found = false;
+  uintptr_t Ring[OuterDepth];
+};
+
+_Unwind_Reason_Code onFrame(_Unwind_Context *Ctx, void *Arg) {
+  Walk &W = *static_cast<Walk *>(Arg);
+  uintptr_t Ip = _Unwind_GetIP(Ctx);
+  if (Ip == 0) // The outermost frame of a thread has no caller.
+    return _URC_END_OF_STACK;
+  if (!W.Found) {
+    if (Ip != W.Pc)
+      return _URC_NO_REASON;
+    W.Found = true;
+  }
+  if (W.Total < InnerDepth)
+    W.S->Frames[W.Total] = Ip;
+  else
+    W.Ring[(W.Total - InnerDepth) % OuterDepth] = Ip;
+  return ++W.Total == MaxWalk ? _URC_END_OF_STACK : _URC_NO_REASON;
+}
 
 Sample *Samples = nullptr;
 std::atomic<size_t> Next{0};
@@ -80,22 +121,28 @@ void onProf(int, siginfo_t *, void *Ctx) {
     return;
   }
   Sample &S = Samples[Slot];
-  void *Raw[MaxDepth + 4];
-  int N = backtrace(Raw, MaxDepth + 4);
-  uintptr_t Pc = interruptedPc(Ctx);
-  // The unwinder walks the handler and the signal trampoline first; keep
-  // the frames from the interrupted PC on.
-  int First = 0;
-  while (First < N && reinterpret_cast<uintptr_t>(Raw[First]) != Pc)
-    ++First;
-  uint32_t Depth = 0;
-  if (First == N) {
-    S.Frames[Depth++] = Pc; // Unwinding failed: keep the PC alone.
+  Walk W;
+  W.Pc = interruptedPc(Ctx);
+  W.S = &S;
+  _Unwind_Backtrace(onFrame, &W);
+  S.Skipped = 0;
+  if (!W.Found) {
+    S.Frames[0] = W.Pc; // Unwinding failed: keep the PC alone.
+    S.Depth = 1;
+  } else if (W.Total <= InnerDepth) {
+    S.Depth = static_cast<uint32_t>(W.Total);
   } else {
-    for (int I = First; I < N && Depth < MaxDepth; ++I)
-      S.Frames[Depth++] = reinterpret_cast<uintptr_t>(Raw[I]);
+    // Frames [First, Total) are the outermost ones the ring still holds.
+    size_t Outer = W.Total - InnerDepth;
+    if (Outer > OuterDepth)
+      Outer = OuterDepth;
+    size_t First = W.Total - Outer;
+    for (size_t I = First; I != W.Total; ++I)
+      S.Frames[InnerDepth + (I - First)] =
+          W.Ring[(I - InnerDepth) % OuterDepth];
+    S.Depth = static_cast<uint32_t>(InnerDepth + Outer);
+    S.Skipped = static_cast<uint32_t>(First - InnerDepth);
   }
-  S.Depth = Depth;
   errno = SavedErrno;
 }
 
@@ -116,10 +163,13 @@ __attribute__((constructor)) void start() {
     return;
   Samples = static_cast<Sample *>(Mem);
 
-  // The first backtrace() loads the unwinder, which may allocate; do it
-  // here rather than inside the signal handler.
-  void *Warm[2];
-  backtrace(Warm, 2);
+  // The first walk sets up the unwinder's caches, which may allocate; do
+  // it here rather than inside the signal handler.
+  Sample Warm;
+  Walk W;
+  W.Pc = 0;
+  W.S = &Warm;
+  _Unwind_Backtrace(onFrame, &W);
 
   struct sigaction SA;
   std::memset(&SA, 0, sizeof(SA));
@@ -155,8 +205,11 @@ __attribute__((destructor)) void finish() {
                Dropped.load(std::memory_order_relaxed));
   for (size_t I = 0; I != Kept; ++I) {
     const Sample &S = Samples[I];
-    for (uint32_t D = 0; D != S.Depth; ++D)
+    for (uint32_t D = 0; D != S.Depth; ++D) {
+      if (D == InnerDepth && S.Skipped)
+        std::fprintf(Out, " ~%u", S.Skipped);
       std::fprintf(Out, D ? " %zx" : "%zx", static_cast<size_t>(S.Frames[D]));
+    }
     std::fputc('\n', Out);
   }
   std::fputs("# maps\n", Out);
