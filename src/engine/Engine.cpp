@@ -47,13 +47,9 @@ std::vector<PortfolioMember> normalizedPortfolio(const SynthJob &Job) {
 /// a race loser. \p DefaultShards fills in
 /// SynthOptions::Shards for members that left it unset (0); an explicit
 /// member value — 1 included — always wins (EngineOptions::IntraJobShards).
-/// \p Learning (with \p ScenarioDigest, computed once per job) wires the
-/// engine's cross-job constraint store into members that didn't bring
-/// their own.
-MemberOutcome runMember(const Scenario &Shared, const Digest &ScenarioDigest,
-                        const PortfolioMember &M, const StopToken &Stop,
-                        const StopToken &RaceStop, unsigned DefaultShards,
-                        const std::shared_ptr<ConstraintStore> &Learning) {
+MemberOutcome runMember(const Scenario &Shared, const PortfolioMember &M,
+                        const StopToken &Stop, const StopToken &RaceStop,
+                        unsigned DefaultShards) {
   MemberOutcome Out;
   Out.Name = memberDisplayName(M);
   obs::TraceSpan Span("engine.member");
@@ -68,10 +64,6 @@ MemberOutcome runMember(const Scenario &Shared, const Digest &ScenarioDigest,
 
   SynthOptions Opts = M.Opts;
   Opts.Stop = anyToken(Opts.Stop, Stop);
-  if (Learning && !Opts.Learning) {
-    Opts.Learning = Learning;
-    Opts.LearningScenario = ScenarioDigest;
-  }
   if (Opts.Shards == 0 && DefaultShards > 1)
     Opts.Shards = DefaultShards;
   if (Opts.Shards > 1 && !Opts.ShardCheckerFactory) {
@@ -99,6 +91,15 @@ MemberOutcome runMember(const Scenario &Shared, const Digest &ScenarioDigest,
   // selection below; losers' (empty) sequences cost nothing.
   Out.Result = std::move(Res);
   return Out;
+}
+
+/// The shedding key of a member: Impossible is a fact about the scenario
+/// at one granularity, whatever the backend or the other knobs.
+Digest impossibleKey(const Digest &ScenarioDigest, bool RuleGranularity) {
+  DigestBuilder B;
+  B.addDigest(ScenarioDigest);
+  B.addBool(RuleGranularity);
+  return B.finish();
 }
 
 /// Verdict precedence for picking a portfolio winner when several members
@@ -181,10 +182,8 @@ Digest netupd::digestOf(const SynthJob &Job) {
                    });
     B.addString(Spec);
     // Every option that can change the result; display Name, the Stop
-    // token, the sharding knobs (Shards, ShardCheckerFactory), and the
-    // cross-job learning knobs (Learning, LearningScenario — a pure
-    // accelerator, never part of the key) are presentation/control/
-    // performance, not semantics — any shard count or store content
+    // token and the sharding knobs (Shards, ShardCheckerFactory) are
+    // presentation/control/performance, not semantics — any shard count
     // yields an interchangeable result for the same job. The check
     // budgets ARE semantic (they deterministically select the explored
     // prefix set, successful sequences included).
@@ -231,7 +230,7 @@ SynthEngine::SynthEngine(EngineOptions InitOpts) : Opts(std::move(InitOpts)) {
   }
   Cache = std::make_shared<ResultCache>();
   if (Opts.SharedLearning)
-    Learn = std::make_shared<ConstraintStore>();
+    ImpossibleKeys = std::make_unique<ShardedDigestCache<bool>>(1 << 16);
 
   Pool.reserve(Workers);
   // Workers spawn lazily in submit(): a 1-job batch costs one thread no
@@ -403,31 +402,29 @@ SynthReport SynthEngine::runOneJob(const SynthJob &Job, size_t Index,
     return Rep;
   }
 
-  // One scenario digest serves every member's learning key; skip the
-  // walk entirely when learning is off.
-  const Digest ScenDigest = Learn ? digestOf(Job.S) : Digest{};
+  // One scenario digest serves every member's shedding key; skip the
+  // walk entirely when shedding is off.
+  const Digest ScenDigest = ImpossibleKeys ? digestOf(Job.S) : Digest{};
 
   std::vector<MemberOutcome> Outcomes(Members.size());
 
-  // Learning-aware shedding: a member whose (scenario, granularity) key
-  // holds an up-front UNSAT proof in the constraint store is answered
-  // from the proof instead of raced. Gated so the fabricated outcome
-  // provably matches what a standalone run would return: Impossible is
-  // a ground fact of (scenario, granularity) — every complete search
-  // reaches it regardless of knobs or backend — so only members that
-  // might not *complete* (a check budget could report Aborted) or might
-  // not run at all (unknown backend, a private store this engine cannot
-  // speak for) are excluded.
+  // Shedding: a member whose (scenario, granularity) key an earlier
+  // member proved Impossible is answered from the proof instead of
+  // raced. Gated so the fabricated outcome provably matches what a
+  // standalone run would return: Impossible is a ground fact of
+  // (scenario, granularity) — every complete search reaches it
+  // regardless of knobs or backend — so only members that might not
+  // *complete* (a check budget could report Aborted) or might not run
+  // at all (unknown backend) are excluded.
   std::vector<uint8_t> Shed(Members.size(), 0);
-  if (Learn) {
+  if (ImpossibleKeys) {
     for (size_t I = 0; I != Members.size(); ++I) {
       const PortfolioMember &M = Members[I];
-      if (M.Opts.Learning ||
-          M.Opts.MaxCheckCalls > 0 || M.Opts.UnitCheckCalls > 0 ||
+      if (M.Opts.MaxCheckCalls > 0 || M.Opts.UnitCheckCalls > 0 ||
           !BackendFactory::instance().known(M.Backend))
         continue;
-      if (!Learn->knownImpossible(
-              ConstraintStore::keyFor(ScenDigest, M.Opts.RuleGranularity)))
+      if (!ImpossibleKeys->lookup(
+              impossibleKey(ScenDigest, M.Opts.RuleGranularity)))
         continue;
       Shed[I] = 1;
       Outcomes[I].Name = memberDisplayName(M);
@@ -438,10 +435,21 @@ SynthReport SynthEngine::runOneJob(const SynthJob &Job, size_t Index,
     }
   }
 
+  // Runs member I and records an Impossible proof for later jobs. An
+  // Impossible verdict is a SAT proof or an exhaustive exploration,
+  // never a truncation (which reports Aborted).
+  auto RunAndRecord = [&](size_t I, const StopToken &MemberStop,
+                          const StopToken &RaceStop) {
+    Outcomes[I] = runMember(Job.S, Members[I], MemberStop, RaceStop,
+                            Opts.IntraJobShards);
+    if (ImpossibleKeys && Outcomes[I].Status == SynthStatus::Impossible)
+      ImpossibleKeys->store(
+          impossibleKey(ScenDigest, Members[I].Opts.RuleGranularity), true);
+  };
+
   if (Members.size() == 1) {
     if (!Shed[0])
-      Outcomes[0] = runMember(Job.S, ScenDigest, Members[0], Stop,
-                              StopToken(), Opts.IntraJobShards, Learn);
+      RunAndRecord(0, Stop, StopToken());
   } else {
     // Race: first Success fires the shared source; everyone also honours
     // the job's cancellation token. The members run as one round
@@ -454,8 +462,7 @@ SynthReport SynthEngine::runOneJob(const SynthJob &Job, size_t Index,
     std::function<void(unsigned)> Body = [&](unsigned I) {
       if (Shed[I])
         return;
-      Outcomes[I] = runMember(Job.S, ScenDigest, Members[I], MemberStop,
-                              RaceStop, Opts.IntraJobShards, Learn);
+      RunAndRecord(I, MemberStop, RaceStop);
       if (Outcomes[I].Status == SynthStatus::Success)
         Race.requestStop();
     };

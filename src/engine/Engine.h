@@ -38,17 +38,15 @@
 /// composes: the engine cache dedups whole jobs, the check cache dedups
 /// individual queries across different jobs.
 ///
-/// Cross-job learning: orthogonal to both caches, the engine threads a
-/// ConstraintStore (support/ConstraintStore.h) through every member it
-/// runs. Digest-*different* jobs over digest-identical scenarios — a
-/// portfolio probing the same instance under different backends or
-/// knobs, an autotuning sweep, repeated batches — then share the
-/// counterexample refutations they mine: each member seeds its W set
-/// and SAT layer on start and publishes what it learned on retirement,
-/// so already-refuted prefixes are pruned without checker queries. The
-/// store is a pure accelerator (verdicts and sequences are byte-
-/// identical with it on or off; deterministic budget runs never import)
-/// and is therefore excluded from digestOf(SynthJob).
+/// Portfolio shedding: orthogonal to both caches, the engine records
+/// the (scenario digest, granularity) key of every member that returns
+/// Impossible. Impossible is a fact about the instance at that
+/// granularity, so a later member with the same key — in a
+/// digest-*different* job the result cache cannot serve, such as a
+/// probe under another backend or knobs — is answered Impossible
+/// without running (SynthStats::ShedMembers). Only members that must
+/// complete can be shed: a budgeted member could report Aborted, and an
+/// unknown backend reports an error.
 ///
 /// Isolation: every job owns its Scenario by value. Its members and
 /// their shards read it in place, without a clone: a Scenario (its
@@ -137,12 +135,10 @@ struct EngineOptions {
   /// Serve digest-identical jobs from the engine's result cache, which
   /// lives as long as the engine.
   bool CacheResults = true;
-  /// Cross-job constraint learning (see the file comment): members seed
-  /// their searches from, and publish their learned refutations to, the
-  /// engine's ConstraintStore, which lives as long as the engine. Safe
-  /// to leave on — verdicts and command sequences are unchanged by
-  /// construction; SynthStats reports the traffic (ImportedConstraints /
-  /// ExportedConstraints / SeededPrunes).
+  /// Record Impossible proofs and shed (see "Portfolio shedding" in the
+  /// file comment): the proofs live as long as the engine. Safe to
+  /// leave on — verdicts and command sequences are unchanged by
+  /// construction; SynthStats::ShedMembers counts the members skipped.
   bool SharedLearning = true;
 };
 
@@ -229,12 +225,6 @@ public:
   /// The engine's result cache (for stats or clearing).
   const std::shared_ptr<ResultCache> &resultCache() const { return Cache; }
 
-  /// The engine's cross-job constraint store; null when SharedLearning
-  /// is off.
-  const std::shared_ptr<ConstraintStore> &constraintStore() const {
-    return Learn;
-  }
-
 private:
   void workerLoop();
   void executeJob(detail::JobState &St);
@@ -244,7 +234,9 @@ private:
   EngineOptions Opts;
   unsigned Workers;
   std::shared_ptr<ResultCache> Cache;
-  std::shared_ptr<ConstraintStore> Learn;
+  /// The (scenario digest, granularity) keys of members that returned
+  /// Impossible; null when SharedLearning is off.
+  std::unique_ptr<ShardedDigestCache<bool>> ImpossibleKeys;
 
   Mutex QueueMutex;
   CondVar QueueCV;

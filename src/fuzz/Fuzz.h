@@ -13,14 +13,13 @@
 /// variants (blackholed destinations, initial-violation configs) — and
 /// runs it through every cell of
 ///
-///     backend registry x granularity x shards {1,4} x budget on/off
-///                      x learning on/off,
+///     backend registry x granularity x shards {1,4} x budget on/off,
 ///
 /// checking the repository's determinism contracts (the oracle; see
 /// docs/ARCHITECTURE.md "Scenario zoo & differential fuzzing"):
 ///
 ///  - unlimited cells of one granularity agree on the verdict, across
-///    every backend, shard count, and learning setting;
+///    every backend and shard count;
 ///  - unlimited *sequential* cells (1 shard) return byte-identical
 ///    command sequences — pruning differences between backends (hsa
 ///    yields no counterexamples) must never change the sequence, only
@@ -29,8 +28,8 @@
 ///    configuration satisfies the property and the sequence lands
 ///    exactly on the final configuration;
 ///  - budgeted cells are byte-identical (verdict and sequence) to their
-///    own backend's 1-shard budget reference, never steal, never import
-///    learned constraints, and agree on BudgetSpent on non-Success;
+///    own backend's 1-shard budget reference, never steal, and agree on
+///    BudgetSpent on non-Success;
 ///  - a budgeted cell that completes (is not Aborted) agrees with the
 ///    unlimited verdict;
 ///  - stealing is inert unsharded (StolenTasks == 0);
@@ -39,7 +38,7 @@
 ///    fails by design on double diamonds).
 ///
 /// Every eighth iteration instead drives a churn stream through the
-/// SynthEngine four ways (reference / result cache / learning / both)
+/// SynthEngine four ways (reference / result cache / shedding / both)
 /// and requires byte-identical per-step results plus the pigeonhole
 /// cache-hit floor a repeating stream guarantees.
 ///
@@ -110,12 +109,12 @@ struct FuzzOptions {
   std::vector<std::string> Backends;
   /// Backends restricted to the two sequential unlimited cells (verdict
   /// + sequence agreement per granularity) on single-class reachability
-  /// instances, skipping the shard / steal / budget / learning
-  /// sub-matrix. Those schedule-invariance cells exercise the search
-  /// skeleton, not the checker, so they are swept with the fast
-  /// backends; the symbolic NuSMV-substitute is orders of magnitude
-  /// slower per query (bench/fig7_backends) and its BDDs blow up on
-  /// multi-class and waypoint formulas, exactly as §6 reports for NuSMV.
+  /// instances, skipping the shard / steal / budget sub-matrix. Those
+  /// schedule-invariance cells exercise the search skeleton, not the
+  /// checker, so they are swept with the fast backends; the symbolic
+  /// NuSMV-substitute is orders of magnitude slower per query
+  /// (bench/fig7_backends) and its BDDs blow up on multi-class and
+  /// waypoint formulas, exactly as §6 reports for NuSMV.
   /// Never applies to the reference backend.
   std::vector<std::string> ShallowBackends = {"symbolic"};
   /// Directory minimized repro files are written to; empty keeps repros
@@ -169,7 +168,7 @@ checkLargeScenario(const Scenario &S, const std::string &Backend,
                    unsigned *CellRuns = nullptr);
 
 /// Builds a churn trace from \p R and replays it through the SynthEngine
-/// in four modes (reference / cache / learning / cache+learning),
+/// in four modes (reference / cache / shedding / cache+shedding),
 /// requiring byte-identical per-step verdicts and sequences and the
 /// deterministic cache-hit floor. On violation the returned
 /// disagreement's scenario context is the offending step, stored in

@@ -31,7 +31,7 @@
 /// Span names must be string literals (or otherwise outlive the export):
 /// the ring stores the pointer, not a copy.
 ///
-/// Contract shared with budgets and learning: tracing never changes a
+/// Contract shared with budgets and shedding: tracing never changes a
 /// verdict or a command sequence — spans observe the search, they carry
 /// no control flow. tests/obs_test.cpp holds the invariance matrix.
 ///

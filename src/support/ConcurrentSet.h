@@ -25,9 +25,9 @@
 ///
 /// WatchedWrongSet replaces a scan-the-whole-list W set. Each (Mask,
 /// Value) constraint is filed under the first set bit of Value; probing
-/// a configuration walks only the buckets of its set bits, so seeded
-/// constraint stores are consulted O(relevant) instead of O(all) — and
-/// the probe takes no lock at all (buckets are lock-free push lists).
+/// a configuration walks only the buckets of its set bits, so W is
+/// consulted O(relevant) instead of O(all) — and the probe takes no
+/// lock at all (buckets are lock-free push lists).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -320,10 +320,9 @@ private:
 /// set bit of Value that C lacks fails the equality). So each
 /// constraint is filed under the *first set bit* of its Value, and
 /// matches(C) walks only the buckets of C's set bits — every matching
-/// constraint's watch bit is set in C, so the probe is complete.
-/// Constraints with an all-zero Value (which match everything with
-/// Bits∩Mask=∅; the search's learner never emits them but seeds could)
-/// go to an always-scanned fallback list.
+/// constraint's watch bit is set in C, so the probe is complete. An
+/// all-zero Value has no watch bit; the search's learner never emits
+/// one (it would refute the verified initial configuration).
 class WatchedWrongSet {
 public:
   WatchedWrongSet() = default;
@@ -342,30 +341,27 @@ public:
     // relaxed: reset is documented single-threaded; no concurrent readers.
     for (auto &B : Buckets)
       B.store(nullptr, std::memory_order_relaxed);
-    Fallback.store(nullptr, std::memory_order_relaxed);
-    Count.store(0, std::memory_order_relaxed);
   }
 
-  /// Adds a constraint. Thread-safe, lock-free, monotone.
+  /// Adds a constraint; \p Value must have a set bit. Thread-safe,
+  /// lock-free, monotone.
   void add(Bitset Mask, Bitset Value) {
+    size_t B = Value.firstSetBit();
+    assert(B < Buckets.size() && "a W entry needs a watch bit");
     // lint: naked-new-ok — lock-free CAS push list; nodes are owned by the
     // intrusive bucket chains and reclaimed in destroy().
     Node *N = new Node{std::move(Mask), std::move(Value), nullptr};
-    size_t B = N->Value.firstSetBit();
-    std::atomic<Node *> &Head =
-        B < Buckets.size() ? Buckets[B] : Fallback;
+    std::atomic<Node *> &Head = Buckets[B];
     // relaxed: the CAS loop re-reads Next on failure; only the successful
     // release publish orders the node's payload for acquire readers.
     N->Next = Head.load(std::memory_order_relaxed);
     while (!Head.compare_exchange_weak(N->Next, N, std::memory_order_release,
                                        std::memory_order_relaxed)) {
     }
-    // relaxed: Count is an advisory size for reserve(); no ordering needed.
-    Count.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// True if some constraint refutes \p Bits. Lock-free; probes only
-  /// the watch buckets of Bits's set bits (plus the fallback list).
+  /// the watch buckets of Bits's set bits.
   bool matches(const Bitset &Bits) const {
     for (size_t W = 0, NW = Bits.numWords(); W != NW; ++W) {
       uint64_t Word = Bits.word(W);
@@ -376,27 +372,7 @@ public:
           return true;
       }
     }
-    return listMatches(Fallback, Bits);
-  }
-
-  // relaxed: advisory count; callers only use it to pre-size buffers.
-  size_t size() const { return Count.load(std::memory_order_relaxed); }
-  bool empty() const { return size() == 0; }
-
-  /// A copy of the current constraints; the cross-job learning export
-  /// uses it after every appender has joined, but a mid-flight snapshot
-  /// is safe too (it sees some monotone prefix of the adds).
-  std::vector<std::pair<Bitset, Bitset>> snapshot() const {
-    std::vector<std::pair<Bitset, Bitset>> Out;
-    Out.reserve(size());
-    auto Walk = [&](const std::atomic<Node *> &Head) {
-      for (Node *N = Head.load(std::memory_order_acquire); N; N = N->Next)
-        Out.emplace_back(N->Mask, N->Value);
-    };
-    for (const auto &B : Buckets)
-      Walk(B);
-    Walk(Fallback);
-    return Out;
+    return false;
   }
 
 private:
@@ -438,12 +414,9 @@ private:
     };
     for (auto &B : Buckets)
       Free(B);
-    Free(Fallback);
   }
 
   std::vector<std::atomic<Node *>> Buckets;
-  std::atomic<Node *> Fallback{nullptr};
-  std::atomic<size_t> Count{0};
 };
 
 /// A single-threaded insert-only set of Bitsets, open-addressed so the

@@ -11,7 +11,9 @@
 /// members rarely contend on the same mutex. Both memoization layers
 /// instantiate it: the checker-level CheckCache (mc/MemoizingChecker.h,
 /// values are CheckResults) and the engine-level ResultCache
-/// (engine/Engine.h, values are whole synthesis reports).
+/// (engine/Engine.h, values are whole synthesis reports). The engine
+/// also keeps its Impossible proofs in one, keyed by (scenario,
+/// granularity), to shed portfolio members.
 ///
 /// Bounded with second-chance (clock) eviction: when a shard is full, a
 /// new entry evicts the first entry whose referenced bit is clear,
@@ -89,26 +91,14 @@ public:
     // insertion).
     if (!S.Map.emplace(Key, Entry{std::move(Value), true}).second)
       return;
-    admitNewKey(S, Key);
-  }
-
-  /// Creates-or-mutates the value for \p Key in place: \p F receives a
-  /// reference to the value (default-constructed when the key is new)
-  /// and runs under the shard lock, so it must be short and must not
-  /// touch the cache reentrantly. New keys follow the same
-  /// second-chance bookkeeping as store(); existing keys are marked
-  /// referenced. Requires V to be default-constructible. The
-  /// read-modify-write clients (the cross-job ConstraintStore) use this
-  /// where store()'s first-wins semantics would discard later
-  /// contributions.
-  template <typename Fn> void update(const Digest &Key, Fn &&F) {
-    Shard &S = shardFor(Key);
-    MutexLock Lock(S.M);
-    auto [It, Inserted] = S.Map.try_emplace(Key);
-    It->second.Referenced = true;
-    F(It->second.Value);
-    if (Inserted)
-      admitNewKey(S, Key);
+    // The new key is not in the ring yet, so the sweep cannot displace
+    // it.
+    if (S.Map.size() > ShardCap) {
+      size_t Slot = evictOne(S);
+      S.Ring[Slot] = Key;
+    } else {
+      S.Ring.push_back(Key);
+    }
   }
 
   CacheStats stats() const {
@@ -155,18 +145,6 @@ private:
   };
   Shard &shardFor(const Digest &Key) {
     return Shards[DigestHash()(Key) % NumShards];
-  }
-
-  /// Ring/eviction bookkeeping for a key just inserted into \p S's map
-  /// (shared by store() and update()). The new key is not in the ring
-  /// yet, so the sweep cannot displace it.
-  void admitNewKey(Shard &S, const Digest &Key) NETUPD_REQUIRES(S.M) {
-    if (S.Map.size() > ShardCap) {
-      size_t Slot = evictOne(S);
-      S.Ring[Slot] = Key;
-    } else {
-      S.Ring.push_back(Key);
-    }
   }
 
   /// Second-chance sweep: clears referenced bits until an unreferenced

@@ -41,8 +41,7 @@
 /// duration; the search batches its impossible() checks (one per
 /// EtCheckInterval failures per shard) precisely to keep that
 /// serialization off the hot path. setStopToken() takes the same mutex,
-/// so installing a token mid-flight (the seed-import path does this
-/// between search phases) is safe too.
+/// so installing a token while other threads learn is safe too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,12 +82,10 @@ public:
                         const std::vector<unsigned> &NotUpdated);
 
   /// Records the ordering constraint encoded by one wrong-set entry in
-  /// its (mask, value) form — the form the search's learnCex derives
-  /// and the cross-job ConstraintStore persists: some masked-but-not-
-  /// updated operation must precede some updated one. Converts and
-  /// forwards to addCexConstraint, so imported and freshly-learned
-  /// constraints take the identical path (size caps and the stop token
-  /// included).
+  /// its (mask, value) form — the form the search's learnCex derives:
+  /// some masked-but-not-updated operation must precede some updated
+  /// one. Converts and forwards to addCexConstraint (size caps and the
+  /// stop token included).
   void addMaskValueConstraint(const Bitset &Mask, const Bitset &Value);
 
   /// True when the accumulated constraints admit no total order; runs

@@ -77,11 +77,9 @@
 // making a unit's outcome — Success with a specific sequence, exhausted
 // quota, or fully-explored failure — a pure function of (instance,
 // quota). The winner is the lowest-indexed successful unit, not the
-// first in time, so the returned sequence is deterministic too. A
-// retiring unit copies its W entries into the shared W, so the run's
-// learning export is the shared W in every mode. The duplicated
-// cross-unit exploration this costs is the price of byte-identical
-// verdicts at any shard and worker count.
+// first in time, so the returned sequence is deterministic too. The
+// duplicated cross-unit exploration this costs is the price of
+// byte-identical verdicts at any shard and worker count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -323,22 +321,9 @@ struct SearchContext {
   BudgetLedger Ledger;
 
   /// The shared pruning scope. Searchers outside budget mode prune
-  /// against it; in budget mode it only collects the retired units' W
-  /// entries for the learning export. Reset before any searcher runs.
+  /// against it; budget mode leaves it empty. Reset before any searcher
+  /// runs.
   PruneScope Shared;
-
-  /// Wrong-set entries imported from the cross-job ConstraintStore:
-  /// filled before any searcher runs and immutable afterwards. The
-  /// watch-list indexing is what keeps large seeded stores cheap to
-  /// consult: a probe walks only the entries watching one of the
-  /// configuration's set bits, O(relevant) instead of O(all). Always
-  /// empty in deterministic budget mode, which never imports (see
-  /// runSearch).
-  WatchedWrongSet SeedWrong;
-  /// True when this run publishes its learned entries on retirement;
-  /// budget-mode searchers then copy their unit scope's W into the
-  /// shared one instead of dropping it with the unit.
-  bool ExportLearning = false;
 
   /// Work-stealing state, used only when several shards claim in the
   /// shared scope (see the file comment). One bounded deque per shard; a
@@ -622,13 +607,6 @@ private:
     if (UnitTruncated)
       // relaxed: a tally read only after every shard finished.
       Ctx.ExhaustedUnits.fetch_add(1, std::memory_order_relaxed);
-    // Unit-local entries are still instance facts; hand them to the
-    // shared W, the run's cross-job export, instead of dropping them
-    // with the unit. (Budget mode never *imports*, but what a budgeted
-    // probe learned is gold for the unbudgeted runs that follow it.)
-    if (Ctx.ExportLearning)
-      for (std::pair<Bitset, Bitset> &E : UnitScope->Wrong.snapshot())
-        Ctx.Shared.Wrong.add(std::move(E.first), std::move(E.second));
     Checker.setBudget(nullptr);
   }
 
@@ -666,17 +644,11 @@ private:
     Bitset &Next = F.Next;
     Next = Applied;
     Next.set(I);
-    // W and the seeds are probed before the claim: a match proves the
-    // recheck would fail, so a refuted configuration never enters V —
-    // under sharding, most of a deep proof's reaches stay out of the
-    // claim table. Imported (cross-job) refutations go first: each seeded
-    // prune skips a check an earlier digest-identical run already paid
-    // for. Losing the claim is the visited prune, and winning it commits
-    // this shard to exploring the configuration.
-    if (!Ctx.SeedWrong.empty() && Ctx.SeedWrong.matches(Next)) {
-      ++Stats.SeededPrunes;
-      return false;
-    }
+    // W is probed before the claim: a match proves the recheck would
+    // fail, so a refuted configuration never enters V — under sharding,
+    // most of a deep proof's reaches stay out of the claim table. Losing
+    // the claim is the visited prune, and winning it commits this shard
+    // to exploring the configuration.
     if (Ctx.Opts.CexPruning && Scope->Wrong.matches(Next)) {
       ++Stats.CexPrunes;
       return false;
@@ -1078,7 +1050,6 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   obs::TraceSpan SearchSpan("synth.search");
   SearchContext Ctx(Topo, Initial, Final, Classes, Phi, Opts);
   Ctx.buildOps();
-  Ctx.SeedWrong.reset(Ctx.Ops.size());
 
   // A finite check budget engages deterministic mode: carve it into
   // per-unit quotas once, from (budget, #units) alone. UnitCheckCalls
@@ -1090,10 +1061,10 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
         BudgetLedger::carveTotal(Opts.MaxCheckCalls, Ctx.OpOrder.size());
   Ctx.Deterministic = Ctx.Ledger.limited();
 
-  // Shape the shared scope before anything searches or is imported. It
-  // is claimed concurrently when several shards prune against it, which
-  // budget mode's shards never do (each has its unit scope); that is
-  // also exactly when shards steal.
+  // Shape the shared scope before anything searches. It is claimed
+  // concurrently when several shards prune against it, which budget
+  // mode's shards never do (each has its unit scope); that is also
+  // exactly when shards steal.
   unsigned Shards = Opts.Shards == 0 ? 1 : Opts.Shards;
   Shards =
       static_cast<unsigned>(std::min<size_t>(Shards, Ctx.OpOrder.size()));
@@ -1105,34 +1076,6 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     Ctx.Deques.reserve(Shards);
     for (unsigned S = 0; S != Shards; ++S)
       Ctx.Deques.push_back(std::make_unique<StealDeque>());
-  }
-
-  // Cross-job learning (support/ConstraintStore.h): import the wrong-set
-  // entries earlier runs of this (scenario, granularity) published and
-  // seed the pruning state before anything searches. Requires CexPruning
-  // — the machinery that produces and consumes the entries. Gated off in
-  // deterministic budget mode, whose outcome must stay a pure function
-  // of (job, budget): an import would let process history decide which
-  // checks a quota affords. Sound everywhere it engages: every entry
-  // records a genuine counterexample, so a seeded prune skips a check
-  // that could only have failed, and a seeded SAT constraint is
-  // satisfied by every genuinely correct order.
-  const bool LearnOn = Opts.Learning != nullptr &&
-                       Opts.LearningScenario != Digest{} &&
-                       Opts.CexPruning && !Ctx.Ops.empty();
-  Digest LearnKey;
-  if (LearnOn) {
-    LearnKey = ConstraintStore::keyFor(Opts.LearningScenario,
-                                       Opts.RuleGranularity);
-    Ctx.ExportLearning = true;
-    if (!Ctx.Deterministic) {
-      for (std::pair<Bitset, Bitset> &E :
-           Opts.Learning->fetch(LearnKey, Ctx.Ops.size())) {
-        if (Opts.EarlyTermination)
-          Ctx.Shared.ET.addMaskValueConstraint(E.first, E.second);
-        Ctx.SeedWrong.add(std::move(E.first), std::move(E.second));
-      }
-    }
   }
 
   KripkeStructure K(Ctx.Pool, Ctx.InitialTables);
@@ -1150,24 +1093,6 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     // Unit scopes folded their clause counts into shard stats already;
     // the shared scope adds the rest.
     Total.SatClauses += Ctx.Shared.ET.numClauses();
-    if (LearnOn) {
-      // Publish what this run learned — every entry passed the learn-
-      // time guard, and entries from interrupted or aborted runs are
-      // just as sound (each stands on its own counterexample). Retired
-      // units copied theirs into the shared W.
-      Total.ImportedConstraints = Ctx.SeedWrong.size();
-      size_t StoreDropped = 0;
-      Total.ExportedConstraints =
-          Opts.Learning->publish(LearnKey, Ctx.Ops.size(),
-                                 Ctx.Shared.Wrong.snapshot(), &StoreDropped);
-      Total.SubsumedDropped += StoreDropped;
-      // An Impossible verdict is a ground instance fact — a SAT proof
-      // or an exhaustive exploration, never a truncation (which reports
-      // Aborted): record it so the engine can shed portfolio members
-      // whose standalone run could only rediscover it.
-      if (Status == SynthStatus::Impossible)
-        Opts.Learning->markImpossible(LearnKey, Ctx.Ops.size());
-    }
     Total.EarlyTerminated |= Ctx.EtImpossible.load();
     Total.ExhaustedUnits = Ctx.ExhaustedUnits.load();
     Total.Interrupted = Ctx.ExternalAbort.load();
@@ -1177,6 +1102,9 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   };
 
   if (Opts.Stop.stopRequested()) {
+    // Stopped before any unit ran: an external abort like any other.
+    // relaxed: single-threaded here (before the shards start).
+    Ctx.ExternalAbort.store(true, std::memory_order_relaxed);
     SearchSeconds = Ctx.Clock.seconds();
     Finish(SynthStatus::Aborted);
     return Result;
@@ -1190,18 +1118,6 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     // Initial == Final (no diff): the empty sequence is correct.
     SearchSeconds = Ctx.Clock.seconds();
     Finish(SynthStatus::Success);
-    return Result;
-  }
-  if (!Ctx.SeedWrong.empty() && Opts.EarlyTermination &&
-      Ctx.Shared.ET.impossible()) {
-    // The imported constraints alone are contradictory: no simple order
-    // exists, proven before a single work unit ran. A reuse-off search
-    // reaches the same verdict (by its own SAT proof or by exhaustion)
-    // — the store only made it instant.
-    // relaxed: single-threaded here (before the shards start).
-    Ctx.EtImpossible.store(true, std::memory_order_relaxed);
-    SearchSeconds = Ctx.Clock.seconds();
-    Finish(SynthStatus::Impossible);
     return Result;
   }
 
@@ -1304,15 +1220,6 @@ SynthResult netupd::synthesizeUpdate(const Topology &Topo,
 SynthResult netupd::synthesizeUpdate(const Scenario &S, FormulaFactory &FF,
                                      CheckerBackend &Checker,
                                      const SynthOptions &Opts) {
-  if (Opts.Learning && Opts.LearningScenario == Digest{}) {
-    // Cross-job learning keys on the scenario's content digest; compute
-    // it here so engine members and direct callers need only hand over
-    // the store.
-    SynthOptions Keyed = Opts;
-    Keyed.LearningScenario = digestOf(S);
-    return synthesizeUpdate(S.Topo, S.Initial, S.Final, S.classes(),
-                            S.buildProperty(FF), Checker, Keyed);
-  }
   return synthesizeUpdate(S.Topo, S.Initial, S.Final, S.classes(),
                           S.buildProperty(FF), Checker, Opts);
 }

@@ -55,13 +55,9 @@
 /// unlike pure quota-exhaustion Aborts, which are deterministic and are
 /// replayed by the engine's result cache.
 ///
-/// Cross-job learning: with SynthOptions::Learning set, the search seeds
-/// its W set and SAT layer from the ConstraintStore before exploring and
-/// publishes what it learned when it retires, so digest-identical
-/// scenarios skip already-refuted prefixes without checker queries. The
-/// seeding is verdict- and sequence-invariant (every imported entry is a
-/// sound refutation; see docs/ARCHITECTURE.md) and never engages in
-/// deterministic budget mode.
+/// Every run starts from an empty V, W and SAT layer and drops them
+/// when it returns; only the engine keeps anything across jobs (the
+/// Impossible verdicts it sheds portfolio members on, engine/Engine.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +66,6 @@
 
 #include "engine/StopToken.h"
 #include "mc/CheckerBackend.h"
-#include "support/ConstraintStore.h"
 #include "synth/Command.h"
 #include "topo/Scenario.h"
 
@@ -126,24 +121,6 @@ struct SynthOptions {
   /// state their backend needs. Must be callable concurrently and must
   /// outlive the synthesizeUpdate call.
   std::function<std::unique_ptr<CheckerBackend>()> ShardCheckerFactory;
-  /// Cross-job learning store (null = off; see support/ConstraintStore.h).
-  /// On start the search imports the wrong-set entries earlier runs of
-  /// this (LearningScenario, RuleGranularity) published — pre-populating
-  /// W and seeding the SAT layer so already-refuted prefixes are pruned
-  /// without checker queries — and on retirement it publishes what it
-  /// learned. A pure accelerator: verdicts and returned sequences are
-  /// unchanged by any store content, so (like Shards) it is excluded
-  /// from digestOf(SynthJob). Deterministic budget mode never imports —
-  /// its outcome must stay a pure function of (job, budget), never of
-  /// process history — but budgeted runs still export. Requires
-  /// CexPruning (the machinery that both produces and consumes the
-  /// entries).
-  std::shared_ptr<ConstraintStore> Learning;
-  /// digestOf() of the scenario being synthesized; learning engages only
-  /// when this is set (non-zero) alongside Learning. The Scenario-taking
-  /// synthesizeUpdate overload fills it in automatically; direct
-  /// topology-level callers supply it themselves or leave learning off.
-  Digest LearningScenario;
 };
 
 /// Search statistics reported alongside a result.
@@ -174,12 +151,8 @@ struct SynthStats {
   /// unit before the winner propagates); the *verdict* never does.
   uint64_t BudgetSpent = 0;
   uint64_t ExhaustedUnits = 0;
-  /// Cross-job learning accounting (all zero when SynthOptions::Learning
-  /// is unset): wrong-set entries imported from the ConstraintStore at
-  /// search start, entries newly admitted to the store when the run
-  /// retired (duplicates of already-published entries don't count), and
-  /// DFS prunes served by an *imported* entry — each one a checker query
-  /// an earlier digest-identical run paid for.
+  /// Always zero: nothing crosses from one run to the next. Kept only
+  /// because the benchmark suite still reports them.
   uint64_t ImportedConstraints = 0;
   uint64_t ExportedConstraints = 0;
   uint64_t SeededPrunes = 0;
@@ -191,12 +164,10 @@ struct SynthStats {
   /// Kept only because the benchmark suite still reports them.
   uint64_t ClausesMinimized = 0;
   uint64_t Restarts = 0;
-  /// Learned entries the ConstraintStore discarded at insert because an
-  /// entry with a subset mask already subsumed them, or that it evicted
-  /// because a new entry subsumed them.
+  /// Always zero, like ImportedConstraints, and kept for the same reason.
   uint64_t SubsumedDropped = 0;
-  /// Portfolio members the engine skipped because their (scenario,
-  /// granularity) learning key already held an up-front UNSAT proof
+  /// Portfolio members the engine skipped because an earlier member
+  /// already proved their (scenario, granularity) Impossible
   /// (engine/Engine.cpp; set on the fabricated Impossible outcome).
   uint64_t ShedMembers = 0;
   /// True iff an external stop was observed cutting the run short
@@ -215,7 +186,7 @@ struct SynthStats {
   /// (obs::detailEnabled()) was on during the run: the per-candidate
   /// clock reads live behind that switch. CheckSeconds is time inside
   /// checker bind/recheck calls, MutateSeconds covers applyHandle
-  /// plus undo/rollback, PruneSeconds the V/W/seed probes and claims,
+  /// plus undo/rollback, PruneSeconds the V/W probes and claims,
   /// SatSeconds the EarlyTermination learning and impossibility calls.
   double CheckSeconds = 0.0;
   double MutateSeconds = 0.0;

@@ -16,9 +16,9 @@
 /// Because flows flip back and forth between two branch assignments, the
 /// same (initial, final) pair — and hence the same scenario digest —
 /// recurs throughout a long trace. That is deliberate: churn traces are
-/// how the engine's result cache, incremental digests and cross-job
-/// constraint learning get exercised the way a controller would exercise
-/// them, rather than by one-shot synthetic jobs.
+/// how the engine's result cache, incremental digests and portfolio
+/// shedding get exercised the way a controller would exercise them,
+/// rather than by one-shot synthetic jobs.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,8 +9,8 @@
 /// Random generators and checking helpers shared by the test suites:
 /// random LTL formulas, random network configurations (loops and
 /// blackholes included), a replay-based soundness check for
-/// synthesized command sequences, and the deep Impossible-proof
-/// instance the search tests share.
+/// synthesized command sequences, and the diamond and deep
+/// Impossible-proof instances the search tests share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -190,6 +190,34 @@ inline Topology familyTopology(unsigned Variant) {
     return buildSmallWorld(20 + 10 * Variant, 4, 0.25, R);
   }
   }
+}
+
+/// A feasible diamond scenario over a 24-switch small world with at
+/// least \p MinUpdates updating switches. Deterministic: scans seeds
+/// from \p FirstSeed upward.
+inline Scenario
+diamondWithUpdates(uint64_t FirstSeed, unsigned MinUpdates,
+                   PropertyKind Kind = PropertyKind::Reachability) {
+  for (uint64_t Seed = FirstSeed; Seed != FirstSeed + 64; ++Seed) {
+    Rng R(Seed);
+    Topology Base = buildSmallWorld(24, 4, 0.2, R);
+    std::optional<Scenario> S = makeDiamondScenario(Base, R, Kind);
+    if (S && numUpdatingSwitches(*S) >= MinUpdates)
+      return std::move(*S);
+  }
+  ADD_FAILURE() << "no diamond with >= " << MinUpdates
+                << " updating switches from seed " << FirstSeed;
+  return Scenario{};
+}
+
+/// The Fig. 8(h) instance over a 20-switch small world: infeasible at
+/// switch granularity, feasible at rule granularity.
+inline Scenario doubleDiamond(uint64_t Seed) {
+  Rng R(Seed);
+  Topology Base = buildSmallWorld(20, 4, 0.2, R);
+  std::optional<Scenario> S = makeDoubleDiamondScenario(Base, R);
+  EXPECT_TRUE(S.has_value()) << "seed " << Seed << " grew no double diamond";
+  return std::move(*S);
 }
 
 /// A deep exhaustive Impossible proof at a test-sized diff cap: a

@@ -36,35 +36,6 @@
 using namespace netupd;
 using namespace netupd::testutil;
 
-namespace {
-
-/// A feasible diamond scenario with at least \p MinUpdates updating
-/// switches. Deterministic: scans seeds from \p FirstSeed upward.
-Scenario diamondWithUpdates(uint64_t FirstSeed, unsigned MinUpdates) {
-  for (uint64_t Seed = FirstSeed; Seed != FirstSeed + 64; ++Seed) {
-    Rng R(Seed);
-    Topology Base = buildSmallWorld(24, 4, 0.2, R);
-    std::optional<Scenario> S =
-        makeDiamondScenario(Base, R, PropertyKind::Reachability);
-    if (S && numUpdatingSwitches(*S) >= MinUpdates)
-      return std::move(*S);
-  }
-  ADD_FAILURE() << "no diamond with >= " << MinUpdates
-                << " updating switches from seed " << FirstSeed;
-  return Scenario{};
-}
-
-/// The Fig. 8(h) instance: switch-granularity infeasible, rule feasible.
-Scenario doubleDiamond(uint64_t Seed) {
-  Rng R(Seed);
-  Topology Base = buildSmallWorld(20, 4, 0.2, R);
-  std::optional<Scenario> S = makeDoubleDiamondScenario(Base, R);
-  EXPECT_TRUE(S.has_value()) << "seed " << Seed << " grew no double diamond";
-  return std::move(*S);
-}
-
-} // namespace
-
 // --- BudgetLedger -----------------------------------------------------------
 
 namespace {
@@ -584,6 +555,33 @@ TEST(AbortedCacheTest, QuotaExhaustionAbortsAreCachedAndReplayed) {
   BatchReport Third = Engine.run({Widened});
   EXPECT_FALSE(Third.Reports[0].FromCache)
       << "a different budget must never replay another budget's abort";
+}
+
+// A member whose own stop token fired before its search started is an
+// external abort, not a budget decision: Interrupted, no exhausted
+// unit, and never replayed from the result cache.
+TEST(AbortedCacheTest, PreFiredMemberStopIsNeverCached) {
+  StopSource Stop;
+  Stop.requestStop();
+  SynthJob Job;
+  Job.Name = "stopped";
+  Job.S = diamondWithUpdates(6000, 3);
+  Job.Portfolio.emplace_back();
+  Job.Portfolio[0].Opts.Stop = Stop.token();
+
+  EngineOptions EO;
+  EO.NumWorkers = 1;
+  SynthEngine Engine(EO); // CacheResults on (the default).
+  BatchReport First = Engine.run({Job});
+  const SynthReport &R = First.Reports[0];
+  ASSERT_EQ(R.Result.Status, SynthStatus::Aborted);
+  EXPECT_TRUE(R.Result.Stats.Interrupted);
+  EXPECT_EQ(R.Result.Stats.ExhaustedUnits, 0u);
+  EXPECT_FALSE(Engine.resultCache()->lookup(digestOf(Job)).has_value())
+      << "a stop-shaped abort leaked into the result cache";
+
+  BatchReport Second = Engine.run({Job});
+  EXPECT_FALSE(Second.Reports[0].FromCache);
 }
 
 namespace {

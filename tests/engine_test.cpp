@@ -46,16 +46,6 @@ Scenario smallDiamond(uint64_t Seed,
   return std::move(*S);
 }
 
-/// The Fig. 8(h) adversarial instance: infeasible at switch granularity,
-/// feasible at rule granularity.
-Scenario doubleDiamond(uint64_t Seed) {
-  Rng R(Seed);
-  Topology Base = buildSmallWorld(20, 4, 0.2, R);
-  std::optional<Scenario> S = makeDoubleDiamondScenario(Base, R);
-  EXPECT_TRUE(S.has_value()) << "seed " << Seed << " grew no double diamond";
-  return std::move(*S);
-}
-
 /// Replay-checks a report's command sequence against the job's property.
 void expectCorrectSequence(const Scenario &S, const SynthReport &Rep) {
   FormulaFactory FF;
@@ -511,6 +501,137 @@ TEST(SynthEngineTest, AsyncCancelQueuedAndRunningJobs) {
   JobHandle Retry = Engine.submit(Queued);
   EXPECT_EQ(Retry.wait().Result.Status, SynthStatus::Success);
   EXPECT_FALSE(Retry.wait().FromCache);
+}
+
+// --- Portfolio shedding -----------------------------------------------------
+
+namespace {
+
+/// A one-worker engine that runs every job for real (result cache off)
+/// and records Impossible proofs iff \p Shedding.
+EngineOptions sheddingEngine(bool Shedding) {
+  EngineOptions EO;
+  EO.NumWorkers = 1;
+  EO.CacheResults = false;
+  EO.SharedLearning = Shedding;
+  return EO;
+}
+
+/// A one-member job of \p S on \p Backend at \p RuleGranularity.
+SynthJob probe(const Scenario &S, const char *Backend, bool RuleGranularity,
+               uint64_t MaxCheckCalls = 0) {
+  SynthJob Job;
+  Job.S = S;
+  Job.Portfolio.emplace_back();
+  Job.Portfolio[0].Backend = Backend;
+  Job.Portfolio[0].Opts.RuleGranularity = RuleGranularity;
+  Job.Portfolio[0].Opts.MaxCheckCalls = MaxCheckCalls;
+  return Job;
+}
+
+} // namespace
+
+// Once a job proves a scenario Impossible at switch granularity, a
+// digest-distinct probe of it (another backend, so the result cache
+// could not serve it even if it were on) is answered without running:
+// one shed member, no check. The rule-granularity member of the same
+// probe is a different key and must run — and succeed.
+TEST(ShedEngineTest, ImpossibleProofShedsLaterProbe) {
+  Scenario S = doubleDiamond(9);
+  SynthEngine Engine(sheddingEngine(true));
+  BatchReport First = Engine.run({probe(S, "incremental", false)});
+  ASSERT_EQ(First.Reports[0].Result.Status, SynthStatus::Impossible);
+  EXPECT_EQ(First.Reports[0].Result.Stats.ShedMembers, 0u);
+
+  SynthJob Second = probe(S, "batch", false);
+  Second.Portfolio.emplace_back();
+  Second.Portfolio[1].Backend = "incremental";
+  Second.Portfolio[1].Opts.RuleGranularity = true;
+  BatchReport Rep = Engine.run({Second});
+  const SynthReport &R = Rep.Reports[0];
+  ASSERT_EQ(R.Members.size(), 2u);
+  EXPECT_EQ(R.Members[0].Status, SynthStatus::Impossible);
+  EXPECT_EQ(R.Members[0].Stats.ShedMembers, 1u);
+  EXPECT_EQ(R.Members[0].Stats.CheckCalls, 0u);
+  EXPECT_EQ(R.Members[0].Queries, 0u);
+  EXPECT_EQ(R.Members[1].Stats.ShedMembers, 0u);
+  EXPECT_EQ(R.Members[1].Status, SynthStatus::Success)
+      << "a switch-granularity proof must not shed a rule member";
+  EXPECT_EQ(R.Result.Status, SynthStatus::Success);
+}
+
+// A budgeted member could report Aborted where a full run proves
+// Impossible, so a recorded proof never answers for it.
+TEST(ShedEngineTest, BudgetedProbeIsNeverShed) {
+  Scenario S = doubleDiamond(9);
+  SynthEngine Engine(sheddingEngine(true));
+  ASSERT_EQ(Engine.run({probe(S, "incremental", false)})
+                .Reports[0]
+                .Result.Status,
+            SynthStatus::Impossible);
+  BatchReport Rep =
+      Engine.run({probe(S, "batch", false, /*MaxCheckCalls=*/100000)});
+  const SynthReport &R = Rep.Reports[0];
+  EXPECT_EQ(R.Result.Stats.ShedMembers, 0u);
+  EXPECT_GT(R.Result.Stats.CheckCalls, 0u);
+  EXPECT_EQ(R.Result.Status, SynthStatus::Impossible);
+}
+
+// With SharedLearning off the engine records nothing and sheds nothing.
+TEST(ShedEngineTest, SheddingOffNeverSheds) {
+  Scenario S = doubleDiamond(9);
+  SynthEngine Engine(sheddingEngine(false));
+  ASSERT_EQ(Engine.run({probe(S, "incremental", false)})
+                .Reports[0]
+                .Result.Status,
+            SynthStatus::Impossible);
+  BatchReport Rep = Engine.run({probe(S, "batch", false)});
+  const SynthReport &R = Rep.Reports[0];
+  EXPECT_EQ(R.Result.Status, SynthStatus::Impossible);
+  EXPECT_EQ(R.Result.Stats.ShedMembers, 0u);
+  EXPECT_GT(R.Result.Stats.CheckCalls, 0u);
+}
+
+// An autotuning-style probe stream through one engine: every scenario is
+// probed under digest-distinct configurations (backend x SAT layer), so
+// the result cache could serve none of them; only the recorded
+// Impossible proofs link the probes. Shedding on must leave every
+// verdict and rendered sequence as it was with shedding off, and must
+// issue strictly fewer checker queries.
+TEST(ShedEngineTest, ProbeStreamSavesQueriesWithoutChangingResults) {
+  std::vector<SynthJob> Jobs;
+  auto AddProbe = [&](const Scenario &S, const char *Backend, bool Et) {
+    SynthJob Job = probe(S, Backend, false);
+    Job.Portfolio[0].Opts.EarlyTermination = Et;
+    Jobs.push_back(std::move(Job));
+  };
+  for (uint64_t Seed : {9, 31, 47}) {
+    Scenario Inf = doubleDiamond(Seed);
+    for (const char *Backend : {"incremental", "batch"})
+      for (bool Et : {false, true})
+        AddProbe(Inf, Backend, Et);
+  }
+  // A feasible family rides along: shedding must leave found sequences
+  // alone too.
+  for (uint64_t Seed : {3300, 3400}) {
+    Scenario Feas = diamondWithUpdates(Seed, 3);
+    for (const char *Backend : {"incremental", "batch"})
+      AddProbe(Feas, Backend, true);
+  }
+
+  std::vector<std::pair<SynthStatus, std::string>> Results[2];
+  uint64_t Queries[2] = {0, 0};
+  for (bool Shedding : {false, true}) {
+    SynthEngine Engine(sheddingEngine(Shedding));
+    BatchReport Rep = Engine.run(Jobs);
+    for (size_t I = 0; I != Rep.Reports.size(); ++I)
+      Results[Shedding].push_back(
+          {Rep.Reports[I].Result.Status,
+           commandSeqToString(Jobs[I].S.Topo, Rep.Reports[I].Result.Commands)});
+    Queries[Shedding] = Rep.TotalQueries;
+  }
+  EXPECT_EQ(Results[1], Results[0]) << "shedding changed a verdict or sequence";
+  EXPECT_LT(Queries[1], Queries[0]) << "shedding saved no checker query";
 }
 
 // --- Zoo scale --------------------------------------------------------------

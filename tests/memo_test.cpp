@@ -38,14 +38,6 @@ Scenario diamond(uint64_t Seed,
   return std::move(*S);
 }
 
-Scenario doubleDiamond(uint64_t Seed) {
-  Rng R(Seed);
-  Topology Base = buildSmallWorld(20, 4, 0.2, R);
-  std::optional<Scenario> S = makeDoubleDiamondScenario(Base, R);
-  EXPECT_TRUE(S.has_value()) << "seed " << Seed << " grew no double diamond";
-  return std::move(*S);
-}
-
 /// Runs synthesizeUpdate over \p S with a memoizing wrapper around the
 /// factory backend \p Backend, sharing \p Cache.
 SynthResult runMemoized(const Scenario &S, const std::string &Backend,

@@ -11,11 +11,11 @@
 /// one hard contract — turning tracing and the detail tier on must not
 /// change a verdict, a command sequence, or a search counter. The
 /// invariance matrix runs the backend registry x shard counts {1,4}
-/// with budgeted cells included, mirroring the learning and budget
-/// matrices. A concurrency test hammers recording from several threads
-/// while the exporter runs — the cell the TSan CI job exists for.
+/// with budgeted cells included, mirroring the budget matrix. A
+/// concurrency test hammers recording from several threads while the
+/// exporter runs — the cell the TSan CI job exists for.
 ///
-/// Sequence comparison caveat (same as tests/learning_test.cpp): at
+/// Sequence comparison caveat (same as tests/shard_test.cpp): at
 /// Shards > 1 without a budget, which correct sequence a feasible
 /// search returns is timing-dependent; those cells compare verdicts and
 /// validate sequences by replay. Sequential and budgeted cells compare
@@ -61,31 +61,6 @@ struct ObsToggle {
   bool OldTrace, OldDetail;
 };
 
-/// A feasible diamond scenario with at least \p MinUpdates updating
-/// switches. Deterministic: scans seeds from \p FirstSeed upward.
-Scenario diamondWithUpdates(uint64_t FirstSeed, unsigned MinUpdates) {
-  for (uint64_t Seed = FirstSeed; Seed != FirstSeed + 64; ++Seed) {
-    Rng R(Seed);
-    Topology Base = buildSmallWorld(24, 4, 0.2, R);
-    std::optional<Scenario> S =
-        makeDiamondScenario(Base, R, PropertyKind::Reachability);
-    if (S && numUpdatingSwitches(*S) >= MinUpdates)
-      return std::move(*S);
-  }
-  ADD_FAILURE() << "no diamond with >= " << MinUpdates
-                << " updating switches from seed " << FirstSeed;
-  return Scenario{};
-}
-
-/// The Fig. 8(h) instance: switch-granularity infeasible.
-Scenario doubleDiamond(uint64_t Seed) {
-  Rng R(Seed);
-  Topology Base = buildSmallWorld(20, 4, 0.2, R);
-  std::optional<Scenario> S = makeDoubleDiamondScenario(Base, R);
-  EXPECT_TRUE(S.has_value()) << "seed " << Seed << " grew no double diamond";
-  return std::move(*S);
-}
-
 /// What one run observably produced, for invariance comparisons.
 struct RunResult {
   SynthStatus Status = SynthStatus::Aborted;
@@ -95,7 +70,7 @@ struct RunResult {
 };
 
 /// Runs one single-member job on a fresh 1-worker engine with the
-/// result cache and learning off (observability, not reuse, is under
+/// result cache and shedding off (observability, not reuse, is under
 /// test here).
 RunResult runOnce(const Scenario &S, const std::string &Backend,
                   unsigned Shards,
@@ -321,8 +296,7 @@ TEST(ObsInvarianceTest, BudgetedCellsStayByteIdentical) {
       // Work counters are only timing-independent at one shard: the
       // budget contract pins the verdict and the rendered sequence at
       // any shard count, but how much work losing shards do before
-      // they see the winner follows scheduling (same scope as
-      // learning_test's budgeted cells).
+      // they see the winner follows scheduling.
       if (Shards == 1)
         expectSameCounters(On.Stats, Ref.Stats, Cell);
     }

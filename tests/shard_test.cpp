@@ -44,32 +44,6 @@ using namespace netupd::testutil;
 
 namespace {
 
-/// A feasible diamond scenario with at least \p MinUpdates updating
-/// switches, so a Shards-wide split has real work units. Deterministic:
-/// scans seeds from \p FirstSeed upward.
-Scenario diamondWithUpdates(uint64_t FirstSeed, unsigned MinUpdates,
-                            PropertyKind Kind = PropertyKind::Reachability) {
-  for (uint64_t Seed = FirstSeed; Seed != FirstSeed + 64; ++Seed) {
-    Rng R(Seed);
-    Topology Base = buildSmallWorld(24, 4, 0.2, R);
-    std::optional<Scenario> S = makeDiamondScenario(Base, R, Kind);
-    if (S && numUpdatingSwitches(*S) >= MinUpdates)
-      return std::move(*S);
-  }
-  ADD_FAILURE() << "no diamond with >= " << MinUpdates
-                << " updating switches from seed " << FirstSeed;
-  return Scenario{};
-}
-
-/// The Fig. 8(h) instance: switch-granularity infeasible, rule feasible.
-Scenario doubleDiamond(uint64_t Seed) {
-  Rng R(Seed);
-  Topology Base = buildSmallWorld(20, 4, 0.2, R);
-  std::optional<Scenario> S = makeDoubleDiamondScenario(Base, R);
-  EXPECT_TRUE(S.has_value()) << "seed " << Seed << " grew no double diamond";
-  return std::move(*S);
-}
-
 /// Replay-checks a successful result: every intermediate configuration
 /// satisfies the property, and the end configuration is semantically the
 /// final one — the "same sequence class" notion the sharded search
@@ -491,6 +465,26 @@ TEST(ShardedSearchTest, PreFiredStopAbortsShardedRun) {
   SynthResult Res = synthesizeUpdate(S, FF, Checker, Opts);
   EXPECT_EQ(Res.Status, SynthStatus::Aborted);
   EXPECT_TRUE(Res.Commands.empty());
+  EXPECT_TRUE(Res.Stats.Interrupted)
+      << "a stop that fires before the search starts is an external abort";
+}
+
+// The 1-shard twin: the early stop path is shared, so the flag must be
+// set without any shard ever observing the token.
+TEST(ShardedSearchTest, PreFiredStopAbortsSequentialRun) {
+  Scenario S = diamondWithUpdates(600, 3);
+  StopSource Stop;
+  Stop.requestStop();
+  LabelingChecker Checker(LabelingChecker::Mode::Incremental);
+  FormulaFactory FF;
+  SynthOptions Opts;
+  Opts.Shards = 1;
+  Opts.Stop = Stop.token();
+  SynthResult Res = synthesizeUpdate(S, FF, Checker, Opts);
+  EXPECT_EQ(Res.Status, SynthStatus::Aborted);
+  EXPECT_TRUE(Res.Commands.empty());
+  EXPECT_TRUE(Res.Stats.Interrupted);
+  EXPECT_EQ(Res.Stats.ExhaustedUnits, 0u);
 }
 
 #ifdef __linux__
@@ -569,7 +563,7 @@ SynthJob threeMemberJob(const Scenario &S, const std::string &Backend) {
   return Job;
 }
 
-/// One worker, no result cache and no learning: every job runs all of
+/// One worker, no result cache and no shedding: every job runs all of
 /// its members for real, none is served or shed.
 EngineOptions plainOneWorker(unsigned IntraJobShards = 0) {
   EngineOptions EO;

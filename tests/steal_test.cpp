@@ -13,13 +13,12 @@
 /// the 1-shard reference (commands included), and deterministic budget
 /// mode must never steal at all — its unit scopes forbid cross-shard
 /// hand-offs, so a single stolen task there would be a contract breach.
-/// A deep-proof matrix over shards and store seeding pins the sharded
+/// A deep-proof matrix over shard counts pins the sharded
 /// probe-before-claim order: same verdict, same query count.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "mc/LabelingChecker.h"
-#include "support/ConstraintStore.h"
 #include "synth/Command.h"
 #include "synth/OrderUpdate.h"
 #include "topo/Generators.h"
@@ -41,23 +40,6 @@ using namespace netupd::testutil;
 
 namespace {
 
-/// A feasible diamond scenario with at least \p MinUpdates updating
-/// switches, so an 8-way split has real top-level units. Deterministic:
-/// scans seeds from \p FirstSeed upward.
-Scenario diamondWithUpdates(uint64_t FirstSeed, unsigned MinUpdates) {
-  for (uint64_t Seed = FirstSeed; Seed != FirstSeed + 64; ++Seed) {
-    Rng R(Seed);
-    Topology Base = buildSmallWorld(24, 4, 0.2, R);
-    std::optional<Scenario> S =
-        makeDiamondScenario(Base, R, PropertyKind::Reachability);
-    if (S && numUpdatingSwitches(*S) >= MinUpdates)
-      return std::move(*S);
-  }
-  ADD_FAILURE() << "no diamond with >= " << MinUpdates
-                << " updating switches from seed " << FirstSeed;
-  return Scenario{};
-}
-
 /// An exhaustion-proof instance: a feasible diamond whose destination is
 /// blackholed in the final configuration, so every order fails and the
 /// search must walk the whole safe sub-lattice to report Impossible.
@@ -75,7 +57,7 @@ Scenario blackholedDiamond(uint64_t FirstSeed, unsigned MinUpdates) {
 
 /// Runs the plain (portfolio-free) search over \p S with the given shard
 /// count; every shard gets its own incremental labeling checker.
-/// \p Tweak adjusts the options last (store seeding, early termination).
+/// \p Tweak adjusts the options last (early termination).
 SynthResult
 runSearch(const Scenario &S, unsigned Shards, uint64_t MaxCheckCalls = 0,
           const std::function<void(SynthOptions &)> &Tweak = {}) {
@@ -168,48 +150,31 @@ TEST(StealDeterminismTest, BudgetedCellsAreByteIdentical) {
   }
 }
 
-// Sharded searchers probe the seed set and W before they claim, so a
-// refuted configuration settles without entering the shared claim
-// table. That must neither lose a proof nor buy extra checks: on a deep
-// exhaustion proof every shards x store-seeding cell stays
-// Impossible, and its checker queries (less the one bind each stolen
-// task costs) stay within 1% of the 1-shard search over the same store
-// content. The store is filled per cell by the same budgeted run, so
-// every seeded cell starts from identical imports that refute only part
-// of the lattice, leaving both the seed and the run-local W probe work.
+// Sharded searchers probe W before they claim, so a refuted
+// configuration settles without entering the shared claim table. That
+// must neither lose a proof nor buy extra checks: on a deep exhaustion
+// proof every shard count stays Impossible, and its checker queries
+// (less the one bind each stolen task costs) stay within 1% of the
+// 1-shard search.
 TEST(StealDeterminismTest, ShardedRefutationKeepsProofAndQueryCount) {
   Scenario S = deepImpossible(1);
   ASSERT_FALSE(S.Flows.empty());
-  for (bool Seeded : {false, true}) {
-    uint64_t RefChecks = 0;
-    for (unsigned Shards : {1u, 2u, 4u}) {
-      std::shared_ptr<ConstraintStore> Store;
-      auto Tweak = [&](SynthOptions &O) {
-        O.EarlyTermination = false;
-        O.Learning = Store;
-      };
-      if (Seeded) {
-        Store = std::make_shared<ConstraintStore>();
-        runSearch(S, 1, /*MaxCheckCalls=*/200, Tweak);
-      }
-      SynthResult Res = runSearch(S, Shards, 0, Tweak);
-      std::string Cell = std::to_string(Shards) +
-                         " shards, seeded=" + std::to_string(Seeded);
-      ASSERT_EQ(Res.Status, SynthStatus::Impossible) << Cell;
-      if (Seeded) {
-        EXPECT_GT(Res.Stats.SeededPrunes, 0u) << Cell;
-      }
-      uint64_t Checks = Res.Stats.CheckCalls - Res.Stats.StolenTasks;
-      if (Shards == 1) {
-        RefChecks = Checks;
-        continue;
-      }
-      EXPECT_LE(std::llabs(static_cast<long long>(Checks) -
-                           static_cast<long long>(RefChecks)) *
-                    100,
-                static_cast<long long>(RefChecks))
-          << Cell << ": " << Checks << " checks against " << RefChecks
-          << " at 1 shard";
+  uint64_t RefChecks = 0;
+  for (unsigned Shards : {1u, 2u, 4u}) {
+    SynthResult Res = runSearch(
+        S, Shards, 0, [](SynthOptions &O) { O.EarlyTermination = false; });
+    std::string Cell = std::to_string(Shards) + " shards";
+    ASSERT_EQ(Res.Status, SynthStatus::Impossible) << Cell;
+    uint64_t Checks = Res.Stats.CheckCalls - Res.Stats.StolenTasks;
+    if (Shards == 1) {
+      RefChecks = Checks;
+      continue;
     }
+    EXPECT_LE(std::llabs(static_cast<long long>(Checks) -
+                         static_cast<long long>(RefChecks)) *
+                  100,
+              static_cast<long long>(RefChecks))
+        << Cell << ": " << Checks << " checks against " << RefChecks
+        << " at 1 shard";
   }
 }

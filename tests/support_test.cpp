@@ -402,7 +402,6 @@ TEST(BitsetTest, HashDispersesHighBitsToBothEnds) {
 TEST(WatchedWrongSetTest, MatchesAcrossWatchBuckets) {
   WatchedWrongSet W;
   W.reset(130);
-  EXPECT_TRUE(W.empty());
 
   // (Mask = {3, 70}, Value = {70}): refutes configurations that applied
   // op 70 but not op 3. Watched under bit 70 — in the second word.
@@ -420,23 +419,6 @@ TEST(WatchedWrongSetTest, MatchesAcrossWatchBuckets) {
   Bitset D(130);
   D.set(3);
   EXPECT_FALSE(W.matches(D)) << "watch bit 70 absent: cannot match";
-  EXPECT_EQ(W.size(), 1u);
-  EXPECT_EQ(W.snapshot().size(), 1u);
-}
-
-// All-zero Values (only seed imports can produce them) must land in the
-// always-scanned fallback list, not be lost to an out-of-range bucket.
-TEST(WatchedWrongSetTest, ZeroValueConstraintUsesFallback) {
-  WatchedWrongSet W;
-  W.reset(64);
-  Bitset M(64), V(64);
-  M.set(5); // Refutes any configuration that has NOT applied op 5.
-  W.add(M, V);
-  Bitset C(64);
-  C.set(7);
-  EXPECT_TRUE(W.matches(C));
-  C.set(5);
-  EXPECT_FALSE(W.matches(C));
 }
 
 // reset() must both drop old constraints and survive re-shaping to a
@@ -453,7 +435,6 @@ TEST(WatchedWrongSetTest, ResetDropsConstraintsAndReshapes) {
   EXPECT_TRUE(W.matches(C));
 
   W.reset(96);
-  EXPECT_TRUE(W.empty());
   Bitset C2(96);
   C2.set(1);
   C2.set(90);
@@ -503,7 +484,6 @@ TEST(WatchedWrongSetTest, ConcurrentAddsAndProbes) {
   Reader.join();
 
   EXPECT_EQ(FalseHits.load(), 0u);
-  EXPECT_EQ(W.size(), Writers * PerWriter);
   for (size_t Bit = 0; Bit != Writers * PerWriter; ++Bit) {
     Bitset C(NumBits);
     C.set(Bit);

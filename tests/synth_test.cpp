@@ -21,8 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
+#include <thread>
 
 using namespace netupd;
 using namespace netupd::testutil;
@@ -732,6 +735,122 @@ TEST(EarlyTerminationTest, ReportsTheoryRounds) {
   EXPECT_EQ(ET.numClauses(), 4u) << "three constraints and one cycle";
 }
 
+// --- setStopToken mid-flight (regression) -----------------------------------
+
+// setStopToken used to be an unguarded write with a "call before any
+// concurrent use" contract — which the sharded search once quietly
+// violated by installing a per-unit token between search phases,
+// racing the locked readers inside addCexConstraint() and impossible().
+// It now serializes on the learner mutex. The first half pins the
+// semantics (a fired token installed mid-flight stops both learning and
+// solving); the second half hammers installs against concurrent
+// learners so the TSan lane would catch the old race.
+TEST(EarlyTerminationStopTest, MidFlightInstallIsHonored) {
+  EarlyTermination ET;
+  ET.addCexConstraint({0}, {1}); // 1 before 0.
+  EXPECT_FALSE(ET.impossible());
+
+  StopSource Src;
+  Src.requestStop();
+  ET.setStopToken(Src.token());
+  ET.addCexConstraint({1}, {0}); // Dropped: cancelled searches learn nothing.
+  EXPECT_FALSE(ET.impossible()); // Solve skipped, cached verdict returned.
+
+  ET.setStopToken(StopToken()); // An empty token never stops.
+  ET.addCexConstraint({1}, {0}); // 0 before 1: now circular.
+  EXPECT_TRUE(ET.impossible());
+}
+
+/// A stop that lands inside the solve / cycle-check loop ends it with
+/// the cached verdict of the last completed check and leaves the check
+/// pending, so installing an empty token and asking again reaches the
+/// true verdict. The instance is a chain a_0 < ... < a_K-1 plus "a_K-1
+/// precedes one of a_0 .. a_K-2": impossible, but each model orients one
+/// disjunct against the chain, so the proof takes about K rounds of
+/// solve and cycle clause. The stop fires from another thread part-way
+/// through; an attempt whose stop lands before the first round or after
+/// the last is retried with a new delay.
+TEST(EarlyTerminationStopTest, StopInTheoryLoopKeepsCachedVerdict) {
+  constexpr unsigned K = 1000;
+  auto AddChain = [](EarlyTermination &ET) {
+    for (unsigned I = 0; I + 1 != K; ++I)
+      ET.addCexConstraint({I + 1}, {I});
+  };
+  auto AddClosing = [](EarlyTermination &ET) {
+    std::vector<unsigned> Earlier;
+    for (unsigned I = 0; I + 1 != K; ++I)
+      Earlier.push_back(I);
+    ET.addCexConstraint(Earlier, {K - 1});
+  };
+  using Clock = std::chrono::steady_clock;
+
+  // Calibrate the delay on an unstopped twin.
+  EarlyTermination Twin;
+  AddChain(Twin);
+  AddClosing(Twin);
+  Clock::time_point T0 = Clock::now();
+  ASSERT_TRUE(Twin.impossible());
+  Clock::duration Delay = (Clock::now() - T0) / 2;
+
+  bool StoppedInLoop = false;
+  for (int Attempt = 0; Attempt != 30 && !StoppedInLoop; ++Attempt) {
+    EarlyTermination ET;
+    AddChain(ET);
+    ASSERT_FALSE(ET.impossible()); // The cached verdict: possible.
+    AddClosing(ET);
+    StopSource Src;
+    ET.setStopToken(Src.token());
+    std::atomic<bool> Started{false};
+    std::thread Stopper([&] {
+      while (!Started.load())
+        std::this_thread::yield();
+      std::this_thread::sleep_for(Delay);
+      Src.requestStop();
+    });
+    Started.store(true);
+    bool Verdict = ET.impossible();
+    Stopper.join();
+    if (Verdict) { // The loop finished first: stop sooner.
+      Delay /= 2;
+      continue;
+    }
+    if (ET.numClauses() == K) { // Stopped before any cycle clause.
+      Delay *= 2;
+      continue;
+    }
+    StoppedInLoop = true;
+    EXPECT_FALSE(ET.impossible()) << "a fired token must not resume";
+    ET.setStopToken({});
+    EXPECT_TRUE(ET.impossible()) << "the stopped check must stay pending";
+  }
+  EXPECT_TRUE(StoppedInLoop) << "no attempt stopped inside the loop";
+}
+
+TEST(EarlyTerminationStopTest, ConcurrentInstallAndLearnIsRaceFree) {
+  EarlyTermination ET;
+  std::atomic<bool> Done{false};
+  std::thread Installer([&] {
+    StopSource Src; // Never fired: learners must keep making progress.
+    for (int I = 0; I < 1000; ++I)
+      ET.setStopToken(I % 2 ? Src.token() : StopToken());
+    Done.store(true);
+  });
+  std::vector<std::thread> Learners;
+  for (unsigned T = 0; T < 4; ++T)
+    Learners.emplace_back([&ET, &Done, T] {
+      // Disjoint operation ranges per thread: the constraint set stays
+      // satisfiable, so every impossible() exercises a real solve path.
+      unsigned Base = T * 8;
+      while (!Done.load()) {
+        ET.addCexConstraint({Base}, {Base + 1});
+        EXPECT_FALSE(ET.impossible());
+      }
+    });
+  Installer.join();
+  for (auto &T : Learners)
+    T.join();
+}
+
 // --- SynthStats::mergeFrom coverage guard -----------------------------------
 
 // PRs keep growing SynthStats by hand, and a field added without a
@@ -1062,16 +1181,12 @@ TEST(SearchPinTest, PerUnitBudgetOneShard) {
   });
 }
 
-/// The same per-unit budget on four shards: verdicts and sequences. The
-/// learning store makes retiring units export their wrong sets from
-/// every shard at once; budget mode never imports, so the store cannot
-/// change an outcome.
+/// The same per-unit budget on four shards: verdicts and sequences.
 TEST(SearchPinTest, PerUnitBudgetFourShards) {
   SynthOptions Opts;
   Opts.UnitCheckCalls = 200;
   Opts.EarlyTermination = false;
   Opts.Shards = 4;
-  Opts.Learning = std::make_shared<ConstraintStore>();
   expectPins(Opts, PinCounters::None, {
       "churn-step switch: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894",
       "churn-step rule: Success | upd sw1; upd sw21; upd sw23; upd sw20; wait; upd sw0; upd sw22 | 8570944015681924894",
@@ -1105,12 +1220,10 @@ TEST(SearchPinTest, PerUnitBudgetFourShards) {
 /// Deterministic budget mode on four shards: verdicts and sequences are
 /// shard-count independent by contract, so they must equal the one-shard
 /// pins above; the counters may vary with scheduling and are not pinned.
-/// A learning store engages the export, as above.
 TEST(SearchPinTest, BudgetFourShards) {
   SynthOptions Opts;
   Opts.MaxCheckCalls = 30;
   Opts.Shards = 4;
-  Opts.Learning = std::make_shared<ConstraintStore>();
   expectPins(Opts, PinCounters::None, {
       "churn-step switch: Aborted |  | 1469598103934665603",
       "churn-step rule: Aborted |  | 1469598103934665603",
